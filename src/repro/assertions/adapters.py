@@ -247,7 +247,10 @@ class _NullTap:
         pass
 
     def step(self, cycle):
-        pass
+        return False          # never any work: the fused loop may skip
+
+    def quiescent(self, cycle):
+        return None           # no timed work
 
     def ioq_gate(self, uop, cycle):
         return None

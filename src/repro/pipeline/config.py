@@ -49,8 +49,9 @@ class PipelineConfig:
         #: decoded stream is bit-identical either way; False keeps the
         #: direct decode path for differential testing).
         self.predecode = predecode
-        #: Let :meth:`Pipeline.run` skip provably-dead stall cycles in
-        #: one jump (perf only — cycle counts, stats and events are
+        #: Let :meth:`Pipeline.run` take the fused cycle loop, which
+        #: skips provably-dead cycles in one jump, with or without the
+        #: RSE (perf only — cycle counts, stats and events are
         #: identical; False forces the one-step()-per-cycle loop).
         self.batch = batch
 

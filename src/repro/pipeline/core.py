@@ -64,6 +64,16 @@ def _fault_marker(word=0):
 
 _FAULT_MARKER = _fault_marker()
 
+#: A cycle later than any the machine reaches: the fused loop's stand-in
+#: for "no limit" and "no timer", so each is one int compare per cycle.
+_NEVER = 1 << 62
+
+
+def _every_cycle(cycle):
+    """Next-event answer for an RSE stand-in without ``quiescent``: it
+    may act on any cycle, so the fused loop never skips past one."""
+    return cycle
+
 
 class PipelineEvent:
     """Why :meth:`Pipeline.run` stopped."""
@@ -252,19 +262,19 @@ class Pipeline:
     def run(self, max_cycles=None):
         """Simulate until an event occurs; returns the :class:`PipelineEvent`.
 
-        With ``config.batch`` on (and no per-cycle observer shadowing
-        :meth:`step`), runs of provably-dead stall cycles — everything
-        in flight waiting on a future ``done_cycle``, a pending I-fetch,
-        a freeze window or the timer — are skipped in one jump with
-        exact cycle/stat bookkeeping.  Any shadowed ``step`` (obs
-        probes, :mod:`repro.assertions`, tests poking per-cycle) deopts
-        to the one-``step()``-per-cycle loop so no observer misses a
-        cycle.
+        Returns a ``MAX_CYCLES`` event exactly *max_cycles* cycles later
+        when no other event comes first.  With ``config.batch`` on (and
+        no per-cycle observer shadowing :meth:`step`), :meth:`_run_fast`
+        runs the cycle loop fused, with or without the RSE, and jumps
+        over provably-dead cycles with exact cycle/stat bookkeeping.
+        Any shadowed ``step`` (obs probes, :mod:`repro.assertions`,
+        tests poking per-cycle) deopts to the one-``step()``-per-cycle
+        reference loop so no observer misses a cycle.
         """
         limit = None if max_cycles is None else self.cycle + max_cycles
         if (self.config.batch
                 and getattr(self.step, "__func__", None) is Pipeline.step):
-            return self._run_batched(limit)
+            return self._run_fast(limit)
         while True:
             event = self.step()
             if event is not None:
@@ -272,109 +282,32 @@ class Pipeline:
             if limit is not None and self.cycle >= limit:
                 return PipelineEvent(EventKind.MAX_CYCLES, pc=self.fetch_pc)
 
-    def _run_batched(self, limit):
-        """The batch fast-path behind :meth:`run` (exact-equivalent).
+    def _run_fast(self, limit):
+        """Fused cycle loop: the batch path behind :meth:`run`.
 
-        Two levers, both cycle-exact:
+        Runs the five phase bodies of :meth:`step` fused, with their
+        helpers inlined and hot attributes cached in locals, on every
+        machine.  The RSE attachment points are bound methods hoisted
+        once per call from the instance (so obs and assertion shadows
+        keep firing) and called in the order :meth:`step` calls them;
+        the timer and SavePage freeze windows are handled here too.  A
+        same-block I-fetch memo short-circuits the cache model for
+        straight-line runs (the block is MRU with identical
+        hit/latency/stats outcomes either way).
 
-        * While the machine is in its common state — no RSE attached, no
-          timer pending, outside any freeze window — :meth:`_run_fast`
-          runs a fused copy of the cycle loop with the per-cycle
-          re-polling of those conditions hoisted out.
-        * Otherwise this reference loop steps normally but jumps over
-          provably-dead stall cycles (everything in flight waiting on a
-          future ``done_cycle``, a pending I-fetch, a freeze window or
-          the timer) in one bookkeeping-exact skip, gated on
-          :meth:`RSE.quiescent` when an RSE is attached.
-        """
-        stats = self.stats
-        while True:
-            rse = self.rse
-            if (rse is None and not self._pending_timer
-                    and self.cycle >= self.freeze_until):
-                stop = limit
-                deadline = self.timer_deadline
-                if deadline is not None and (stop is None or deadline < stop):
-                    stop = deadline
-                event = self._run_fast(stop)
-                if event is not None:
-                    return event
-                if limit is not None and self.cycle >= limit:
-                    return PipelineEvent(EventKind.MAX_CYCLES,
-                                         pc=self.fetch_pc)
-                # Stopped at the timer deadline: reference steps fire it.
-            event, active = self._step_active()
-            if event is not None:
-                return event
-            if limit is not None and self.cycle >= limit:
-                return PipelineEvent(EventKind.MAX_CYCLES, pc=self.fetch_pc)
-            if active:
-                continue
-            if rse is not None:
-                # rse-like taps (assertion adapters, recorders) may not
-                # implement quiescent(); treat them as never quiescent
-                # so no per-cycle observation is ever skipped.
-                quiescent = getattr(rse, "quiescent", None)
-                if quiescent is None or not quiescent():
-                    continue
-            # Dead cycle: no in-flight state changed and (with the RSE
-            # idle) none can until one of the horizons below arrives.
-            # Every intermediate step() would only repeat the same
-            # no-op, so jump straight to the earliest horizon and
-            # replay the skipped cycles' bookkeeping.
-            cycle = self.cycle
-            horizons = []
-            if limit is not None:
-                horizons.append(limit)
-            if cycle < self.freeze_until:
-                horizons.append(self.freeze_until)
-            else:
-                for uop in self.rob:
-                    if uop.state == S_EXEC:
-                        horizons.append(uop.done_cycle)
-                if self._pending_fetch is not None:
-                    horizons.append(self._pending_fetch[1])
-                if (self.timer_deadline is not None
-                        and not self._pending_timer):
-                    horizons.append(self.timer_deadline)
-            if not horizons:
-                continue          # nothing to wait for: step like legacy
-            skip = min(horizons) - cycle
-            if skip <= 0:
-                continue
-            if (cycle >= self.freeze_until and self.fetch_enabled
-                    and self._pending_fetch is not None
-                    and self._held is None
-                    and (len(self.fetch_buffer)
-                         < self.config.fetch_buffer_entries)):
-                # Each skipped cycle would have retried the pending
-                # I-fetch and counted one stall, exactly as step() does.
-                stats.fetch_stall_cycles += skip
-            self.cycle = cycle + skip
-            stats.cycles += skip
-            if rse is not None:
-                # The skipped cycles' rse.step() calls were pure cycle
-                # stamps (quiescent above); replay the last one.
-                rse.step(self.cycle - 1)
-
-    def _run_fast(self, stop):
-        """Fused cycle loop: the hot path behind :meth:`_run_batched`.
-
-        Preconditions (the caller checks them): no RSE, no pending
-        timer, outside any freeze window, and *stop* at or before the
-        timer deadline — under those, every per-cycle branch of
-        :meth:`_step_active` that consults them is statically dead, so
-        the five phase bodies are fused here with their helpers inlined
-        and hot attributes cached in locals.  A same-block I-fetch memo
-        short-circuits the cache model for straight-line runs (the
-        block is MRU with identical hit/latency/stats outcomes either
-        way), and dead stall cycles are skipped in one jump exactly as
-        in the reference loop.  Returns an event, or None once
-        ``self.cycle`` reaches *stop*.
+        After a dead cycle — no pipeline state changed and
+        ``rse.step`` reported no work — every cycle before the next
+        horizon would repeat the same no-op.  The horizons are a uop's
+        ``done_cycle``, the pending I-fetch, the timer, the end of a
+        freeze window, *limit* and the RSE's next event
+        (:meth:`RSE.quiescent`).  The loop jumps to the nearest one,
+        replays the skipped cycles' ``fetch_stall_cycles`` and
+        ``check_wait_cycles``, and stamps the RSE with the last skipped
+        cycle.  Returns the event that ended the run.
 
         This duplicates :meth:`step`'s semantics by design; the
-        reference implementation stays canonical and
-        ``tests/pipeline/test_batch.py`` holds the two cycle-exact.
+        reference stays canonical and ``tests/pipeline/test_batch.py``
+        holds the two cycle-exact.
         """
         stats = self.stats
         config = self.config
@@ -411,6 +344,18 @@ class Pipeline:
         EK_FAULT = EventKind.FAULT
         EK_SYSCALL = EventKind.SYSCALL
         EK_HALT = EventKind.HALT
+        EK_CHECK_ERROR = EventKind.CHECK_ERROR
+        rse = self.rse
+        if rse is not None:
+            rse_step = rse.step
+            rse_next = getattr(rse, "quiescent", _every_cycle)
+            on_dispatch = rse.on_dispatch
+            on_operands = rse.on_operands
+            on_execute = rse.on_execute
+            on_mem_load = rse.on_mem_load
+            on_commit = rse.on_commit
+            ioq_gate = rse.ioq_gate
+            pre_commit_store = rse.pre_commit_store
         fetch_width = config.fetch_width
         buffer_entries = config.fetch_buffer_entries
         dispatch_width = config.dispatch_width
@@ -424,22 +369,59 @@ class Pipeline:
         alu_latency = config.alu_latency
         mul_latency = config.mul_latency
         div_latency = config.div_latency
+        if limit is None:
+            limit = _NEVER
+        pending_timer = self._pending_timer
+        timer_at = self.timer_deadline
+        if pending_timer or timer_at is None:
+            timer_at = _NEVER
+        frozen_until = self.freeze_until
         cycle = self.cycle
         start = cycle
         try:
             while True:
-                if stop is not None and cycle >= stop:
-                    return None
+                if cycle < frozen_until:
+                    # SavePage freeze window: the pipeline idles and only
+                    # the RSE steps.  Once it reports no work, jump to its
+                    # next event or to the end of the window.
+                    worked = rse is not None and rse_step(cycle)
+                    cycle += 1
+                    self.cycle = cycle
+                    if not worked:
+                        horizon = min(frozen_until, limit)
+                        if rse is not None:
+                            due = rse_next(cycle)
+                            if due is not None and due < horizon:
+                                horizon = due
+                        if cycle < horizon:
+                            cycle = horizon
+                            self.cycle = cycle
+                            if rse is not None:
+                                rse_step(cycle - 1)
+                    if cycle >= limit:
+                        return PipelineEvent(EventKind.MAX_CYCLES,
+                                             pc=self.fetch_pc)
+                    continue
                 active = False
                 event = None
+                if cycle >= timer_at:
+                    # Quantum expired: stop fetching, drain, then stop.
+                    pending_timer = self._pending_timer = True
+                    self.fetch_enabled = False
+                    timer_at = _NEVER
+                    active = True
                 rob = self.rob
                 if rob:
-                    # ---- writeback (fused, rse-free) --------------------
+                    # ---- writeback (fused _writeback) -------------------
                     index = 0
                     for uop in rob:
                         if uop.state == S_EXEC and uop.done_cycle <= cycle:
                             active = True
                             uop.state = S_DONE
+                            if rse is not None:
+                                on_execute(uop, cycle)
+                                if uop.instr.is_load and uop.fault is None:
+                                    on_mem_load(uop, cycle, uop.value)
                             nxt = uop.actual_next
                             if nxt is not None:
                                 instr = uop.instr
@@ -454,26 +436,45 @@ class Pipeline:
                                     stats.mispredicts += 1
                                     self._flush_younger(index)
                                     self.fetch_pc = nxt
-                                    self.fetch_enabled = True
+                                    self.fetch_enabled = not pending_timer
                                     break
                         index += 1
-                    # ---- commit (fused _commit, rse-free) ---------------
+                    # ---- commit (fused _commit) -------------------------
                     committed = 0
                     while rob and committed < commit_width:
                         uop = rob[0]
                         if uop.state != S_DONE:
                             break
                         instr = uop.instr
+                        if rse is not None and instr.is_check:
+                            gate = ioq_gate(uop, cycle)
+                            if gate == "wait":
+                                stats.check_wait_cycles += 1
+                                break
+                            if gate == "error":
+                                module = instr.module
+                                pc = uop.pc
+                                self.flush_all()
+                                self.fetch_enabled = False
+                                event = PipelineEvent(
+                                    EK_CHECK_ERROR, pc=pc,
+                                    cause="module %d" % module, uop=uop)
+                                break
                         if uop.fault is not None:
                             pc, cause = uop.fault
                             self.flush_all()
                             self.fetch_enabled = False
                             event = PipelineEvent(EK_FAULT, pc=pc,
                                                   cause=cause, uop=uop)
-                            active = True
                             break
                         smc_flush = False
                         if instr.is_store:
+                            if rse is not None:
+                                stall = pre_commit_store(uop, cycle)
+                                if stall:
+                                    frozen_until = cycle + stall
+                                    self.freeze_until = frozen_until
+                                    stats.savepage_stalls += 1
                             store_to(memory, instr, uop.eff_addr,
                                      uop.store_value)
                             dstore(cycle, uop.eff_addr)
@@ -504,13 +505,15 @@ class Pipeline:
                             stats.loads += 1
                         if instr.is_control:
                             stats.branches += 1
+                        if rse is not None:
+                            on_commit(uop, cycle)
                         if smc_flush:
                             # Store rewrote a page younger in-flight
                             # instructions were decoded from; squash and
                             # refetch, as the reference commit does.
                             self.flush_all()
                             self.fetch_pc = (uop.pc + 4) & MASK32
-                            self.fetch_enabled = True
+                            self.fetch_enabled = not pending_timer
                             break
                         if iclass is SYSCALL:
                             event = PipelineEvent(EK_SYSCALL, pc=uop.pc,
@@ -520,10 +523,15 @@ class Pipeline:
                             event = PipelineEvent(EK_HALT, pc=uop.pc,
                                                   uop=uop)
                             break
+                        if frozen_until > cycle:
+                            break          # SavePage suspended the process
                     if committed:
                         active = True
                 if event is not None:
+                    if rse is not None:
+                        rse_step(cycle)
                     cycle += 1
+                    self.cycle = cycle
                     return event
                 rob_nonempty = bool(rob)
                 rob = self.rob          # commit may have swapped the list
@@ -581,7 +589,11 @@ class Pipeline:
                                 alu_free -= 1
                             uop.state = S_EXEC
                             uop.done_cycle = cycle + alu_latency
-                            if iclass is not CHECK:
+                            if iclass is CHECK:
+                                if rse is not None:
+                                    on_operands(uop, cycle, (uop.val_a,
+                                                             uop.val_b))
+                            else:
                                 rs_val = rt_val = 0
                                 srcs = instr.srcs
                                 if srcs:
@@ -624,6 +636,8 @@ class Pipeline:
                                 except ArithmeticFault:
                                     uop.fault = (uop.pc,
                                                  "integer divide by zero")
+                                if rse is not None:
+                                    on_operands(uop, cycle, (rs_val, rt_val))
                         budget -= 1
                     if budget != issue_width:
                         active = True
@@ -672,6 +686,8 @@ class Pipeline:
                         if (serializing or instr.iclass is NOP
                                 or instr.fmt == "FAULT"):
                             uop.state = S_DONE
+                        if rse is not None:
+                            on_dispatch(uop, cycle)
                         dbudget -= 1
                         active = True
                         if serializing:
@@ -706,11 +722,13 @@ class Pipeline:
                                     il1_stats.hits += 1
                                 else:
                                     done = ifetch(cycle, pc)
+                                    # Hit or miss, the block is now
+                                    # installed and MRU.
+                                    last_iblock = block
                                     if done > cycle + 1:
                                         self._pending_fetch = (pc, done)
                                         stats.fetch_stall_cycles += 1
                                         break
-                                    last_iblock = block
                                 entry = (centries_get(pc)
                                          if centries_get is not None
                                          else None)
@@ -771,71 +789,77 @@ class Pipeline:
                         if instr.serializing:
                             self.fetch_enabled = False
                             break
+                if pending_timer and not self.rob and not fetch_buffer:
+                    event = PipelineEvent(EventKind.TIMER, pc=self.fetch_pc)
+                if rse is not None and rse_step(cycle):
+                    active = True
                 cycle += 1
-                if active:
-                    continue
-                # ---- dead cycle: jump to the next horizon ---------------
-                horizon = stop
-                for uop in rob:
-                    if uop.state == S_EXEC:
-                        done = uop.done_cycle
-                        if horizon is None or done < horizon:
-                            horizon = done
-                pending = self._pending_fetch
-                if pending is not None:
-                    ready = pending[1]
-                    if horizon is None or ready < horizon:
-                        horizon = ready
-                if horizon is None:
-                    continue          # nothing to wait for: keep stepping
-                skip = horizon - cycle
-                if skip <= 0:
-                    continue
-                if (self.fetch_enabled and pending is not None
-                        and self._held is None
-                        and len(fetch_buffer) < buffer_entries):
-                    # Each skipped cycle would have retried the pending
-                    # I-fetch and counted one stall, as step() does.
-                    stats.fetch_stall_cycles += skip
-                cycle += skip
+                self.cycle = cycle
+                if event is not None:
+                    return event
+                if not active:
+                    # ---- dead cycle: jump to the next horizon -----------
+                    horizon = limit
+                    rob = self.rob
+                    for uop in rob:
+                        if uop.state == S_EXEC and uop.done_cycle < horizon:
+                            horizon = uop.done_cycle
+                    pending = self._pending_fetch
+                    if pending is not None and pending[1] < horizon:
+                        horizon = pending[1]
+                    if timer_at < horizon:
+                        horizon = timer_at
+                    if rse is not None:
+                        due = rse_next(cycle)
+                        if due is not None and due < horizon:
+                            horizon = due
+                    if cycle < horizon < _NEVER:
+                        skip = horizon - cycle
+                        if (pending is not None and self.fetch_enabled
+                                and self._held is None
+                                and len(self.fetch_buffer) < buffer_entries):
+                            # Each skipped cycle would have retried the
+                            # pending I-fetch and counted one stall.
+                            stats.fetch_stall_cycles += skip
+                        if rob and rob[0].state == S_DONE:
+                            # A finished head a dead cycle left uncommitted
+                            # is a CHECK the IOQ gate holds: each skipped
+                            # cycle counts one wait.
+                            stats.check_wait_cycles += skip
+                        cycle = horizon
+                        self.cycle = cycle
+                        if rse is not None:
+                            # The skipped rse.step() calls were pure
+                            # cycle stamps; replay the last one.
+                            rse_step(cycle - 1)
+                if cycle >= limit:
+                    return PipelineEvent(EventKind.MAX_CYCLES,
+                                         pc=self.fetch_pc)
         finally:
             stats.cycles += cycle - start
-            self.cycle = cycle
 
     # ----------------------------------------------------------------- cycle
 
     def step(self):
         """Advance one machine cycle; returns an event or None."""
-        return self._step_active()[0]
-
-    def _step_active(self):
-        """One cycle; returns ``(event, active)`` where *active* reports
-        whether any in-flight state changed (the batch fast-path skips
-        ahead only after quiet cycles)."""
         cycle = self.cycle
         event = None
-        active = False
         if cycle >= self.freeze_until:
             if (self.timer_deadline is not None and not self._pending_timer
                     and cycle >= self.timer_deadline):
                 self._pending_timer = True
                 self.fetch_enabled = False
-                active = True
             rob = self.rob
             if rob:
-                if self._writeback(cycle):
-                    active = True
-                before = len(self.rob)
+                self._writeback(cycle)
                 event = self._commit(cycle)
-                if event is not None or len(self.rob) != before:
-                    active = True
             if event is None:
-                if rob and self._issue(cycle):
-                    active = True
-                if self.fetch_buffer and self._dispatch(cycle):
-                    active = True
-                if self.fetch_enabled and self._fetch(cycle):
-                    active = True
+                if rob:
+                    self._issue(cycle)
+                if self.fetch_buffer:
+                    self._dispatch(cycle)
+                if self.fetch_enabled:
+                    self._fetch(cycle)
                 if (self._pending_timer and not self.rob
                         and not self.fetch_buffer):
                     event = PipelineEvent(EventKind.TIMER, pc=self.fetch_pc)
@@ -843,7 +867,7 @@ class Pipeline:
             self.rse.step(cycle)
         self.cycle = cycle + 1
         self.stats.cycles += 1
-        return event, active
+        return event
 
     # ------------------------------------------------------------- writeback
 

@@ -18,7 +18,6 @@ from collections import deque
 from repro.rse.check import OP_DISABLE, OP_ENABLE, op_reads_payload
 from repro.rse.ioq import IOQ
 from repro.rse.mau import MemoryAccessUnit
-from repro.rse.module import RSEModule
 from repro.rse.queues import InputInterface
 from repro.rse.selfcheck import SelfChecker
 
@@ -161,8 +160,31 @@ class RSE:
     # ------------------------------------------------------------------ step
 
     def step(self, cycle):
-        """Advance the framework one machine cycle."""
+        """Advance the framework one machine cycle.
+
+        Returns True when the step changed framework state: a latched
+        input reached the framework, a blocked CHECK was delivered, or
+        timed MAU, module or self-check work fell due.  A cycle with no
+        queue head due builds no lists.
+        """
         self.cycle = cycle
+        due = self.queues.next_due()
+        worked = due is not None and due <= cycle
+        if worked:
+            self._deliver(cycle)
+        if self._blk_queues and self._drain_blk_queues(cycle):
+            worked = True
+        for module in self.modules.values():
+            if module.step(cycle):
+                worked = True
+        if self.mau.step(cycle):
+            worked = True
+        if self.selfcheck.step(cycle):
+            worked = True
+        return worked
+
+    def _deliver(self, cycle):
+        """Route every input-queue item visible at *cycle* to the modules."""
         enabled = self._enabled_modules()
 
         for seq, uop in self.queues.fetch_out.pop_ready(cycle):
@@ -207,33 +229,27 @@ class RSE:
                 for module in enabled:
                     module.on_squash(item[1], cycle)
 
-        self._drain_blk_queues(cycle)
-        for module in self.modules.values():
-            module.step(cycle)
-        self.mau.step(cycle)
-        self.selfcheck.step(cycle)
+    def quiescent(self, cycle):
+        """Next-event query: the first cycle at which :meth:`step` can act.
 
-    def quiescent(self):
-        """Can the next :meth:`step` calls be pure cycle stamps?
-
-        True only when every queue, blocked-CHECK backlog, deferred
-        commit, IOQ entry and the MAU are empty/idle AND no registered
-        module overrides :meth:`RSEModule.step` (AHBM heartbeats, ICM
-        in-flight checks and MLR pending stores are cycle-sensitive
-        even with nothing queued).  The pipeline's batch fast-path uses
-        this to prove skipped stall cycles cannot change RSE state.
+        That is *cycle* itself (or earlier) while an input queue holds
+        an item, and otherwise the soonest of the MAU transfer's
+        completion (or *cycle* while a request waits to start), each
+        module's :meth:`RSEModule.next_event` and the self-checker's
+        watchdog deadline.  None means only new pipeline input can
+        wake the framework.  Every :meth:`step` before the answer is a
+        pure cycle stamp, which lets the pipeline skip dead cycles
+        with modules attached.  Asked right after ``step(cycle - 1)``:
+        blocked CHECKs still queued then wait for a payload or a squash
+        that only a pipeline hook delivers, and deferred commits wait
+        for their Commit_Out item.
         """
-        if (self.mau.busy or len(self.ioq) or self._commit_deferred
-                or any(self._blk_queues.values())):
-            return False
-        for queue in self.queues.all_queues():
-            if len(queue):
-                return False
-        base_step = RSEModule.step
-        for module in self.modules.values():
-            if type(module).step is not base_step:
-                return False
-        return True
+        soonest = self.queues.next_due()
+        for source in (self.mau, self.selfcheck, *self.modules.values()):
+            due = source.next_event(cycle)
+            if due is not None and (soonest is None or due < soonest):
+                soonest = due
+        return soonest
 
     def drain(self, cycles=4):
         """Step the framework past the latch delay with the pipeline idle.
@@ -288,21 +304,28 @@ class RSE:
         self._drain_blk_queues(cycle)
 
     def _drain_blk_queues(self, cycle):
-        """Deliver blocking CHECKs in per-module program order."""
+        """Deliver blocking CHECKs in per-module program order.
+
+        Returns True when any CHECK left a queue.
+        """
+        drained = False
         for module_id, queue in self._blk_queues.items():
             while queue:
                 uop, entry = queue[0]
                 if self.ioq.get(uop.seq) is not entry:
                     queue.popleft()          # squashed meanwhile
+                    drained = True
                     continue
                 if op_reads_payload(uop.instr.op) and entry.payload is None:
                     break          # hold younger CHECKs behind this one
                 queue.popleft()
+                drained = True
                 module = self.modules.get(module_id)
                 if module is not None and module.enabled:
                     module.on_check(uop, entry, cycle)
                 else:
                     entry.complete(False, cycle)
+        return drained
 
     def note_error_transition(self, module, entry, cycle):
         """A module set an IOQ check (error) bit; feed the self-checker."""

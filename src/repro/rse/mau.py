@@ -88,11 +88,16 @@ class MemoryAccessUnit:
     # ------------------------------------------------------------------ step
 
     def step(self, cycle):
-        """Advance the MAU one cycle: finish/start requests as the bus allows."""
+        """Advance the MAU one cycle: finish/start requests as the bus allows.
+
+        Returns True when a transfer completed or started.
+        """
         active = self._active
+        worked = False
         if active is not None:
             if cycle < active.done_cycle:
-                return
+                return False
+            worked = True
             # Transfer completes this cycle: move the data functionally.
             if active.kind == "load":
                 active.result = self.memory.load_bytes(active.addr,
@@ -111,6 +116,15 @@ class MemoryAccessUnit:
             request.done_cycle = self.hierarchy.mau_access(cycle,
                                                            request.nbytes)
             self._active = request
+            worked = True
+        return worked
+
+    def next_event(self, cycle):
+        """When :meth:`step` next acts: the transfer's completion, *cycle*
+        while a request waits to start, None when idle."""
+        if self._active is not None:
+            return self._active.done_cycle
+        return cycle if self._queue else None
 
     @property
     def busy(self):

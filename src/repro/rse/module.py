@@ -88,7 +88,22 @@ class RSEModule:
         return 0
 
     def step(self, cycle):
-        """Advance module-internal state one machine cycle."""
+        """Advance module-internal state one machine cycle.
+
+        Returns True when that changed module or IOQ state.
+        """
+        return False
+
+    def next_event(self, cycle):
+        """The first cycle at which :meth:`step` can act, or None.
+
+        None means the module has no timed work: only an input routed
+        to it can change its state.  A subclass that overrides
+        :meth:`step` without answering here is stepped every cycle.
+        """
+        if type(self).step is RSEModule.step:
+            return None
+        return cycle
 
     def on_mau_complete(self, request):
         """A tag-based MAU request submitted by this module finished.

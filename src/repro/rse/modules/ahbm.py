@@ -141,16 +141,25 @@ class AHBM(RSEModule):
 
     def step(self, cycle):
         if cycle % self.sample_period:
-            return
+            return False
+        failed = False
         for entity in self.entities.values():
             if not entity.alive:
                 continue
             silence = cycle - entity.last_change_cycle
             if silence > self.timeout_for(entity):
                 entity.alive = False
+                failed = True
                 self.failures.append((cycle, entity.entity_id))
                 if self.on_failure is not None:
                     self.on_failure(entity.entity_id, cycle)
+        return failed
+
+    def next_event(self, cycle):
+        """The next sample point, while any monitored entity is alive."""
+        if not any(entity.alive for entity in self.entities.values()):
+            return None
+        return -(-cycle // self.sample_period) * self.sample_period
 
     def is_alive(self, entity_id):
         entity = self.entities.get(entity_id)

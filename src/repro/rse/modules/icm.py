@@ -238,7 +238,7 @@ class ICM(RSEModule):
 
     def step(self, cycle):
         if not self._inflight:
-            return
+            return False
         remaining = []
         for check in self._inflight:
             if check.due_cycle is None or check.due_cycle > cycle:
@@ -249,7 +249,16 @@ class ICM(RSEModule):
                 self.mismatches += 1
             self.checks_completed += 1
             self.finish_check(check.entry, error, cycle)
+        completed = len(remaining) != len(self._inflight)
         self._inflight = remaining
+        return completed
+
+    def next_event(self, cycle):
+        """The soonest in-flight compare; checks still awaiting their
+        redundant copy wait on the MAU, which answers for itself."""
+        due = [check.due_cycle for check in self._inflight
+               if check.due_cycle is not None]
+        return min(due) if due else None
 
     def on_squash(self, seqs, cycle):
         self._waiting = {seq: pending for seq, pending in self._waiting.items()

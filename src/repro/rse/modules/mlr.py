@@ -245,11 +245,17 @@ class MLR(RSEModule):
     def step(self, cycle):
         pending = self._pending_store
         if pending is None:
-            return
+            return False
         due, entry, data, bad = pending
         if cycle < due:
-            return
+            return False
         self._pending_store = None
         self.engine.mau.store(
             self.name, self.plt_addr, data,
             lambda __: self._done(entry, self.engine.cycle, error=bad))
+        return True
+
+    def next_event(self, cycle):
+        """The cycle the rewritten PLT's store is due, if one is pending."""
+        pending = self._pending_store
+        return None if pending is None else pending[0]

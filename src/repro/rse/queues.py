@@ -69,9 +69,19 @@ class InputInterface:
         self.execute_out = InputQueue("Execute_Out", depth)
         self.memory_out = InputQueue("Memory_Out", depth)
         self.commit_out = InputQueue("Commit_Out", depth)
+        self._queues = tuple(getattr(self, name) for name in self.QUEUE_NAMES)
 
     def all_queues(self):
-        return [getattr(self, name) for name in self.QUEUE_NAMES]
+        return list(self._queues)
+
+    def next_due(self):
+        """The soonest cycle any queued item becomes visible, or None."""
+        soonest = None
+        for queue in self._queues:
+            items = queue._items
+            if items and (soonest is None or items[0][0] < soonest):
+                soonest = items[0][0]
+        return soonest
 
     def discard_squashed(self, seqs):
         """Flush queued entries belonging to squashed instructions.

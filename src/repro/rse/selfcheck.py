@@ -87,14 +87,28 @@ class SelfChecker:
     # ----------------------------------------------------------------- step
 
     def step(self, cycle):
+        """Scan for overdue CHECKs; returns True when the watchdog trips."""
         if self.engine.safe_mode or cycle % self.scan_period:
-            return
+            return False
         for entry in self.engine.ioq.pending_checks():
             if cycle - entry.alloc_cycle > self.watchdog_timeout:
                 self._trip(cycle,
                            "no checkValid 0->1 transition within timeout "
                            "(module makes no progress or stuck-at-0)")
-                return
+                return True
+        return False
+
+    def next_event(self, cycle):
+        """The scan cycle at which the watchdog trips if no pending CHECK
+        completes first, or None while no CHECK is pending."""
+        if self.engine.safe_mode:
+            return None
+        pending = self.engine.ioq.pending_checks()
+        if not pending:
+            return None
+        oldest = min(entry.alloc_cycle for entry in pending)
+        due = max(cycle, oldest + self.watchdog_timeout + 1)
+        return -(-due // self.scan_period) * self.scan_period
 
     # ------------------------------------------------------------- tripping
 

@@ -18,8 +18,9 @@ def load_assembly(source, constants=None):
     return asm, mem
 
 
-def make_pipeline(mem, entry, timing=BASELINE_TIMING, config=None, rse=None):
-    hierarchy = MemoryHierarchy(timing)
+def make_pipeline(mem, entry, timing=BASELINE_TIMING, config=None, rse=None,
+                  cache_configs=None):
+    hierarchy = MemoryHierarchy(timing, cache_configs)
     pipeline = Pipeline(mem, hierarchy, config=config or PipelineConfig(),
                         rse=rse)
     pipeline.reset_at(entry)

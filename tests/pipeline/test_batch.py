@@ -1,22 +1,34 @@
 """Batch fast-path vs reference loop: cycle-exact equivalence.
 
 ``PipelineConfig(batch=True)`` lets :meth:`Pipeline.run` execute a
-fused copy of the cycle loop and jump over provably-dead stall cycles.
-The contract is *identity*: events, cycle counts, architectural state
-and every stats counter must equal the one-``step()``-per-cycle
+fused copy of the cycle loop and jump over provably-dead cycles, with
+or without the RSE attached.  The contract is *identity*: events,
+cycle counts, architectural state, every stats counter and the whole
+``rse`` snapshot section must equal the one-``step()``-per-cycle
 reference loop.  These tests compare complete fingerprints across the
-Table 4 quick workloads and every edge that interacts with the fast
-path: the timer, ``mem_check`` faults, self-modifying code, and an
-attached RSE with the ICM check injector.
+Table 4 quick workloads on both cache geometries, the paper's protected
+configurations (framework, ICM, MLR, DDT, AHBM), and every edge that
+interacts with the fast path: the timer, ``mem_check`` faults,
+self-modifying code, CHECK errors and the self-checker's watchdog.
 """
 
+import pytest
+
 from repro.campaign.runner import build_campaign_machine
-from repro.experiments import table4
+from repro.difftest.oracle import CommitRecorder
+from repro.experiments import fig9, table4
 from repro.isa.assembler import assemble
+from repro.isa.encoding import flip_bit
 from repro.pipeline import PipelineConfig
 from repro.pipeline.core import EventKind
+from repro.rse.check import MODULE_AHBM, MODULE_ICM, asm_constants
+from repro.rse.module import ModuleMode, RSEModule
+from repro.rse.modules.icm import build_checker_memory, make_icm_injector
+from repro.system import build_machine
+from repro.workloads import gotplt
 
-from helpers import load_assembly, make_pipeline
+from helpers import STACK_TOP, load_assembly, make_pipeline
+from probe_module import TEST_MODULE_ID
 
 
 def fingerprint(pipeline, event):
@@ -26,13 +38,15 @@ def fingerprint(pipeline, event):
     return doc
 
 
-def run_pair(source, max_cycles=2_000_000, prep=None, constants=None):
+def run_pair(source, max_cycles=2_000_000, prep=None, constants=None,
+             cache_configs=None):
     """Run *source* under batch and step configs; return both prints."""
     prints = {}
     for batch in (False, True):
         asm, mem = load_assembly(source, constants=constants)
         pipeline = make_pipeline(mem, asm.entry,
-                                 config=PipelineConfig(batch=batch))
+                                 config=PipelineConfig(batch=batch),
+                                 cache_configs=cache_configs)
         if prep is not None:
             prep(pipeline)
         event = pipeline.run(max_cycles=max_cycles)
@@ -48,10 +62,16 @@ def assert_identical(prints):
 
 
 def test_table4_workloads_cycle_exact():
-    for name, source in table4.workload_sources(quick=True).items():
-        prints = run_pair(source, max_cycles=50_000_000)
-        assert prints[True]["kind"] == "halt", name
-        assert_identical(prints)
+    # On the Figure 1 caches and on the scaled ones the Table 4 runs
+    # use.  The scaled il1 (128 B, direct-mapped) evicts often enough
+    # that a miss on one block displaces the block a redirect returns
+    # to: the same-block I-fetch memo must follow misses too.
+    for caches in (None, table4.scaled_cache_configs()):
+        for name, source in table4.workload_sources(quick=True).items():
+            prints = run_pair(source, max_cycles=50_000_000,
+                              cache_configs=caches)
+            assert prints[True]["kind"] == "halt", name
+            assert_identical(prints)
 
 
 def test_timer_fires_at_identical_cycle():
@@ -119,8 +139,8 @@ target:
 
 def test_rse_and_check_injector_are_identical():
     # The protected campaign machine carries the RSE, the ICM, and the
-    # CHECK injector — the full set of external agents the fast loop
-    # must disengage for.  Batch on/off must agree cycle for cycle.
+    # CHECK injector, all of which the fused loop drives.  Batch on/off
+    # must agree cycle for cycle.
     source = table4.workload_sources(quick=True)["kmeans"]
     asm = assemble(source)
     prints = {}
@@ -160,3 +180,338 @@ def test_shadowed_step_deopts_to_reference_loop():
     event = pipeline.run(max_cycles=1_000)
     assert event.kind is EventKind.HALT
     assert len(seen) == pipeline.cycle    # every cycle went through spy
+
+
+# ------------------------------------------------- protected machines
+
+def record_events(pipeline):
+    """Shadow ``pipeline.run`` to log every event a run returns."""
+    events = []
+    run = pipeline.run
+
+    def recording(max_cycles=None):
+        event = run(max_cycles=max_cycles)
+        events.append((event.kind.value, event.pc, event.cause,
+                       pipeline.cycle))
+        return event
+
+    pipeline.run = recording
+    return events
+
+
+def machine_print(machine, events):
+    doc = {"events": events, "cycle": machine.pipeline.cycle,
+           "regs": list(machine.pipeline.regs)}
+    doc.update(vars(machine.pipeline.stats))
+    if machine.rse is not None:
+        doc["rse"] = machine.snapshot()["rse"]
+        doc["rse_cycle"] = machine.rse.cycle
+        doc["trips"] = [(trip.cycle, trip.reason)
+                        for trip in machine.rse.selfcheck.trips]
+    if machine.obs.attached():
+        doc["obs"] = machine.obs.tracer.events()
+    return doc
+
+
+def paired(run, probes=()):
+    """Fingerprints of ``run(build)`` with batch off and on.
+
+    *run* builds its machine through *build*, which takes
+    :func:`build_machine`'s options and attaches *probes*.
+    """
+    prints = {}
+    for batch in (False, True):
+        built = []
+
+        def build(**options):
+            machine = build_machine(
+                pipeline_config=PipelineConfig(batch=batch), **options)
+            for name in probes:
+                machine.obs.attach(name)
+            built.append((machine, record_events(machine.pipeline)))
+            return machine
+
+        run(build)
+        prints[batch] = machine_print(*built[-1])
+    return prints
+
+
+def load(machine, source, constants=None, icm=False):
+    """Place *source* in memory and point the core at it (no kernel)."""
+    asm = assemble(source, constants=constants)
+    machine.memory.store_bytes(asm.text_base, asm.text)
+    machine.memory.store_bytes(asm.data_base, asm.data)
+    if icm:
+        checker_map = build_checker_memory(machine.memory, asm.text_base,
+                                           len(asm.text))
+        machine.module(MODULE_ICM).configure(checker_map)
+        machine.rse.enable_module(MODULE_ICM)
+        machine.pipeline.check_injector = make_icm_injector(checker_map)
+    machine.pipeline.reset_at(asm.entry)
+    machine.pipeline.regs[29] = STACK_TOP
+
+
+def test_table4_protected_cells_are_identical(monkeypatch):
+    for source in table4.workload_sources(quick=True).values():
+        for cell in (table4.run_framework, table4.run_framework_icm):
+            def run(build):
+                monkeypatch.setattr(table4, "build_machine", build)
+                cell(source)
+
+            assert_identical(paired(run))
+
+
+@pytest.mark.parametrize("config", ["bare", "icm"])
+def test_probe_streams_are_identical(monkeypatch, config):
+    # Probes read pipeline.cycle mid-run: the fused loop must keep it
+    # current every cycle, not only when run() returns.
+    source = table4.workload_sources(quick=True)["kmeans"]
+    cell = (table4.run_baseline if config == "bare"
+            else table4.run_framework_icm)
+    probes = ("mispredict", "fetch_stall")
+    if config == "icm":
+        probes += ("rse",)
+
+    def run(build):
+        monkeypatch.setattr(table4, "build_machine", build)
+        cell(source)
+
+    prints = paired(run, probes)
+    stamps = {cycle for cycle, kind, __ in prints[True]["obs"]
+              if kind == "mispredict"}
+    assert len(stamps) > 100
+    assert_identical(prints)
+
+
+@pytest.mark.parametrize("entries", [16, 96])
+def test_mlr_loader_is_identical(entries):
+    # With 16 entries the PLT rewrite completes and its pending store
+    # bounds a skip; with 96, as at every Table 5 size, the rewrite
+    # outlasts the self-checker's watchdog, which decouples the RSE.
+    def run(build):
+        image, __ = gotplt.rse_version(entries)
+        machine = build(with_rse=True, modules=("mlr",))
+        result = machine.run_program(image, max_cycles=2_000_000)
+        assert result.reason == "halt"
+
+    prints = paired(run)
+    assert prints[True]["rse"]["mau"]["requests"] > 0
+    assert bool(prints[True]["trips"]) == (entries == 96)
+    assert_identical(prints)
+
+
+def slice_runs(pipeline, cycles):
+    """Split every ``pipeline.run`` into runs of at most *cycles*."""
+    run = pipeline.run
+
+    def sliced(max_cycles=None):
+        limit = None if max_cycles is None else pipeline.cycle + max_cycles
+        while True:
+            budget = (cycles if limit is None
+                      else min(cycles, limit - pipeline.cycle))
+            event = run(max_cycles=budget)
+            if (event.kind is not EventKind.MAX_CYCLES
+                    or limit is not None and pipeline.cycle >= limit):
+                return event
+
+    pipeline.run = sliced
+
+
+@pytest.mark.parametrize("slice_cycles", [None, 7])
+def test_ddt_server_is_identical(monkeypatch, slice_cycles):
+    # Cut into 7-cycle runs, many runs start inside a freeze window.
+    def run(build):
+        def sliced_build(**options):
+            machine = build(**options)
+            if slice_cycles:
+                slice_runs(machine.pipeline, slice_cycles)
+            return machine
+
+        monkeypatch.setattr(fig9, "build_machine", sliced_build)
+        fig9.run_server(3, True, requests=3, work_iters=100)
+
+    prints = paired(run)
+    assert prints[True]["savepage_stalls"] > 0          # freeze windows
+    assert "timer" in {event[0] for event in prints[True]["events"]}
+    assert_identical(prints)
+
+
+AHBM_SILENCE = """
+main:
+    li $a0, 42
+    chk AHBM, NBLK, OP_AHBM_REGISTER, 0
+    li $t0, 6
+beat:
+    li $a0, 42
+    chk AHBM, NBLK, OP_AHBM_HEARTBEAT, 0
+    li $t1, 100
+delay:
+    addi $t1, $t1, -1
+    bnez $t1, delay
+    addi $t0, $t0, -1
+    bnez $t0, beat
+    li $t1, 200
+    li $t2, 3
+silence:
+    div $t3, $t1, $t2
+    div $t3, $t3, $t2
+    addi $t1, $t1, -1
+    bnez $t1, silence
+    halt
+"""
+
+
+def test_ahbm_heartbeat_failure_is_identical():
+    # The silent divide chain leaves long dead stretches; skipping them
+    # must still stop at every sample point while the entity is alive.
+    failures = []
+
+    def run(build):
+        machine = build(with_rse=True, modules=("ahbm",))
+        machine.module(MODULE_AHBM).sample_period = 64
+        machine.rse.enable_module(MODULE_AHBM)
+        load(machine, AHBM_SILENCE, constants=asm_constants())
+        event = machine.pipeline.run(max_cycles=200_000)
+        assert event.kind is EventKind.HALT
+        failures.append(list(machine.module(MODULE_AHBM).failures))
+
+    prints = paired(run)
+    assert failures[0] and failures[0] == failures[1]
+    assert_identical(prints)
+
+
+ICM_LOOP = """
+main:
+    li $t0, 0
+    li $t1, 30
+loop:
+    addi $t0, $t0, 1
+    blt $t0, $t1, loop
+    halt
+"""
+
+
+def test_icm_mismatch_check_error_is_identical():
+    def run(build):
+        machine = build(with_rse=True, modules=("icm",))
+        load(machine, ICM_LOOP, icm=True)
+        icm = machine.module(MODULE_ICM)
+        branch_pc = min(icm.checker_map)
+        word = machine.memory.load_word(branch_pc)
+        machine.memory.store_word(branch_pc, flip_bit(word, 3))
+        event = machine.pipeline.run(max_cycles=200_000)
+        assert event.kind is EventKind.CHECK_ERROR
+
+    assert_identical(paired(run))
+
+
+class SilentModule(RSEModule):
+    """Answers CHECKs through ``finish_check`` and has no timed work."""
+
+    MODULE_ID = TEST_MODULE_ID
+    MODE = ModuleMode.SYNC
+
+    def on_check(self, uop, entry, cycle):
+        self.finish_check(entry, False, cycle)
+
+
+def test_watchdog_trip_is_identical():
+    # A no_progress module never answers: the CHECK waits at commit
+    # through dead cycles until the self-checker's watchdog deadline,
+    # which the skip must land on exactly.
+    def run(build):
+        machine = build(with_rse=True)
+        module = machine.rse.attach(SilentModule())
+        module.fault_mode = "no_progress"
+        machine.rse.enable_module(TEST_MODULE_ID)
+        constants = dict(asm_constants(), PROBE=TEST_MODULE_ID)
+        load(machine, "main:\n chk PROBE, BLK, 2, 0\n li $t0, 1\n halt\n",
+             constants=constants)
+        event = machine.pipeline.run(max_cycles=20_000)
+        assert event.kind is EventKind.HALT
+        assert machine.rse.safe_mode
+
+    prints = paired(run)
+    assert prints[True]["check_wait_cycles"] > 400
+    assert prints[True]["trips"]
+    assert_identical(prints)
+
+
+@pytest.mark.parametrize("config", ["bare", "framework", "icm"])
+def test_run_stops_exactly_at_its_budget(config):
+    source = table4.workload_sources(quick=True)["kmeans"]
+    prints = {}
+    for batch in (False, True):
+        machine = build_machine(
+            with_rse=config != "bare",
+            modules=("icm",) if config == "icm" else (),
+            pipeline_config=PipelineConfig(batch=batch),
+            cache_configs=table4.scaled_cache_configs())
+        load(machine, source, icm=config == "icm")
+        pipeline = machine.pipeline
+        stamps = []          # the RSE's clock wherever a slice stopped
+        while True:
+            start = pipeline.cycle
+            event = pipeline.run(max_cycles=7)
+            if event.kind is not EventKind.MAX_CYCLES:
+                assert event.kind is EventKind.HALT
+                assert pipeline.cycle <= start + 7
+                break
+            assert pipeline.cycle == start + 7
+            stamps.append(machine.rse and machine.rse.cycle)
+        prints[batch] = machine_print(machine, stamps)
+    assert_identical(prints)
+
+
+class FreezingRecorder(CommitRecorder):
+    """RSE stand-in: the first store freezes the core for 300 cycles,
+    and the stand-in has one timed event inside that window."""
+
+    def __init__(self):
+        super().__init__()
+        self.event_at = None
+        self.acted = []
+
+    def pre_commit_store(self, uop, cycle):
+        if self.event_at is not None:
+            return 0
+        self.event_at = cycle + 100
+        return 300
+
+    def step(self, cycle):
+        if cycle == self.event_at:
+            self.acted.append(cycle)
+            return True
+        return False
+
+    def quiescent(self, cycle):
+        if self.event_at is not None and cycle <= self.event_at:
+            return self.event_at
+        return None
+
+
+def test_timed_rse_work_inside_a_freeze_window():
+    source = """
+    .data
+x:  .word 0
+    .text
+main:
+    la $t0, x
+    li $t1, 9
+    sw $t1, 0($t0)
+    lw $t2, 0($t0)
+    addi $t2, $t2, 1
+    halt
+"""
+    prints = {}
+    for batch in (False, True):
+        asm, mem = load_assembly(source)
+        tap = FreezingRecorder()
+        pipeline = make_pipeline(mem, asm.entry,
+                                 config=PipelineConfig(batch=batch), rse=tap)
+        event = pipeline.run(max_cycles=10_000)
+        prints[batch] = dict(fingerprint(pipeline, event), acted=tap.acted,
+                             stream=tap.stream)
+    assert prints[True]["savepage_stalls"] == 1
+    assert prints[True]["acted"] == [tap.event_at]
+    assert_identical(prints)

@@ -187,3 +187,17 @@ def test_critical_region_coverage():
                                                      asm.text_base + 8))
     # Only the first two instructions are covered.
     assert sorted(region_map) == [asm.text_base, asm.text_base + 4]
+
+
+def test_next_event_names_the_soonest_compare():
+    # The pipeline skips dead cycles up to the RSE's next event, so an
+    # in-flight compare must bound it (misses wait on the MAU instead).
+    machine, __, icm = build_icm_machine(LOOP_PROGRAM)
+    assert icm.next_event(0) is None
+    while not any(check.due_cycle is not None for check in icm._inflight):
+        machine.pipeline.step()
+    due = min(check.due_cycle for check in icm._inflight
+              if check.due_cycle is not None)
+    cycle = machine.pipeline.cycle
+    assert icm.next_event(cycle) == due
+    assert machine.rse.quiescent(cycle) <= due
