@@ -22,7 +22,7 @@ import _bootstrap  # noqa: F401  (sys.path for repo checkouts)
 from repro.analysis.tables import format_table
 from repro.campaign import CampaignSpec, DEMO_WORKLOAD, Outcome, \
     detection_stats, run_campaign
-from repro.security.faults import BitFlipOutcome, run_bitflip_campaign
+from repro.campaign.report import damage_count
 
 WORKLOAD = """
     main:
@@ -41,18 +41,21 @@ WORKLOAD = """
 """
 
 
+def bitflip_campaign(bits, protected, injections, seed):
+    """Instruction bit flips over the workload's checked instructions."""
+    spec = CampaignSpec(source=WORKLOAD, model="instr-flip",
+                        model_options={"bits": bits}, protected=protected,
+                        injections=injections, seed=seed, max_cycles=200_000)
+    return run_campaign(spec)
+
+
 def main():
-    campaigns = {}
-    for protected in (True, False):
-        campaigns[protected] = run_bitflip_campaign(
-            WORKLOAD, injections=40, bits_per_injection=1,
-            with_icm=protected, seed=2026, max_cycles=200_000)
-    multi = run_bitflip_campaign(WORKLOAD, injections=20,
-                                 bits_per_injection=3, with_icm=True,
-                                 seed=77, max_cycles=200_000)
+    campaigns = {protected: bitflip_campaign(1, protected, 40, 2026)
+                 for protected in (True, False)}
+    multi = bitflip_campaign(3, True, 20, 77)
 
     rows = []
-    for outcome in BitFlipOutcome:
+    for outcome in Outcome:
         rows.append([
             outcome.value,
             campaigns[True].count(outcome),
@@ -68,11 +71,9 @@ def main():
           % (100 * campaigns[True].detection_rate))
     print("ICM detection rate, triple-bit: %.0f%%"
           % (100 * multi.detection_rate))
-    damage = (campaigns[False].count(BitFlipOutcome.FAULTED)
-              + campaigns[False].count(BitFlipOutcome.CORRUPTED)
-              + campaigns[False].count(BitFlipOutcome.HUNG))
     print("unprotected runs damaged:       %d / %d"
-          % (damage, len(campaigns[False].runs)))
+          % (damage_count(campaigns[False].records),
+             len(campaigns[False].records)))
 
     assert campaigns[True].detection_rate == 1.0
     assert multi.detection_rate == 1.0

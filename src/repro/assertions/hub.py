@@ -22,15 +22,25 @@ properties consume.
 
 from repro.assertions.adapters import PipelineAdapter, ShadowSet
 from repro.assertions.monitor import AssertionMonitor
-from repro.checkpoint import CheckpointError, _pending_requests
 
 
-def _pending_callbacks(rse):
-    """Does the MAU hold requests that only a Python callback can finish?"""
+def _pending_orphans(rse):
+    """Does the MAU hold a request for a module the RSE does not attach?
+
+    The checkpoint layer pins only attached modules, so a restored
+    request for any other module would complete into a deep-copied
+    orphan instead of a live module.
+    """
     if rse is None:
         return False
-    return any(request.callback is not None
-               for request in _pending_requests(rse.mau))
+    mau = rse.mau
+    pending = list(mau._queue)
+    if mau._active is not None:
+        pending.append(mau._active)
+    attached = {id(module) for module in rse.modules.values()}
+    return any(request.module is not None
+               and id(request.module) not in attached
+               for request in pending)
 
 
 class AssertionHub:
@@ -65,18 +75,14 @@ class AssertionHub:
         orig_restore = machine.restore
 
         def checkpoint():
-            pending = _pending_callbacks(machine.rse)
+            orphans = _pending_orphans(machine.rse)
             adapter.suspend()
             try:
                 captured = orig_checkpoint()
-            except CheckpointError:
-                for handler in checkpoint_handlers:
-                    handler(False, pending)
-                raise
             finally:
                 adapter.resume_shadows()
             for handler in checkpoint_handlers:
-                handler(True, pending)
+                handler(orphans)
             return captured
 
         def restore(captured):

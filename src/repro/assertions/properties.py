@@ -29,7 +29,7 @@ redirect       ``pc`` — a platform-sanctioned control discontinuity
 ioq_alloc      ``entry``, ``is_check`` — IOQ entry allocated
 ioq_gate       ``entry``, ``verdict``, ``safe_mode`` — Table 1 commit
                gate consulted for a CHECK
-checkpoint     ``ok``, ``pending_callbacks`` — whole-machine capture
+checkpoint     ``pending_orphans`` — whole-machine capture
 restore        ``memory``, ``checkpoint``, ``pre_versions``
 finish         ``memory`` — end of monitoring (final sweeps)
 =============  =========================================================
@@ -314,19 +314,19 @@ class IOQValidBeforeConsume(PropertyChecker):
 
 @register
 class MAUQuiesceCheckpoint(PropertyChecker):
-    """MAU requests complete — or refuse the capture — before checkpoint."""
+    """Every MAU request a checkpoint captures can be delivered on restore."""
 
     id = "mau-quiesce-before-checkpoint"
     description = ("a whole-machine checkpoint never captures a pending "
-                   "MAU request that cannot be restored (bare-callback "
-                   "requests must make the capture refuse)")
+                   "MAU request for a module the RSE does not attach (a "
+                   "restore would deliver it to an orphaned copy)")
     engines = ("pipeline",)
 
-    def on_checkpoint(self, ok, pending_callbacks):
-        if ok and pending_callbacks:
-            self.violate("checkpoint captured while the MAU held "
-                         "non-checkpointable callback requests",
-                         operands={"pending_callbacks": True})
+    def on_checkpoint(self, pending_orphans):
+        if pending_orphans:
+            self.violate("checkpoint captured while the MAU held requests "
+                         "for a module the RSE does not attach",
+                         operands={"pending_orphans": True})
 
 
 @register

@@ -8,12 +8,12 @@ outcomes; this package makes that a first-class subsystem:
   corruption), each producing deterministic injections;
 * :mod:`repro.campaign.space` — seeded, order-independent sampling of
   the injection space;
-* :mod:`repro.campaign.runner` — serial or multiprocessing execution
-  with crash-isolated workers, per-run cycle budgets, and fork-at-trigger
+* :mod:`repro.campaign.runner` — in-process execution with
+  crash-isolated injections, per-run cycle budgets, and fork-at-trigger
   prefix sharing over :mod:`repro.checkpoint` machine snapshots;
 * :mod:`repro.campaign.options` — :class:`ExecutionOptions`, the frozen
   how-to-run dataclass behind ``run_campaign(spec, options=...)``;
-* :mod:`repro.campaign.service` — the sharded campaign service: warmed
+* :mod:`repro.campaign.service` — the multi-process executor: warmed
   :class:`~repro.checkpoint.CampaignImage` distribution, work-stealing
   shard workers, per-shard resumable stores, verified merge;
 * :mod:`repro.campaign.aggregate` — incremental aggregation over live
@@ -35,18 +35,16 @@ from repro.campaign.report import (detection_stats,
 from repro.campaign.runner import (CampaignRun, CampaignSpec, DEMO_WORKLOAD,
                                    ForkEngine, replay, resume_spec,
                                    run_campaign, strike_injection)
-from repro.campaign.service import (ImageEngine, ServiceError,
-                                    build_campaign_image, merge_shards,
-                                    plan_shards, run_service,
+from repro.campaign.service import (ServiceError, build_campaign_image,
+                                    merge_shards, plan_shards, run_service,
                                     shard_store_path)
 from repro.campaign.space import derive_seed, injection_at, sample_injections
 from repro.campaign.store import ResultStore, StoreMismatch
 
 __all__ = [
     "CampaignAggregator", "CampaignRun", "CampaignSpec", "DEMO_WORKLOAD",
-    "ExecutionOptions", "FaultModel", "ForkEngine", "ImageEngine",
-    "Injection", "MODELS", "Outcome", "ResultStore", "ServiceError",
-    "StoreMismatch", "StoreTail",
+    "ExecutionOptions", "FaultModel", "ForkEngine", "Injection", "MODELS",
+    "Outcome", "ResultStore", "ServiceError", "StoreMismatch", "StoreTail",
     "build_campaign_image", "derive_seed", "detection_stats",
     "detection_stats_from_counts", "format_campaign_report",
     "format_comparison", "format_outcome_report", "get_model",

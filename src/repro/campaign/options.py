@@ -2,19 +2,15 @@
 
 A campaign's records are fully determined by its
 :class:`~repro.campaign.runner.CampaignSpec`; everything about worker
-processes, chunking, sharding, checkpoint forking, the batch fast-path
-and result storage is an execution detail that must never leak into the
-spec fingerprint — the same spec run serially, sharded across workers,
-or resumed from a half-written store produces identical records.
+processes, sharding, checkpoint forking, the batch fast-path and result
+storage is an execution detail that must never leak into the spec
+fingerprint — the same spec run serially, sharded across workers, or
+resumed from a half-written store produces identical records.
 
-Those details used to accrete one keyword argument at a time on
-:func:`~repro.campaign.runner.run_campaign` (``workers``,
-``chunk_size``, ``store_path``, ``fork``, ``batch``); this module
-consolidates them into one frozen dataclass so the canonical signature
-is ``run_campaign(spec, options=ExecutionOptions(...))`` and the CLI,
-the service and the benchmarks all build the same object in one place.
-The old kwargs still work behind a ``DeprecationWarning`` shim in
-``run_campaign``.
+This module holds those details in one frozen dataclass, so the one
+signature is ``run_campaign(spec, options=ExecutionOptions(...))`` and
+the CLI, the service and the benchmarks all build the same object in
+one place.
 """
 
 import dataclasses
@@ -27,11 +23,9 @@ class ExecutionOptions:
     """How to execute a campaign (not part of the spec fingerprint).
 
     Attributes:
-        workers: >1 fans injections out over a process pool (unsharded
-            mode) or caps the shard worker pool (sharded mode).
-        chunk_size: injections handed to a pool worker per dispatch
-            (unsharded mode only; shards are the dispatch unit when
-            sharding).
+        workers: >1 runs the campaign on that many worker processes
+            through the sharded campaign service (one shard per worker
+            unless ``shards`` says otherwise); 1 runs it in-process.
         fork: share trigger prefixes via machine checkpoints instead of
             re-simulating the warmup per injection (pure-arm models).
         batch: False forces the pipeline's one-step()-per-cycle
@@ -41,12 +35,11 @@ class ExecutionOptions:
             space splits into that many seed-range shards with
             work-stealing workers and per-shard resumable stores.
         store: JSONL result store path; an existing store resumes the
-            campaign.  In sharded mode this is the merged store and the
-            per-shard stores live beside it.
+            campaign.  When the service runs the campaign this is the
+            merged store and the per-shard stores live beside it.
     """
 
     workers: int = 1
-    chunk_size: int = 16
     fork: bool = False
     batch: bool = True
     shards: int = 0

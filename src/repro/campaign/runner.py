@@ -1,14 +1,12 @@
-"""Parallel, resumable campaign execution.
+"""Resumable campaign execution.
 
-The engine fixes the two structural costs of the original serial loop in
-``repro.security.faults``:
+The engine fixes the structural costs of a naive per-injection loop:
 
 * the workload is **assembled once per campaign** (once per worker
-  process in parallel mode), not once per injection — only the cheap
+  process when sharded), not once per injection — only the cheap
   machine build and memory image copy happen per run;
-* injections fan out over a ``multiprocessing`` worker pool in chunks,
-  with per-injection derived seeds so results are identical regardless
-  of worker count or completion order.
+* every injection derives from ``(campaign_seed, id)`` alone, so records
+  are identical regardless of worker count or completion order.
 
 Fork mode (``fork=True`` / ``repro campaign --fork``) removes the third
 structural cost — re-simulating the fault-free warmup prefix for every
@@ -23,18 +21,19 @@ the flag is an execution detail and deliberately not part of the spec
 fingerprint.  Models that arm by mutating the machine (instr-flip,
 cf-corrupt) silently keep the fresh-machine path.
 
-Workers are crash-isolated: a Python-level failure inside one injection
-is caught in the worker and classified :data:`Outcome.CRASHED`; a hard
-worker death (the pool breaks) fails only the chunk that was in flight —
-its runs are classified CRASHED after one retry and the pool is rebuilt
-for the remaining work.
+:func:`run_campaign` runs the campaign in this process — the reference
+executor.  With more than one worker (or any shards) it hands the
+campaign to the sharded service (:mod:`repro.campaign.service`), whose
+worker processes run the same :class:`ForkEngine` from a shipped
+machine image and survive SIGKILL.  A Python-level failure inside one
+injection is caught and classified :data:`Outcome.CRASHED` on either
+path.
 """
 
 import hashlib
 import json
-import warnings
 
-from repro.campaign.models import Injection, Outcome, get_model
+from repro.campaign.models import Outcome, get_model
 from repro.campaign.options import ExecutionOptions
 from repro.campaign.space import sample_injections
 from repro.campaign.store import ResultStore
@@ -85,7 +84,7 @@ skip:
 class CampaignSpec:
     """Everything that defines a campaign's *results* (picklable).
 
-    Execution details — worker count, chunk size, store path — live
+    Execution details — worker count, shards, store path — live
     outside the spec so they never affect the fingerprint: the same spec
     run serially, in parallel, or resumed must produce the same records.
     """
@@ -287,11 +286,14 @@ def strike_injection(ctx, machine, injection):
         event = machine.pipeline.run(max_cycles=budget - trigger)
     else:
         event = machine.pipeline.run(max_cycles=budget)
+    return struck_record(ctx, machine, injection, event)
+
+
+def struck_record(ctx, machine, injection, event):
+    """Classify a run that ended with *event* and build its record."""
     outcome = classify(machine, ctx, event)
-    record = {"id": injection.id, "model": injection.model,
-              "seed": injection.seed, "params": injection.params,
-              "outcome": outcome.value, "event": event.kind.value,
-              "pc": event.pc, "cycles": machine.pipeline.cycle}
+    record = injection_record(injection, outcome, event.kind.value,
+                              event.pc, machine.pipeline.cycle)
     if ctx.spec.assertions:
         record["assertions"] = machine.assertions.violation_count()
     return record
@@ -310,11 +312,18 @@ def execute_injection(ctx, injection):
         return crashed_record(injection, repr(exc))
 
 
-def crashed_record(injection, error="worker died"):
+def injection_record(injection, outcome, event, pc, cycles):
+    """The record every run produces: the injection, then how it ended."""
     return {"id": injection.id, "model": injection.model,
             "seed": injection.seed, "params": injection.params,
-            "outcome": Outcome.CRASHED.value, "event": "crash",
-            "pc": 0, "cycles": 0, "error": error}
+            "outcome": outcome.value, "event": event, "pc": pc,
+            "cycles": cycles}
+
+
+def crashed_record(injection, error):
+    record = injection_record(injection, Outcome.CRASHED, "crash", 0, 0)
+    record["error"] = error
+    return record
 
 
 def not_triggered_record(injection, event=None, cycles=0):
@@ -324,26 +333,34 @@ def not_triggered_record(injection, event=None, cycles=0):
     trigger; without, the sampled trigger fell outside the cycle budget
     and the run was skipped outright.
     """
-    return {"id": injection.id, "model": injection.model,
-            "seed": injection.seed, "params": injection.params,
-            "outcome": Outcome.NOT_TRIGGERED.value,
-            "event": event.kind.value if event is not None else "skipped",
-            "pc": event.pc if event is not None else 0,
-            "cycles": cycles}
+    if event is None:
+        return injection_record(injection, Outcome.NOT_TRIGGERED, "skipped",
+                                0, cycles)
+    return injection_record(injection, Outcome.NOT_TRIGGERED,
+                            event.kind.value, event.pc, cycles)
 
 
 # ------------------------------------------------------------ fork-at-trigger
 
 class ForkEngine:
-    """Shared-prefix execution: simulate each distinct trigger prefix once.
+    """Restore-and-strike execution on one trunk machine.
 
-    Keeps one trunk machine plus two checkpoints: the pristine machine
-    (cycle 0) and the latest trigger prefix.  Triggers should arrive in
-    ascending order for maximal prefix reuse; a smaller trigger simply
-    rewinds to the base checkpoint and re-advances.
+    Keeps the trunk plus two checkpoints: the pristine machine (cycle 0)
+    and the latest trigger prefix.  The pristine checkpoint is captured
+    from the freshly built trunk or, with *image*, is the
+    :class:`~repro.checkpoint.CampaignImage` the sharded service ships
+    to its workers; an image warmed for another spec, or on a machine of
+    another shape, raises :class:`~repro.checkpoint.CheckpointError`
+    here rather than mid-shard.
+
+    :meth:`strike` simulates each distinct trigger prefix once.
+    Triggers should arrive in ascending order for maximal prefix reuse;
+    a smaller trigger simply rewinds to the base checkpoint and
+    re-advances.  :meth:`strike_from_base` runs a whole injection from
+    the pristine state instead, for impure models and unforked runs.
     """
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, image=None):
         self.ctx = ctx
         # Warm the checkpoint layer's field-name cache on a throwaway
         # machine: the first capture of each class de-optimises that
@@ -357,7 +374,11 @@ class ForkEngine:
         checkpoint_layer.warm(sacrifice)
         self.machine, __ = build_campaign_machine(ctx.asm, ctx.spec.protected,
                                                   batch=ctx.batch)
-        self.base = self.machine.checkpoint()
+        if image is None:
+            self.base = self.machine.checkpoint()
+        else:
+            self.base = image.verify(ctx.spec.fingerprint()).checkpoint()
+            self.machine.restore(self.base)
         self.prefix = self.base
         # (event, end_cycle) once the fault-free workload is known to end
         # before some trigger; the prefix is deterministic, so this holds
@@ -397,11 +418,18 @@ class ForkEngine:
         ctx.model.fire(machine, ctx, injection.params)
         event = machine.pipeline.run(
             max_cycles=ctx.spec.max_cycles - trigger)
-        outcome = classify(machine, ctx, event)
-        return {"id": injection.id, "model": injection.model,
-                "seed": injection.seed, "params": injection.params,
-                "outcome": outcome.value, "event": event.kind.value,
-                "pc": event.pc, "cycles": machine.pipeline.cycle}
+        return struck_record(ctx, machine, injection, event)
+
+    def strike_from_base(self, injection):
+        """Rewind to the pristine checkpoint and run *injection* whole."""
+        try:
+            self.machine.restore(self.base)
+            return strike_injection(self.ctx, self.machine, injection)
+        except Exception:
+            # Cold-path fallback produces the identical record (and owns
+            # crash isolation); the trunk may be mid-strike, so never
+            # reuse it for the failed injection.
+            return execute_injection(self.ctx, injection)
 
 
 def forked_injection(ctx, engine, injection):
@@ -474,101 +502,7 @@ class CampaignRun:
         return "CampaignRun(%s)" % self.summary()
 
 
-# ----------------------------------------------------------------- worker IPC
-
-_WORKER_CTX = None
-_WORKER_FORK = None
-
-
-def _worker_init(spec_dict, fork=False, batch=True):
-    """Pool initializer: build the campaign context once per process."""
-    global _WORKER_CTX, _WORKER_FORK
-    _WORKER_CTX = CampaignContext(CampaignSpec.from_dict(spec_dict),
-                                  batch=batch)
-    _WORKER_FORK = None
-    if fork and _WORKER_CTX.model.arm_is_pure:
-        try:
-            _WORKER_FORK = ForkEngine(_WORKER_CTX)
-        except Exception:
-            _WORKER_FORK = None      # cold path still produces the records
-
-
-def _worker_run_chunk(injection_dicts):
-    injections = [Injection.from_dict(payload) for payload in injection_dicts]
-    if _WORKER_FORK is not None:
-        return [forked_injection(_WORKER_CTX, _WORKER_FORK, injection)
-                for injection in injections]
-    return [execute_injection(_WORKER_CTX, injection)
-            for injection in injections]
-
-
-def _parallel_dispatch(spec, todo, chunk_size, workers, emit, fork=False,
-                       batch=True):
-    """Fan chunks out over a process pool, surviving worker death.
-
-    A chunk whose future fails (worker killed, pool broken) is retried
-    once on a fresh pool; failing a second time classifies its
-    injections as CRASHED.  The campaign itself always completes.
-    """
-    import concurrent.futures as futures_mod
-
-    chunks = [todo[index:index + chunk_size]
-              for index in range(0, len(todo), chunk_size)]
-    attempts = {}
-    pending = list(enumerate(chunks))
-    spec_dict = spec.to_dict()
-    while pending:
-        pool = futures_mod.ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init,
-            initargs=(spec_dict, fork, batch))
-        submitted = {
-            pool.submit(_worker_run_chunk,
-                        [injection.to_dict() for injection in chunk]):
-            (chunk_id, chunk)
-            for chunk_id, chunk in pending}
-        pending = []
-        try:
-            for future in futures_mod.as_completed(submitted):
-                chunk_id, chunk = submitted[future]
-                try:
-                    emit(future.result())
-                except Exception:
-                    attempts[chunk_id] = attempts.get(chunk_id, 0) + 1
-                    if attempts[chunk_id] > 1:
-                        emit([crashed_record(injection)
-                              for injection in chunk])
-                    else:
-                        pending.append((chunk_id, chunk))
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-
 # ------------------------------------------------------------------- campaign
-
-#: Legacy run_campaign keyword -> ExecutionOptions field.
-_LEGACY_KWARGS = {"workers": "workers", "chunk_size": "chunk_size",
-                  "store_path": "store", "fork": "fork", "batch": "batch"}
-
-
-def _coerce_options(options, legacy):
-    """Resolve the options object from the new or the deprecated shape."""
-    if legacy:
-        unknown = sorted(set(legacy) - set(_LEGACY_KWARGS))
-        if unknown:
-            raise TypeError("run_campaign() got unexpected keyword "
-                            "argument(s): %s" % ", ".join(unknown))
-        if options is not None:
-            raise TypeError("pass either options=ExecutionOptions(...) or "
-                            "the legacy keyword arguments, not both")
-        warnings.warn(
-            "run_campaign(spec, %s=...) is deprecated; pass "
-            "options=ExecutionOptions(...) instead"
-            % ", ".join(sorted(legacy)),
-            DeprecationWarning, stacklevel=3)
-        return ExecutionOptions(**{_LEGACY_KWARGS[key]: value
-                                   for key, value in legacy.items()})
-    return options if options is not None else ExecutionOptions()
-
 
 def _full_coverage(spec, records):
     """True when *records* already hold every id the spec defines."""
@@ -576,25 +510,23 @@ def _full_coverage(spec, records):
     return set(range(spec.injections)) <= done
 
 
-def run_campaign(spec, options=None, progress=None, **legacy):
+def run_campaign(spec, options=None, progress=None):
     """Execute (or resume) a campaign; returns a :class:`CampaignRun`.
 
     Args:
         spec: the :class:`CampaignSpec` defining the campaign — the
             only input that affects the records.
         options: an :class:`~repro.campaign.options.ExecutionOptions`
-            describing how to run (workers, chunking, fork, batch,
-            shards, store).  ``options.shards > 0`` routes execution
-            through the sharded campaign service.
+            describing how to run (workers, fork, batch, shards, store).
+            ``options.workers > 1`` or ``options.shards > 0`` routes
+            execution through the sharded campaign service, with
+            ``shards or workers`` shards; otherwise the campaign runs
+            serially in this process.
         progress: optional ``callback(done, total)`` fired as records
             land (including records recovered from the store).
-
-    The pre-redesign keyword arguments (``workers``, ``chunk_size``,
-    ``store_path``, ``fork``, ``batch``) are still accepted and mapped
-    onto an :class:`ExecutionOptions`, with a :class:`DeprecationWarning`.
     """
-    options = _coerce_options(options, legacy)
-    if options.shards:
+    options = options if options is not None else ExecutionOptions()
+    if options.shards or options.workers > 1:
         from repro.campaign.service import run_service
 
         return run_service(spec, options, progress=progress)
@@ -628,11 +560,10 @@ def run_campaign(spec, options=None, progress=None, **legacy):
     if progress is not None and records:
         progress(len(records), total)
 
-    def emit(batch):
-        for record in batch:
-            records.append(record)
-            if store is not None:
-                store.append(record)
+    def emit(record):
+        records.append(record)
+        if store is not None:
+            store.append(record)
         if progress is not None:
             progress(len(records), total)
 
@@ -641,20 +572,13 @@ def run_campaign(spec, options=None, progress=None, **legacy):
     # classification, so monitored campaigns always take the cold path.
     use_fork = options.fork and ctx.model.arm_is_pure and not spec.assertions
     try:
-        if options.workers <= 1:
-            if use_fork and todo:
-                engine = ForkEngine(ctx)
-                for injection in _fork_order(ctx, todo):
-                    emit([forked_injection(ctx, engine, injection)])
-            else:
-                for injection in todo:
-                    emit([execute_injection(ctx, injection)])
-        elif todo:
-            if use_fork:
-                todo = _fork_order(ctx, todo)
-            _parallel_dispatch(spec, todo, options.chunk_size,
-                               options.workers, emit, fork=use_fork,
-                               batch=options.batch)
+        if use_fork and todo:
+            engine = ForkEngine(ctx)
+            for injection in _fork_order(ctx, todo):
+                emit(forked_injection(ctx, engine, injection))
+        else:
+            for injection in todo:
+                emit(execute_injection(ctx, injection))
     finally:
         if store is not None:
             store.close()

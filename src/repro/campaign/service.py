@@ -1,9 +1,8 @@
 """Sharded campaign service: warmed images, work stealing, merge.
 
-The unsharded runner (:mod:`repro.campaign.runner`) fans *chunks of
-injections* over a process pool that must stay alive for the whole
-campaign.  This module scales the same deterministic campaign along a
-different axis — **shards**:
+:func:`~repro.campaign.runner.run_campaign` hands every campaign with
+more than one worker (or any shards) to this module, which scales the
+deterministic campaign along **shards**:
 
 * the injection space ``[0, spec.injections)`` splits into contiguous
   **seed-range shards**.  Because every injection derives from
@@ -13,9 +12,10 @@ different axis — **shards**:
 * the parent simulates the campaign's warmup exactly once — assembly,
   golden run, machine build — and ships the result to every worker as a
   :class:`~repro.checkpoint.CampaignImage` (serialized machine
-  checkpoint + golden results + spec fingerprint), so workers
+  checkpoint + golden results + spec fingerprint), which seeds the
+  worker's :class:`~repro.campaign.runner.ForkEngine`: workers
   restore-and-strike instead of rebuilding and re-running the golden
-  workload;
+  workload, and with ``fork`` share trigger prefixes within a shard;
 * workers **steal shards** from a shared queue: a fast worker that
   drains its shard immediately pulls the next one, so stragglers never
   gate the campaign.  Each shard appends to its **own JSONL store**
@@ -47,9 +47,9 @@ import signal
 import tempfile
 
 from repro.campaign.runner import (CampaignContext, CampaignRun,
-                                   CampaignSpec, _full_coverage,
-                                   build_campaign_machine, execute_injection,
-                                   strike_injection)
+                                   CampaignSpec, ForkEngine, _fork_order,
+                                   _full_coverage, build_campaign_machine,
+                                   execute_injection, forked_injection)
 from repro.campaign.space import injection_at
 from repro.campaign.store import ResultStore
 from repro.checkpoint import CampaignImage
@@ -160,50 +160,28 @@ def build_campaign_image(spec, batch=True):
     return CampaignImage(spec.fingerprint(), checkpoint.to_bytes(), meta)
 
 
-class ImageEngine:
-    """Restore-and-strike execution from a deserialized campaign image.
+def _build_engine(ctx, image, fork):
+    """``(order, run)`` for one worker process.
 
-    Keeps one machine of the campaign's shape and rewinds it to the
-    image's pristine state before every strike.  Restore is cycle-exact,
-    so records are identical to fresh-machine execution — the engine is
-    purely a way to skip the per-injection machine build.
+    *order* sequences a shard's injections and *run* turns one into its
+    record.  Monitored campaigns (``spec.assertions``) take the cold
+    path: the invariant monitor hangs state off the machine that a
+    restore does not rewind, so reusing one machine would leak one
+    strike's violations into the next run's classification.
     """
+    def cold(injection):
+        return execute_injection(ctx, injection)
 
-    def __init__(self, ctx, image):
-        image.verify(ctx.spec.fingerprint())
-        self.ctx = ctx
-        self.checkpoint = image.checkpoint()
-        self.machine, __ = build_campaign_machine(ctx.asm, ctx.spec.protected,
-                                                  batch=ctx.batch)
-        # Restore immediately: a shape mismatch (image warmed protected,
-        # worker built bare) must surface here, not mid-shard.
-        self.machine.restore(self.checkpoint)
-
-    def run(self, injection):
-        try:
-            self.machine.restore(self.checkpoint)
-            return strike_injection(self.ctx, self.machine, injection)
-        except Exception:
-            # Cold-path fallback produces the identical record (and owns
-            # crash isolation); the shared machine may be mid-strike, so
-            # never reuse it for the failed injection.
-            return execute_injection(self.ctx, injection)
-
-
-def _build_engine(ctx, image):
-    """``injection -> record`` callable for one worker process.
-
-    Monitored campaigns (``spec.assertions``) take the cold path: the
-    invariant monitor hangs state off the machine that a restore does
-    not rewind, so reusing one machine would leak one strike's
-    violations into the next run's classification.
-    """
     if ctx.spec.assertions or getattr(ctx.model, "owns_execution", False):
-        return lambda injection: execute_injection(ctx, injection)
+        return list, cold
     try:
-        return ImageEngine(ctx, image).run
+        engine = ForkEngine(ctx, image)
     except Exception:
-        return lambda injection: execute_injection(ctx, injection)
+        return list, cold
+    if fork and ctx.model.arm_is_pure:
+        return (lambda injections: _fork_order(ctx, injections),
+                lambda injection: forked_injection(ctx, engine, injection))
+    return list, engine.strike_from_base
 
 
 # ------------------------------------------------------------ shard execution
@@ -221,25 +199,26 @@ def _process_shard(ctx, engine, shard, path, kill=None):
         store.write_header(spec.fingerprint(), spec.to_dict(),
                            extra={"shard": {"id": shard_id, "start": start,
                                             "stop": stop}})
+    order, run = engine
     space = ctx.model.build_space(ctx)
+    todo = [injection_at(ctx.model, space, index, spec.seed)
+            for index in range(start, stop) if index not in done]
     try:
-        for index in range(start, stop):
-            if index in done:
-                continue
-            injection = injection_at(ctx.model, space, index, spec.seed)
-            store.append(engine(injection))
+        for injection in order(todo):
+            store.append(run(injection))
             if kill is not None:
                 kill.tick()
     finally:
         store.close()
 
 
-def _service_worker(spec_dict, image_bytes, task_queue, store_root, batch):
+def _service_worker(spec_dict, image_bytes, task_queue, store_root, batch,
+                    fork):
     """Worker loop: steal shards until the queue stays empty."""
     spec = CampaignSpec.from_dict(spec_dict)
     image = CampaignImage.from_bytes(image_bytes)
     ctx = CampaignContext(spec, batch=batch, golden=image.meta["golden"])
-    engine = _build_engine(ctx, image)
+    engine = _build_engine(ctx, image, fork)
     kill = _KillSwitch()
     while True:
         try:
@@ -260,7 +239,7 @@ def _run_worker_round(spec, options, todo, image_bytes, store_root):
     count = max(1, min(options.workers, len(todo)))
     workers = [mp.Process(target=_service_worker,
                           args=(spec.to_dict(), image_bytes, task_queue,
-                                store_root, options.batch),
+                                store_root, options.batch, options.fork),
                           daemon=True)
                for __ in range(count)]
     for worker in workers:
@@ -344,7 +323,8 @@ def run_service(spec, options, progress=None):
     The orchestration loop: plan shards, warm one image, run worker
     rounds (re-queueing shards that dead workers left incomplete),
     finish any remainder in-parent, merge.  Reached via
-    ``run_campaign(spec, options=ExecutionOptions(shards=N, ...))``.
+    ``run_campaign`` whenever ``options.shards`` or ``options.workers >
+    1`` is set; ``shards or workers`` shards are planned.
     """
     total = spec.injections
     tempdir = None
@@ -360,7 +340,7 @@ def run_service(spec, options, progress=None):
     else:
         tempdir = tempfile.mkdtemp(prefix="repro-campaign-")
         store_root = os.path.join(tempdir, "campaign.jsonl")
-    shards = plan_shards(total, options.shards)
+    shards = plan_shards(total, options.shards or options.workers)
     try:
         image = build_campaign_image(spec, batch=options.batch)
         image_bytes = image.to_bytes()
@@ -385,7 +365,7 @@ def run_service(spec, options, progress=None):
                 # it.
                 ctx = CampaignContext(spec, batch=options.batch,
                                       golden=image.meta["golden"])
-                engine = _build_engine(ctx, image)
+                engine = _build_engine(ctx, image, options.fork)
                 for shard in todo:
                     _process_shard(ctx, engine, shard,
                                    shard_store_path(store_root, shard[0]))

@@ -41,12 +41,11 @@ deep-copies the stored state again (so the checkpoint stays pristine)
 and grafts the fields back onto the live objects — external references
 to the machine's components remain valid across a restore.
 
-**Pending MAU work must be plain data.**  Module->MAU requests carry a
-``(module, tag)`` continuation instead of a Python closure precisely so
-they can be checkpointed; a request still using a bare callback (the
-MLR's load-time sequences do) makes the machine refuse to checkpoint
-rather than silently capture a closure whose captured objects the
-restore cannot rewind.
+**Pending MAU work is plain data.**  Module->MAU requests carry a
+``(module, tag)`` continuation instead of a Python closure, so a machine
+with transfers in flight — an ICM fill, a DDT dump, any step of the
+MLR's load-time sequence — captures and restores like any other state:
+the module is a pinned singleton and the tag deep-copies with the rest.
 
 The captured boundary is a plain cycle boundary — callers who want the
 paper's "drained commit boundary" (architectural state only, empty
@@ -102,7 +101,7 @@ _HEADER = struct.Struct("<4sH")
 
 
 class CheckpointError(RuntimeError):
-    """The machine is in a state the checkpoint layer cannot capture."""
+    """A checkpoint image cannot be read, or restored onto this machine."""
 
 
 #: Per-component fields that are wiring or derived caches, not mutable
@@ -369,13 +368,6 @@ def _pins(machine):
     return pins
 
 
-def _pending_requests(mau):
-    pending = list(mau._queue)
-    if mau._active is not None:
-        pending.append(mau._active)
-    return pending
-
-
 def _collect(machine):
     state = {
         "pipeline": _fields(machine.pipeline, _PIPELINE_SKIP),
@@ -411,17 +403,6 @@ def warm(machine):
 
 def capture(machine):
     """Snapshot *machine*; returns a :class:`MachineCheckpoint`."""
-    rse = machine.rse
-    if rse is not None:
-        holders = sorted({request.module_name
-                          for request in _pending_requests(rse.mau)
-                          if request.callback is not None})
-        if holders:
-            raise CheckpointError(
-                "pending MAU request(s) from %s carry Python callbacks; "
-                "only tag-based (module, tag) requests are checkpointable "
-                "— drain the MAU or convert the module to on_mau_complete"
-                % ", ".join(holders))
     pages, versions = machine.memory.capture_state()
     pins = _pins(machine)
     memo = {id(pin): pin for pin in pins}

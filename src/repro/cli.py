@@ -15,7 +15,7 @@ Commands
 
 ``campaign run [FILE]`` / ``campaign serve PATHS``
     Fault-injection campaigns: ``run`` executes (or resumes) one —
-    serially, over a worker pool, or sharded with ``--shards``; ``serve``
+    serially, or sharded over ``--workers`` processes; ``serve``
     tails campaign stores and aggregates live outcome counts and
     Wilson-CI detection matrices (``--watch`` to follow a campaign as
     it runs).  The bare historical spelling ``repro campaign <flags>``
@@ -397,7 +397,7 @@ def _campaign_options(args):
     """The one place CLI flags become an ExecutionOptions."""
     from repro.campaign import ExecutionOptions
 
-    return ExecutionOptions(workers=args.workers, chunk_size=args.chunk,
+    return ExecutionOptions(workers=args.workers,
                             fork=args.fork, batch=args.batch,
                             shards=args.shards, store=args.store)
 
@@ -784,7 +784,7 @@ def _cmd_disasm(args):
 
 
 def _cmd_trace(args):
-    from repro.analysis.tracing import trace_functional
+    from repro.obs.tracer import trace_functional
     from repro.isa.assembler import assemble
     from repro.memory.mainmem import MainMemory
     from repro.workloads.asmlib import std_constants
@@ -1047,8 +1047,6 @@ def main(argv=None):
                                  help="number of injections in the space")
     campaign_parser.add_argument("--workers", type=int, default=1,
                                  help="worker processes (>1 = parallel)")
-    campaign_parser.add_argument("--chunk", type=int, default=16,
-                                 help="injections per worker dispatch")
     campaign_parser.add_argument("--seed", type=int, default=99)
     campaign_parser.add_argument("--max-cycles", type=int, default=200_000,
                                  help="per-run cycle budget (hang timeout)")

@@ -14,7 +14,7 @@ fleet converges to the same served-request set an uninterrupted run
 produces.
 """
 
-from repro.checkpoint import CheckpointError, MachineCheckpoint
+from repro.checkpoint import MachineCheckpoint
 
 
 class FailoverEvent:
@@ -39,19 +39,10 @@ class FailoverEvent:
 
 
 def take_checkpoint(node):
-    """Capture *node*'s machine as a wire image; returns True on success.
-
-    A capture can be refused (pending MAU callback requests are not
-    checkpointable); the node then simply keeps its previous image and
-    tries again at the next interval.
-    """
-    try:
-        checkpoint = node.machine.checkpoint()
-    except CheckpointError:
-        return False
+    """Capture *node*'s machine as its latest wire image."""
+    checkpoint = node.machine.checkpoint()
     node.checkpoint_bytes = checkpoint.to_bytes()
     node.checkpoint_cycle = checkpoint.cycle
-    return True
 
 
 def fail_over(node, device, death_cycle, restore_cost, reason):

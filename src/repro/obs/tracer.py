@@ -10,8 +10,7 @@ Two levels of tracing live here:
 * guest-program tracers — :func:`trace_functional` (architectural
   instruction trace on the functional simulator) and
   :class:`CommitTracer` (an RSE observer module recording the pipeline's
-  retirement stream), both migrated from ``repro.analysis.tracing``,
-  which remains as a re-export shim.
+  retirement stream).
 """
 
 import json

@@ -179,3 +179,27 @@ def rewrite_plt_entry(words, new_got_entry_addr):
     """
     fresh = build_plt_entry(new_got_entry_addr)
     return [fresh[0], fresh[1], words[2], words[3]]
+
+
+def rewrite_plt(data, delta):
+    """Redirect every PLT entry in *data* by *delta* (the GOT's move).
+
+    Returns ``(rewritten, bad)``: the rewritten PLT bytes, and whether
+    some entry did not decode as a PLT entry (it is left as it was).
+    """
+    rewritten = bytearray(data)
+    bad = False
+    for index in range(len(data) // PLT_ENTRY_BYTES):
+        offset = index * PLT_ENTRY_BYTES
+        words = [int.from_bytes(data[offset + i * 4:offset + i * 4 + 4],
+                                "little") for i in range(PLT_ENTRY_WORDS)]
+        try:
+            target = plt_entry_target(words)
+        except ValueError:
+            bad = True
+            continue
+        new_words = rewrite_plt_entry(words, (target + delta) & 0xFFFFFFFF)
+        for i, word in enumerate(new_words):
+            rewritten[offset + i * 4:offset + i * 4 + 4] = \
+                word.to_bytes(4, "little")
+    return bytes(rewritten), bad

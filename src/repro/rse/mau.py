@@ -2,12 +2,14 @@
 
 The MAU performs memory accesses on behalf of RSE modules, eliminating a
 per-module bus interface.  A request names the address, access type
-(load/store), byte count and a completion callback (the hardware
-equivalent: a pointer to the module's buffer).  Requests queue and are
-serviced in cyclic (FIFO across modules) order; the MAU shares the bus
-interface unit with the pipeline and always loses arbitration to it
-(modelled by :meth:`MemoryHierarchy.mau_access`, which also keeps MAU
-traffic out of the processor caches).
+(load/store), byte count and where the completion goes: the requesting
+module plus a continuation tag (the hardware equivalent: a pointer to
+the module's buffer).  Requests are plain data, so a machine with
+transfers in flight can be checkpointed and restored.  Requests queue
+and are serviced in cyclic (FIFO across modules) order; the MAU shares
+the bus interface unit with the pipeline and always loses arbitration
+to it (modelled by :meth:`MemoryHierarchy.mau_access`, which also keeps
+MAU traffic out of the processor caches).
 """
 
 from collections import deque
@@ -16,24 +18,17 @@ from collections import deque
 class MAURequest:
     """One queued module request.
 
-    Completion is delivered one of two ways:
-
-    * ``module``/``tag`` — the MAU calls ``module.on_mau_complete(request)``
-      with the finished request; *tag* is an opaque continuation token the
-      module stashed at submit time (an in-flight check, an IOQ entry).
-      This is the preferred form: the request is plain data, so a pending
-      request survives :meth:`Machine.checkpoint` / ``restore`` intact.
-    * ``callback`` — a bare Python callable, kept for ad-hoc consumers.
-      A closure captures live objects the checkpoint layer cannot see
-      through, so a machine with a pending callback request refuses to
-      checkpoint.
+    On completion the MAU calls ``module.on_mau_complete(request)`` with
+    the finished request; *tag* is an opaque continuation token the
+    module stashed at submit time (an in-flight check, an IOQ entry).
+    A request without a module is fire-and-forget.
     """
 
-    __slots__ = ("module_name", "kind", "addr", "nbytes", "data", "callback",
+    __slots__ = ("module_name", "kind", "addr", "nbytes", "data",
                  "module", "tag", "done_cycle", "result")
 
     def __init__(self, module_name, kind, addr, nbytes, data=None,
-                 callback=None, module=None, tag=None):
+                 module=None, tag=None):
         if kind not in ("load", "store"):
             raise ValueError("kind must be 'load' or 'store'")
         self.module_name = module_name
@@ -41,8 +36,7 @@ class MAURequest:
         self.addr = addr
         self.nbytes = nbytes
         self.data = data              # payload for stores
-        self.callback = callback      # called as callback(result_bytes|None)
-        self.module = module          # delivery target for tag-based requests
+        self.module = module          # delivery target
         self.tag = tag                # opaque continuation token
         self.done_cycle = None
         self.result = None
@@ -62,25 +56,19 @@ class MemoryAccessUnit:
 
     # ---------------------------------------------------------------- submit
 
-    def load(self, module_name, addr, nbytes, callback=None,
-             module=None, tag=None):
-        """Queue a load of *nbytes* from *addr*.
-
-        Completion either calls *callback(bytes)* or, for checkpointable
-        tag-based requests, ``module.on_mau_complete(request)``.
-        """
+    def load(self, module_name, addr, nbytes, module=None, tag=None):
+        """Queue a load of *nbytes* from *addr*; the bytes arrive as the
+        finished request's ``result``."""
         request = MAURequest(module_name, "load", addr, nbytes,
-                             callback=callback, module=module, tag=tag)
+                             module=module, tag=tag)
         self._queue.append(request)
         self.requests_total += 1
         return request
 
-    def store(self, module_name, addr, data, callback=None,
-              module=None, tag=None):
+    def store(self, module_name, addr, data, module=None, tag=None):
         """Queue a store of *data* to *addr* (completion as for :meth:`load`)."""
         request = MAURequest(module_name, "store", addr, len(data),
-                             data=bytes(data), callback=callback,
-                             module=module, tag=tag)
+                             data=bytes(data), module=module, tag=tag)
         self._queue.append(request)
         self.requests_total += 1
         return request
@@ -107,9 +95,7 @@ class MemoryAccessUnit:
                 self.memory.store_bytes(active.addr, active.data)
                 self.bytes_stored += active.nbytes
             self._active = None
-            if active.callback is not None:
-                active.callback(active.result)
-            elif active.module is not None:
+            if active.module is not None:
                 active.module.on_mau_complete(active)
         if self._active is None and self._queue:
             request = self._queue.popleft()

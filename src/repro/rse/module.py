@@ -106,7 +106,7 @@ class RSEModule:
         return cycle
 
     def on_mau_complete(self, request):
-        """A tag-based MAU request submitted by this module finished.
+        """An MAU request submitted by this module finished.
 
         *request* is the :class:`~repro.rse.mau.MAURequest`; its ``tag``
         is whatever continuation token the module attached at submit

@@ -26,12 +26,7 @@ a deterministic source.
 """
 
 from repro.memory.mainmem import PAGE_SIZE
-from repro.program.image import (
-    ExecutableHeader,
-    PLT_ENTRY_BYTES,
-    plt_entry_target,
-    rewrite_plt_entry,
-)
+from repro.program.image import ExecutableHeader, PLT_ENTRY_BYTES, rewrite_plt
 from repro.program.layout import (
     MLR_RESULT_HEAP,
     MLR_RESULT_SHLIB,
@@ -70,6 +65,23 @@ def cycle_counter_entropy(cycle):
     """
     pages = ((cycle * 2654435761) >> 8) & 0x3FF          # up to 1023 pages
     return (pages | 1) * PAGE_SIZE
+
+
+def randomize_bases(header, now, entropy_source):
+    """Figure 3(B)'s three parallel adds at cycle counter value *now*.
+
+    Returns ``(bases, results)``: the randomized shlib/stack/heap bases
+    by name, and the 12 bytes written to the header's three adjacent
+    predefined result words.
+    """
+    assert (MLR_RESULT_STACK == MLR_RESULT_SHLIB + 4 and
+            MLR_RESULT_HEAP == MLR_RESULT_SHLIB + 8)
+    shlib = (header.shlib_base + entropy_source(now)) & MASK32
+    heap = (header.heap_base + entropy_source(now + 1)) & MASK32
+    stack = (header.stack_base - entropy_source(now + 2)) & MASK32
+    results = (shlib.to_bytes(4, "little") + stack.to_bytes(4, "little") +
+               heap.to_bytes(4, "little"))
+    return {"shlib": shlib, "stack": stack, "heap": heap}, results
 
 
 class MLR(RSEModule):
@@ -150,42 +162,55 @@ class MLR(RSEModule):
         self.operations_done += 1
         self.finish_check(entry, error, cycle)
 
+    # --------------------------------------------------- MAU continuations
+
+    def on_mau_complete(self, request):
+        """Take the next step of the CHECK whose MAU transfer finished.
+
+        The tag is ``(step, entry, value)``: which step comes next, the
+        blocking CHECK's IOQ entry, and what the step kept from submit
+        time (the GOT delta for a PLT load, the error flag for a final
+        store).
+        """
+        step, entry, value = request.tag
+        cycle = self.engine.cycle
+        if step == "header":
+            self._header_loaded(entry, request.result)
+        elif step == "results":
+            self.pi_rand_finished = cycle
+            self._done(entry, cycle)
+        elif step == "got":
+            self.got_buffer = request.result
+            self.engine.mau.store(self.name, self.got_new, request.result,
+                                  module=self, tag=("done", entry, False))
+        elif step == "plt":
+            self._plt_loaded(entry, request.result, value)
+        else:                   # "done": the CHECK's last store landed
+            self._done(entry, cycle, error=value)
+
     # --------------------------------- position-independent randomization
 
     def _pi_randomize(self, entry, cycle):
         """I2: parse the header, randomize stack/heap/shlib bases."""
-        mau = self.engine.mau
         self.pi_rand_started = cycle
         self.pi_rand_finished = None
+        self.engine.mau.load(self.name, self.hdr_addr, self.hdr_size or 64,
+                             module=self, tag=("header", entry, None))
 
-        def header_loaded(data):
-            try:
-                header = ExecutableHeader.unpack(data)
-            except ValueError:
-                self._done(entry, self.engine.cycle, error=True)
-                return
-            self.header = header
-            now = self.engine.cycle + PARSE_AND_ADD_CYCLES
-            shlib = (header.shlib_base + self.entropy_source(now)) & MASK32
-            heap = (header.heap_base +
-                    self.entropy_source(now + 1)) & MASK32
-            stack = (header.stack_base -
-                     self.entropy_source(now + 2)) & MASK32
-            self.randomized = {"shlib": shlib, "stack": stack, "heap": heap}
-            results = (shlib.to_bytes(4, "little") +
-                       stack.to_bytes(4, "little") +
-                       heap.to_bytes(4, "little"))
-            # One store covers the three adjacent predefined locations.
-            assert (MLR_RESULT_STACK == MLR_RESULT_SHLIB + 4 and
-                    MLR_RESULT_HEAP == MLR_RESULT_SHLIB + 8)
-            def stored(__):
-                self.pi_rand_finished = self.engine.cycle
-                self._done(entry, self.engine.cycle)
-
-            mau.store(self.name, self.hdr_addr + MLR_RESULT_SHLIB, results,
-                      stored)
-
-        mau.load(self.name, self.hdr_addr, self.hdr_size or 64, header_loaded)
+    def _header_loaded(self, entry, data):
+        try:
+            header = ExecutableHeader.unpack(data)
+        except ValueError:
+            self._done(entry, self.engine.cycle, error=True)
+            return
+        self.header = header
+        self.randomized, results = randomize_bases(
+            header, self.engine.cycle + PARSE_AND_ADD_CYCLES,
+            self.entropy_source)
+        # One store covers the three adjacent predefined locations.
+        self.engine.mau.store(self.name, self.hdr_addr + MLR_RESULT_SHLIB,
+                              results, module=self,
+                              tag=("results", entry, None))
 
     # ------------------------------------------------------------ GOT copy
 
@@ -194,14 +219,8 @@ class MLR(RSEModule):
         if not self.got_size or not self.got_new:
             self._done(entry, cycle, error=True)
             return
-        mau = self.engine.mau
-
-        def got_loaded(data):
-            self.got_buffer = data
-            mau.store(self.name, self.got_new, data,
-                      lambda __: self._done(entry, self.engine.cycle))
-
-        mau.load(self.name, self.got_old, self.got_size, got_loaded)
+        self.engine.mau.load(self.name, self.got_old, self.got_size,
+                             module=self, tag=("got", entry, None))
 
     # ----------------------------------------------------------- PLT rewrite
 
@@ -210,37 +229,18 @@ class MLR(RSEModule):
         if not self.plt_size or not self.got_new:
             self._done(entry, cycle, error=True)
             return
-        mau = self.engine.mau
         delta = (self.got_new - self.got_old) & MASK32
+        self.engine.mau.load(self.name, self.plt_addr, self.plt_size,
+                             module=self, tag=("plt", entry, delta))
 
-        def plt_loaded(data):
-            self.plt_buffer = data
-            entries = len(data) // PLT_ENTRY_BYTES
-            rewritten = bytearray(data)
-            bad = False
-            for index in range(entries):
-                offset = index * PLT_ENTRY_BYTES
-                words = [int.from_bytes(data[offset + i * 4:offset + i * 4 + 4],
-                                        "little") for i in range(4)]
-                try:
-                    target = plt_entry_target(words)
-                except ValueError:
-                    bad = True
-                    continue
-                new_words = rewrite_plt_entry(words, (target + delta) & MASK32)
-                for i, word in enumerate(new_words):
-                    rewritten[offset + i * 4:offset + i * 4 + 4] = \
-                        word.to_bytes(4, "little")
-            # Four adders update four entries per cycle (footnote in 5.3).
-            rewrite_cycles = -(-entries // PLT_ADDERS)
-            self._schedule_store(entry, rewritten, rewrite_cycles, bad)
-
-        mau.load(self.name, self.plt_addr, self.plt_size, plt_loaded)
-
-    def _schedule_store(self, entry, rewritten, delay_cycles, bad):
-        """Charge the adder latency, then write the PLT buffer back."""
-        due = self.engine.cycle + delay_cycles
-        self._pending_store = (due, entry, bytes(rewritten), bad)
+    def _plt_loaded(self, entry, data, delta):
+        """Rewrite the PLT buffer, charging the adders' latency."""
+        self.plt_buffer = data
+        rewritten, bad = rewrite_plt(data, delta)
+        # Four adders update four entries per cycle (footnote in 5.3).
+        rewrite_cycles = -(-(len(data) // PLT_ENTRY_BYTES) // PLT_ADDERS)
+        self._pending_store = (self.engine.cycle + rewrite_cycles, entry,
+                               rewritten, bad)
 
     def step(self, cycle):
         pending = self._pending_store
@@ -250,9 +250,8 @@ class MLR(RSEModule):
         if cycle < due:
             return False
         self._pending_store = None
-        self.engine.mau.store(
-            self.name, self.plt_addr, data,
-            lambda __: self._done(entry, self.engine.cycle, error=bad))
+        self.engine.mau.store(self.name, self.plt_addr, data, module=self,
+                              tag=("done", entry, bad))
         return True
 
     def next_event(self, cycle):

@@ -10,9 +10,6 @@ provides that attacker:
   layout;
 * :mod:`repro.security.trr`     — the host-side Transparent Runtime
   Randomization baseline (the authors' earlier software system);
-* :mod:`repro.security.faults`  — instruction bit-flip injection
-  campaigns for the ICM, and module fault modes for the self-checking
-  experiments;
 * :mod:`repro.security.guestos` — the minimal guest runtime that runs
   security workloads on the functional engines with the same fetch
   protection and CHECK semantics as the kernel/pipeline path;
@@ -35,10 +32,6 @@ from repro.security.rerandomize import (
     register_pointer_table,
     rerandomize_heap,
 )
-from repro.security.faults import (
-    BitFlipOutcome,
-    run_bitflip_campaign,
-)
 from repro.security.attackgen import (
     ATTACK_CLASSES,
     AttackCorpus,
@@ -59,8 +52,6 @@ __all__ = [
     "run_got_hijack",
     "register_pointer_table",
     "rerandomize_heap",
-    "BitFlipOutcome",
-    "run_bitflip_campaign",
     "ATTACK_CLASSES",
     "AttackCorpus",
     "generate_variant",

@@ -46,12 +46,7 @@ from repro.kernel.syscalls import (
     perm_string,
 )
 from repro.memory.mainmem import PAGE_SHIFT, PAGE_SIZE, MainMemory, MemoryFault
-from repro.program.image import (
-    ExecutableHeader,
-    PLT_ENTRY_BYTES,
-    plt_entry_target,
-    rewrite_plt_entry,
-)
+from repro.program.image import ExecutableHeader, rewrite_plt
 from repro.program.layout import MLR_RESULT_SHLIB
 from repro.program.loader import Loader
 from repro.rse.check import (
@@ -66,7 +61,7 @@ from repro.rse.check import (
     OP_MLR_PLT_INFO,
     OP_MLR_WRITE_PLT,
 )
-from repro.rse.modules.mlr import cycle_counter_entropy
+from repro.rse.modules.mlr import cycle_counter_entropy, randomize_bases
 
 MASK32 = 0xFFFFFFFF
 
@@ -218,34 +213,16 @@ class GuestOS:
     def _pi_randomize(self, sim):
         header = ExecutableHeader.unpack(
             self.memory.load_bytes(self.hdr_addr, self.hdr_size or 64))
-        now = sim.instret          # the shim's monotonic "cycle counter"
-        entropy = self.entropy_source
-        shlib = (header.shlib_base + entropy(now)) & MASK32
-        heap = (header.heap_base + entropy(now + 1)) & MASK32
-        stack = (header.stack_base - entropy(now + 2)) & MASK32
-        self.randomized = {"shlib": shlib, "stack": stack, "heap": heap}
-        self.memory.store_bytes(
-            self.hdr_addr + MLR_RESULT_SHLIB,
-            shlib.to_bytes(4, "little") + stack.to_bytes(4, "little")
-            + heap.to_bytes(4, "little"))
+        # The shim's monotonic "cycle counter" is the instruction count.
+        self.randomized, results = randomize_bases(header, sim.instret,
+                                                   self.entropy_source)
+        self.memory.store_bytes(self.hdr_addr + MLR_RESULT_SHLIB, results)
 
     def _write_plt(self):
         data = self.memory.load_bytes(self.plt_addr, self.plt_size)
-        delta = (self.got_new - self.got_old) & MASK32
-        rewritten = bytearray(data)
-        for index in range(len(data) // PLT_ENTRY_BYTES):
-            offset = index * PLT_ENTRY_BYTES
-            words = [int.from_bytes(data[offset + i * 4:offset + i * 4 + 4],
-                                    "little") for i in range(4)]
-            try:
-                target = plt_entry_target(words)
-            except ValueError:
-                continue
-            for i, word in enumerate(rewrite_plt_entry(
-                    words, (target + delta) & MASK32)):
-                rewritten[offset + i * 4:offset + i * 4 + 4] = \
-                    word.to_bytes(4, "little")
-        self.memory.store_bytes(self.plt_addr, bytes(rewritten))
+        rewritten, __ = rewrite_plt(data,
+                                    (self.got_new - self.got_old) & MASK32)
+        self.memory.store_bytes(self.plt_addr, rewritten)
 
 
 def run_image(image, engine, max_steps=1_000_000, exec_stack=False,

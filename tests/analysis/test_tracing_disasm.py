@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.tracing import attach_commit_tracer, trace_functional
+from repro.obs.tracer import attach_commit_tracer, trace_functional
 from repro.isa.assembler import assemble
 from repro.isa.disasm import disassemble_image, disassemble_segment
 from repro.memory.mainmem import MainMemory

@@ -5,7 +5,10 @@ import pytest
 from repro.assertions import PROPERTIES, catalog, shared_properties
 from repro.assertions.monitor import EVENTS, AssertionMonitor
 from repro.assertions.properties import ALL_ENGINES, select
+from repro.rse.check import MODULE_MLR
 from repro.rse.ioq import IOQEntry
+from repro.rse.module import RSEModule
+from repro.system import build_machine
 
 
 class _FakeInstr:
@@ -147,10 +150,22 @@ def test_ioq_gate_trusts_safe_mode():
 def test_mau_quiesce_fires_only_on_capture_with_pending():
     monitor = AssertionMonitor("pipeline",
                                properties=["mau-quiesce-before-checkpoint"])
-    fire(monitor, "checkpoint", True, False)     # clean capture
-    fire(monitor, "checkpoint", False, True)     # refused capture: correct
+    fire(monitor, "checkpoint", False)     # every request deliverable
     assert not monitor.violations
-    fire(monitor, "checkpoint", True, True)      # captured despite pending
+    fire(monitor, "checkpoint", True)      # captured an orphaned request
+    assert monitor.violated_properties() == {"mau-quiesce-before-checkpoint"}
+
+    # Through the hub: a pending request for an attached module restores
+    # onto the live module; one for a detached module cannot.
+    machine = build_machine(with_rse=True, modules=("mlr",))
+    monitor = machine.assertions.attach(
+        properties=["mau-quiesce-before-checkpoint"])
+    mau = machine.rse.mau
+    mau.load("MLR", 0x1000, 16, module=machine.module(MODULE_MLR))
+    machine.checkpoint()
+    assert not monitor.violations
+    mau.load("stray", 0x1000, 16, module=RSEModule("stray"))
+    machine.checkpoint()
     assert monitor.violated_properties() == {"mau-quiesce-before-checkpoint"}
 
 

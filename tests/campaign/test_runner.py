@@ -89,8 +89,7 @@ def test_non_icm_models_classify_outcomes():
 def test_parallel_records_match_serial():
     spec = spec_for(injections=12)
     serial = run_campaign(spec, options=ExecutionOptions(workers=1))
-    parallel = run_campaign(
-        spec, options=ExecutionOptions(workers=2, chunk_size=3))
+    parallel = run_campaign(spec, options=ExecutionOptions(workers=2))
     assert serial.records == parallel.records
 
 
@@ -267,10 +266,9 @@ def test_fork_parallel_matches_cold(tmp_path):
                     injections=10, seed=11, max_cycles=20_000)
     cold = run_campaign(
         spec, options=ExecutionOptions(workers=1, fork=False))
-    forked = run_campaign(
-        spec, options=ExecutionOptions(workers=2, chunk_size=3,
-                                       fork=True))
-    assert cold.records == forked.records
+    for options in (ExecutionOptions(workers=2, fork=True),
+                    ExecutionOptions(shards=2, workers=2, fork=True)):
+        assert run_campaign(spec, options=options).records == cold.records
 
 
 def test_fork_flag_is_safe_for_impure_models():
@@ -278,31 +276,6 @@ def test_fork_flag_is_safe_for_impure_models():
     spec = spec_for(injections=6)
     assert run_campaign(spec, options=ExecutionOptions(fork=True)).records == \
         run_campaign(spec, options=ExecutionOptions(fork=False)).records
-
-
-# ---------------------------------------------------------------- shim
-
-def test_legacy_kwargs_warn_and_still_work(tmp_path):
-    """Pre-redesign ``run_campaign(spec, workers=...)`` keeps working
-    behind a DeprecationWarning, producing identical records."""
-    path = str(tmp_path / "campaign.jsonl")
-    spec = spec_for(injections=6)
-    canonical = run_campaign(
-        spec, options=ExecutionOptions(workers=2, chunk_size=3, store=path))
-    os.remove(path)
-    with pytest.warns(DeprecationWarning, match="ExecutionOptions"):
-        legacy = run_campaign(spec, workers=2, chunk_size=3, store_path=path)
-    assert legacy.records == canonical.records
-    assert legacy.options == ExecutionOptions(workers=2, chunk_size=3,
-                                              store=path)
-
-
-def test_legacy_kwargs_reject_unknown_and_mixed_forms():
-    spec = spec_for(injections=2)
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        run_campaign(spec, worker_count=2)
-    with pytest.raises(TypeError, match="not both"):
-        run_campaign(spec, options=ExecutionOptions(), workers=2)
 
 
 def test_run_carries_its_execution_options():
@@ -331,18 +304,3 @@ def test_full_store_short_circuits_to_pure_read(tmp_path, monkeypatch):
                                                                    total)))
     assert again.records == full.records
     assert seen == [(6, 6)]
-
-
-def test_faults_shim_on_new_engine():
-    from repro.security.faults import BitFlipOutcome, golden_state, \
-        run_bitflip_campaign
-
-    result = run_bitflip_campaign(LOOP, injections=10, seed=5,
-                                  max_cycles=100_000)
-    assert result.detection_rate == 1.0
-    assert len(result.runs) == 10
-    pc, bits, outcome = result.runs[0]
-    assert isinstance(bits, tuple)
-    assert outcome is BitFlipOutcome.DETECTED
-    golden = golden_state(LOOP, (16,), 100_000)
-    assert golden[16] == sum(range(25))

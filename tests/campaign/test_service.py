@@ -4,14 +4,29 @@ import os
 
 import pytest
 
+from repro import checkpoint as checkpoint_layer
 from repro.campaign import (CampaignSpec, DEMO_WORKLOAD, ExecutionOptions,
-                            ResultStore, StoreMismatch, run_campaign)
+                            ForkEngine, ResultStore, StoreMismatch,
+                            run_campaign)
 from repro.campaign.runner import CampaignContext
-from repro.campaign.service import (ImageEngine, ServiceError,
-                                    build_campaign_image, merge_shards,
-                                    plan_shards, run_service,
+from repro.campaign.service import (ServiceError, _build_engine,
+                                    _process_shard, build_campaign_image,
+                                    merge_shards, plan_shards, run_service,
                                     shard_store_path)
 from repro.campaign.space import sample_injections
+
+#: A 41-cycle golden run: reg-flip triggers fall in [1, 40), so a shard
+#: of more injections than that must repeat some trigger cycle.
+SHORT = """
+    main:
+        li $t0, 3
+        li $s0, 0
+    loop:
+        add $s0, $s0, $t0
+        addi $t0, $t0, -1
+        bnez $t0, loop
+        halt
+"""
 
 
 def spec_for(**kwargs):
@@ -138,13 +153,12 @@ def test_fully_covered_merged_store_short_circuits(tmp_path):
 def test_image_engine_records_match_fresh_machines():
     spec = spec_for(injections=5)
     ctx = CampaignContext(spec)
-    image = build_campaign_image(spec)
-    engine = ImageEngine(ctx, image)
+    engine = ForkEngine(ctx, build_campaign_image(spec))
     injections = sample_injections(ctx.model, ctx, spec.injections,
                                    spec.seed)
     fresh = run_campaign(spec)
-    assert [engine.run(injection) for injection in injections] == \
-        fresh.records
+    assert [engine.strike_from_base(injection)
+            for injection in injections] == fresh.records
 
 
 def test_image_engine_rejects_foreign_image():
@@ -154,7 +168,32 @@ def test_image_engine_rejects_foreign_image():
     other = spec_for(injections=4, seed=8)
     ctx = CampaignContext(spec)
     with pytest.raises(CheckpointError):
-        ImageEngine(ctx, build_campaign_image(other))
+        ForkEngine(ctx, build_campaign_image(other))
+
+
+def test_forked_shard_shares_trigger_prefixes(tmp_path, monkeypatch):
+    """A forked shard simulates each distinct trigger prefix once, in
+    ascending order, from the shipped image."""
+    spec = CampaignSpec(SHORT, model="reg-flip", injections=48, seed=3,
+                        max_cycles=2_000)
+    image = build_campaign_image(spec)
+    ctx = CampaignContext(spec, golden=image.meta["golden"])
+    engine = _build_engine(ctx, image, fork=True)
+    prefixes = []
+    capture = checkpoint_layer.capture
+
+    def counting_capture(machine):
+        prefixes.append(machine.cycle)
+        return capture(machine)
+
+    monkeypatch.setattr(checkpoint_layer, "capture", counting_capture)
+    path = str(tmp_path / "shard.jsonl")
+    _process_shard(ctx, engine, (0, 0, spec.injections), path)
+    __, records = ResultStore(path).verify(spec.fingerprint())
+    records.sort(key=lambda record: record["id"])
+    assert records == run_campaign(spec).records
+    assert 0 < len(prefixes) < spec.injections
+    assert prefixes == sorted(set(prefixes))
 
 
 # -------------------------------------------------------------------- merge

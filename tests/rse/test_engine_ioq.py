@@ -151,10 +151,11 @@ def test_ioq_frees_entries():
 
 
 def test_mau_moves_data_and_counts():
-    machine, __ = build_probe_machine("main: halt")
+    machine, probe = build_probe_machine("main: halt")
     machine.memory.store_bytes(0x9000, b"\xAA" * 64)
     results = []
-    machine.rse.mau.load("test", 0x9000, 64, results.append)
+    probe.on_mau_complete = lambda request: results.append(request.result)
+    machine.rse.mau.load("test", 0x9000, 64, module=probe)
     machine.rse.mau.store("test", 0xA000, b"\x55" * 32)
     machine.pipeline.run(max_cycles=10_000)
     for __ in range(200):          # drain the MAU after halt

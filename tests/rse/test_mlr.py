@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.checkpoint import MachineCheckpoint
 from repro.program.image import plt_entry_target
 from repro.program.layout import MLR_RESULT_HEAP, MLR_RESULT_SHLIB, \
     MLR_RESULT_STACK, MemoryLayout
@@ -128,3 +129,56 @@ def test_mlr_stats():
     mlr = machine.module(MODULE_MLR)
     assert mlr.operations_done >= 5          # I5, I6, I7, I8, I10
     assert machine.rse.mau.requests_total >= 4
+
+
+def wire_images_mid_transfer(machine):
+    """Run *machine*'s process one cycle at a time; returns a wire image
+    captured while each of the MLR's MAU transfers was in flight."""
+    name = machine.module(MODULE_MLR).name
+    seen = []
+    images = []
+    while machine.kernel.run_slice(1).reason == "max_cycles":
+        active = machine.rse.mau._active
+        if (active is not None and active.module_name == name
+                and not any(active is request for request in seen)):
+            seen.append(active)
+            images.append(machine.checkpoint().to_bytes())
+    return images
+
+
+@pytest.mark.parametrize("program", ["table5-loader", "pi-rand"])
+def test_checkpoint_restores_mlr_transfer_in_flight(program):
+    """Every MLR MAU transfer survives capture, the wire and restore: the
+    restored run finishes exactly like the uninterrupted one."""
+    if program == "table5-loader":
+        entries = 16
+        image, asm = gotplt.rse_version(entries)
+        regions = [(asm.symbols["got_new"], 4 * entries),
+                   (asm.symbols["plt"], 16 * entries)]
+        transfers = 4        # GOT load and store, PLT load and store
+    else:
+        image, __ = gotplt.pi_rand_program()
+        regions = [(image.layout.header_base + MLR_RESULT_SHLIB, 12)]
+        transfers = 2        # header load, randomized-bases store
+
+    def loaded():
+        machine = build_machine(with_rse=True, modules=("mlr",))
+        machine.kernel.load_process(image)
+        return machine
+
+    def finish(machine):
+        result = machine.kernel.run(max_cycles=2_000_000)
+        return {"reason": result.reason, "cycles": machine.cycle,
+                "regs": list(machine.pipeline.regs),
+                "memory": [machine.memory.load_bytes(addr, size)
+                           for addr, size in regions],
+                "rse": machine.snapshot()["rse"]}
+
+    expected = finish(loaded())
+    assert expected["reason"] == "halt"
+    images = wire_images_mid_transfer(loaded())
+    assert len(images) == transfers
+    for payload in images:
+        machine = build_machine(with_rse=True, modules=("mlr",))
+        machine.restore(MachineCheckpoint.from_bytes(payload))
+        assert finish(machine) == expected

@@ -65,55 +65,65 @@ def make_mau():
     return MemoryAccessUnit(memory, hierarchy), memory
 
 
+class Sink:
+    """Stands in for a module: collects each finished request."""
+
+    def __init__(self):
+        self.done = []
+
+    def on_mau_complete(self, request):
+        self.done.append(request)
+
+
 def test_mau_load_roundtrip():
     mau, memory = make_mau()
     memory.store_bytes(0x1000, bytes(range(16)))
-    results = []
-    mau.load("m", 0x1000, 16, results.append)
+    sink = Sink()
+    mau.load("m", 0x1000, 16, module=sink)
     for cycle in range(200):
         mau.step(cycle)
-    assert results == [bytes(range(16))]
+    assert [request.result for request in sink.done] == [bytes(range(16))]
 
 
 def test_mau_store_applies_data():
     mau, memory = make_mau()
-    acks = []
-    mau.store("m", 0x2000, b"\x42" * 8, acks.append)
+    sink = Sink()
+    mau.store("m", 0x2000, b"\x42" * 8, module=sink)
     for cycle in range(200):
         mau.step(cycle)
     assert memory.load_bytes(0x2000, 8) == b"\x42" * 8
-    assert acks == [None]
+    assert [request.result for request in sink.done] == [None]
 
 
 def test_mau_serves_fifo():
     mau, memory = make_mau()
-    order = []
-    mau.load("a", 0x0, 8, lambda __: order.append("a"))
-    mau.load("b", 0x100, 8, lambda __: order.append("b"))
-    mau.store("c", 0x200, b"\x01", lambda __: order.append("c"))
+    sink = Sink()
+    mau.load("a", 0x0, 8, module=sink, tag="a")
+    mau.load("b", 0x100, 8, module=sink, tag="b")
+    mau.store("c", 0x200, b"\x01", module=sink, tag="c")
     for cycle in range(500):
         mau.step(cycle)
-    assert order == ["a", "b", "c"]
+    assert [request.tag for request in sink.done] == ["a", "b", "c"]
 
 
 def test_mau_respects_bus_latency():
     mau, memory = make_mau()
-    done_cycles = []
-    mau.load("m", 0x0, 8, lambda __: done_cycles.append(True))
+    sink = Sink()
+    mau.load("m", 0x0, 8, module=sink)
     mau.step(0)          # request accepted, transfer scheduled
     expected = FRAMEWORK_TIMING.transfer_latency(8)
     for cycle in range(1, expected):
         mau.step(cycle)
-    assert not done_cycles          # still in flight
+    assert not sink.done            # still in flight
     mau.step(expected)
-    assert done_cycles
+    assert sink.done
 
 
 def test_mau_busy_flag_and_pending():
     mau, __ = make_mau()
     assert not mau.busy
-    mau.load("m", 0x0, 8, lambda __: None)
-    mau.load("m", 0x8, 8, lambda __: None)
+    mau.load("m", 0x0, 8)
+    mau.load("m", 0x8, 8)
     assert mau.busy
     mau.step(0)
     assert mau.pending() == 2          # one active + one queued
@@ -124,7 +134,7 @@ def test_mau_busy_flag_and_pending():
 
 def test_mau_stats():
     mau, memory = make_mau()
-    mau.load("m", 0x0, 32, lambda __: None)
+    mau.load("m", 0x0, 32)
     mau.store("m", 0x40, b"\x00" * 16)
     for cycle in range(500):
         mau.step(cycle)

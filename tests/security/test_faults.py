@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.security.faults import BitFlipOutcome, run_bitflip_campaign
+from repro.campaign import CampaignSpec, Outcome, run_campaign
 
 WORKLOAD = """
     main:
@@ -17,35 +17,42 @@ WORKLOAD = """
 """
 
 
+def bitflip_campaign(source=WORKLOAD, injections=50, bits=1, protected=True,
+                     seed=99, max_cycles=500_000):
+    spec = CampaignSpec(source=source, model="instr-flip",
+                        model_options={"bits": bits}, protected=protected,
+                        injections=injections, seed=seed,
+                        max_cycles=max_cycles)
+    return run_campaign(spec)
+
+
 def test_icm_detects_all_checked_bitflips():
-    campaign = run_bitflip_campaign(WORKLOAD, injections=25, with_icm=True,
-                                    seed=5)
+    campaign = bitflip_campaign(injections=25, protected=True, seed=5)
     assert campaign.detection_rate == 1.0
 
 
 def test_multibit_errors_also_detected():
-    campaign = run_bitflip_campaign(WORKLOAD, injections=15,
-                                    bits_per_injection=3, with_icm=True,
-                                    seed=6)
+    campaign = bitflip_campaign(injections=15, bits=3, protected=True,
+                                seed=6)
     assert campaign.detection_rate == 1.0
 
 
 def test_unprotected_baseline_shows_damage():
-    campaign = run_bitflip_campaign(WORKLOAD, injections=30, with_icm=False,
-                                    seed=7, max_cycles=100_000)
+    campaign = bitflip_campaign(injections=30, protected=False, seed=7,
+                                max_cycles=100_000)
     assert campaign.detection_rate == 0.0
-    damage = (campaign.count(BitFlipOutcome.FAULTED)
-              + campaign.count(BitFlipOutcome.CORRUPTED)
-              + campaign.count(BitFlipOutcome.HUNG))
+    damage = (campaign.count(Outcome.FAULTED)
+              + campaign.count(Outcome.CORRUPTED)
+              + campaign.count(Outcome.HUNG))
     assert damage > 0          # some flips really do hurt
 
 
 def test_campaign_is_deterministic():
-    one = run_bitflip_campaign(WORKLOAD, injections=10, seed=42)
-    two = run_bitflip_campaign(WORKLOAD, injections=10, seed=42)
-    assert one.runs == two.runs
+    one = bitflip_campaign(injections=10, seed=42)
+    two = bitflip_campaign(injections=10, seed=42)
+    assert one.records == two.records
 
 
 def test_campaign_requires_checked_instructions():
     with pytest.raises(ValueError):
-        run_bitflip_campaign("main: halt\n", injections=1)
+        bitflip_campaign("main: halt\n", injections=1)
