@@ -112,7 +112,8 @@ _PIPELINE_SKIP = frozenset((
 ))
 _ENGINE_SKIP = frozenset((
     "memory", "hierarchy", "kernel", "queues", "ioq", "mau", "selfcheck",
-    "modules",
+    "modules", "_fetch_readers", "_execute_readers", "_mem_load_readers",
+    "_commit_readers", "_squash_readers", "_store_readers", "_steppers",
 ))
 _MAU_SKIP = frozenset(("memory", "hierarchy"))
 _QUEUE_SKIP = frozenset(("name", "depth"))

@@ -229,7 +229,7 @@ class CommitTraceProbe(Probe):
     def detach(self, machine):
         if self.tracer is not None and machine.rse is not None:
             machine.rse.disable_module(CommitTracer.MODULE_ID)
-            machine.rse.modules.pop(CommitTracer.MODULE_ID, None)
+            machine.rse.detach(CommitTracer.MODULE_ID)
         self.tracer = None
         super().detach(machine)
 

@@ -11,6 +11,27 @@ and the registered hardware modules, and it implements:
   ``Regfile_Data`` has delivered their a0/a1 values;
 * squash handling (queues flushed, no speculative module state);
 * safe-mode decoupling driven by the self-checker.
+
+Each input port is wired, at :meth:`RSE.attach` and :meth:`RSE.detach`,
+to the attached modules that read it: those whose class overrides the
+port's :class:`~repro.rse.module.RSEModule` hook
+(:func:`~repro.rse.module.overrides`, the rule
+:meth:`RSEModule.next_event` applies to ``step``).  A port latches an
+item only when it has a reader; otherwise its hook only counts the push,
+so the snapshot's per-queue ``pushed`` is the same either way:
+
+* Fetch_Out latches every CHECK, which the engine routes, and other
+  instructions only while a module reads ``on_fetch``;
+* Regfile_Data never latches: :meth:`RSE.on_operands` writes the IOQ
+  payload directly;
+* Execute_Out and Memory_Out latch while a module reads ``on_execute``
+  or ``on_mem_load``;
+* Commit_Out latches a commit while a module reads ``on_commit`` and a
+  squash while one reads ``on_squash``, and both kinds while an
+  asynchronous CHECK waits for its commit.
+
+Liveness follows attached modules, never enabled ones: a CHECK can
+enable a module while items latched for it still wait for delivery.
 """
 
 from collections import deque
@@ -18,6 +39,7 @@ from collections import deque
 from repro.rse.check import OP_DISABLE, OP_ENABLE, op_reads_payload
 from repro.rse.ioq import IOQ
 from repro.rse.mau import MemoryAccessUnit
+from repro.rse.module import overrides
 from repro.rse.queues import InputInterface
 from repro.rse.selfcheck import SelfChecker
 
@@ -49,17 +71,61 @@ class RSE:
         # pipeline, logs the permanent state" (Section 3.2).  Squashed
         # ones are dropped without ever reaching the module.
         self._commit_deferred = {}        # seq -> (module, uop, entry)
+        self._wire()
 
     # -------------------------------------------------------------- modules
 
     def attach(self, module):
-        """Plug *module* into the framework (initially disabled)."""
+        """Plug *module* into the framework (initially disabled).
+
+        From the next latched item on, every port whose hook *module*'s
+        class overrides feeds it as well.
+        """
         if module.MODULE_ID in self.modules:
             raise ValueError("module id %d already attached"
                              % module.MODULE_ID)
         self.modules[module.MODULE_ID] = module
         module.attached(self)
+        self._wire()
         return module
+
+    def detach(self, module_id):
+        """Unplug module *module_id* and return it.
+
+        A port that loses its last reader stops latching, and a queue
+        that can no longer hold items drops what it latched.
+        """
+        module = self.modules.pop(module_id)
+        self._wire()
+        return module
+
+    def _wire(self):
+        """Work out which attached modules read each hook, in attach order.
+
+        The tuples are derived from :attr:`modules`, so checkpoints skip
+        them.  Fetch_Out and Commit_Out can always hold items (CHECK
+        routing, deferred commits); the other queues only while read.
+        """
+        modules = tuple(self.modules.values())
+
+        def readers(hook):
+            return tuple(module for module in modules
+                         if overrides(module, hook))
+
+        self._fetch_readers = readers("on_fetch")
+        self._execute_readers = readers("on_execute")
+        self._mem_load_readers = readers("on_mem_load")
+        self._commit_readers = readers("on_commit")
+        self._squash_readers = readers("on_squash")
+        self._store_readers = readers("pre_commit_store")
+        self._steppers = readers("step")
+        queues = self.queues
+        live = [queues.fetch_out, queues.commit_out]
+        if self._execute_readers:
+            live.append(queues.execute_out)
+        if self._mem_load_readers:
+            live.append(queues.memory_out)
+        queues.set_live(live)
 
     def module(self, module_id):
         return self.modules[module_id]
@@ -75,31 +141,38 @@ class RSE:
         module.enabled = False
         module.on_disable()
 
-    def _enabled_modules(self):
-        return [m for m in self.modules.values() if m.enabled]
-
     # ------------------------------------------------- pipeline attachment
 
     def on_dispatch(self, uop, cycle):
         """Fetch_Out: instruction enters the window; allocate its IOQ entry."""
         entry = self.ioq.allocate(uop, cycle)
-        self.queues.fetch_out.push(cycle, (uop.seq, uop))
+        fetch_out = self.queues.fetch_out
+        if self._fetch_readers or uop.instr.is_check:
+            fetch_out.push(cycle, (uop.seq, uop))
+        else:
+            fetch_out.pushed_total += 1
         self.selfcheck.observe_alloc(entry)
 
     def on_operands(self, uop, cycle, values):
-        """Regfile_Data: operand values read at issue."""
-        self.queues.regfile_data.push(cycle, (uop.seq, values))
+        """Regfile_Data: operand values read at issue, written to the IOQ."""
+        self.queues.regfile_data.pushed_total += 1
         entry = self.ioq.get(uop.seq)
         if entry is not None:
             entry.payload = values
 
     def on_execute(self, uop, cycle):
         """Execute_Out: result / effective address available."""
-        self.queues.execute_out.push(cycle, (uop.seq, uop))
+        if self._execute_readers:
+            self.queues.execute_out.push(cycle, (uop.seq, uop))
+        else:
+            self.queues.execute_out.pushed_total += 1
 
     def on_mem_load(self, uop, cycle, value):
         """Memory_Out: load data arrived."""
-        self.queues.memory_out.push(cycle, (uop.seq, uop, value))
+        if self._mem_load_readers:
+            self.queues.memory_out.push(cycle, (uop.seq, uop, value))
+        else:
+            self.queues.memory_out.pushed_total += 1
 
     def on_commit(self, uop, cycle):
         """Commit_Out: *uop* retired.
@@ -108,7 +181,11 @@ class RSE:
         a latch-cycle later, possibly after a context switch, and modules
         reading ``current_tid`` must see the committing thread.
         """
-        self.queues.commit_out.push(cycle, ("commit", uop, self.current_tid))
+        if self._commit_readers or self._commit_deferred:
+            self.queues.commit_out.push(
+                cycle, ("commit", uop, self.current_tid))
+        else:
+            self.queues.commit_out.pushed_total += 1
         self.ioq.free(uop.seq)
 
     def on_squash(self, uops, cycle):
@@ -117,15 +194,19 @@ class RSE:
         for seq in seqs:
             self.ioq.free(seq)
         self.queues.discard_squashed(seqs)
-        self.queues.commit_out.push(cycle, ("squash", seqs))
+        if self._squash_readers or self._commit_deferred:
+            self.queues.commit_out.push(cycle, ("squash", seqs))
+        else:
+            self.queues.commit_out.pushed_total += 1
 
     def pre_commit_store(self, uop, cycle):
         """Synchronous pre-retire hook for stores; returns stall cycles."""
         if self.safe_mode:
             return 0
         stall = 0
-        for module in self._enabled_modules():
-            stall += module.pre_commit_store(uop, cycle)
+        for module in self._store_readers:
+            if module.enabled:
+                stall += module.pre_commit_store(uop, cycle)
         return stall
 
     def check_blocks_loads(self, instr):
@@ -174,7 +255,7 @@ class RSE:
             self._deliver(cycle)
         if self._blk_queues and self._drain_blk_queues(cycle):
             worked = True
-        for module in self.modules.values():
+        for module in self._steppers:
             if module.step(cycle):
                 worked = True
         if self.mau.step(cycle):
@@ -184,29 +265,37 @@ class RSE:
         return worked
 
     def _deliver(self, cycle):
-        """Route every input-queue item visible at *cycle* to the modules."""
-        enabled = self._enabled_modules()
+        """Route every latched item visible at *cycle* to its port's readers.
 
-        for seq, uop in self.queues.fetch_out.pop_ready(cycle):
+        Enabled-ness is sampled once, before any item moves: a CHECK
+        that enables a module routes none of the same delivery's younger
+        items to it.
+        """
+        queues = self.queues
+        on_fetch = [m for m in self._fetch_readers if m.enabled]
+        on_execute = [m for m in self._execute_readers if m.enabled]
+        on_mem_load = [m for m in self._mem_load_readers if m.enabled]
+        on_commit = [m for m in self._commit_readers if m.enabled]
+        on_squash = [m for m in self._squash_readers if m.enabled]
+
+        for seq, uop in queues.fetch_out.pop_ready(cycle):
             if uop.instr.is_check:
                 self._handle_check(uop, cycle)
             else:
-                for module in enabled:
+                for module in on_fetch:
                     module.on_fetch(uop, cycle)
 
-        # Regfile_Data entries already annotated the IOQ at on_operands();
-        # draining keeps queue occupancy bounded and the stats meaningful.
-        self.queues.regfile_data.pop_ready(cycle)
+        if self._execute_readers:
+            for seq, uop in queues.execute_out.pop_ready(cycle):
+                for module in on_execute:
+                    module.on_execute(uop, cycle)
 
-        for seq, uop in self.queues.execute_out.pop_ready(cycle):
-            for module in enabled:
-                module.on_execute(uop, cycle)
+        if self._mem_load_readers:
+            for seq, uop, value in queues.memory_out.pop_ready(cycle):
+                for module in on_mem_load:
+                    module.on_mem_load(uop, cycle, value)
 
-        for seq, uop, value in self.queues.memory_out.pop_ready(cycle):
-            for module in enabled:
-                module.on_mem_load(uop, cycle, value)
-
-        for item in self.queues.commit_out.pop_ready(cycle):
+        for item in queues.commit_out.pop_ready(cycle):
             if item[0] == "commit":
                 __, committed, commit_tid = item
                 deferred = self._commit_deferred.pop(committed.seq, None)
@@ -219,14 +308,14 @@ class RSE:
                         # the state change permanent.
                         module, uop, entry = deferred
                         module.on_check(uop, entry, cycle)
-                    for module in enabled:
+                    for module in on_commit:
                         module.on_commit(committed, cycle)
                 finally:
                     self.current_tid = live_tid
             else:
                 for kill in item[1]:
                     self._commit_deferred.pop(kill, None)
-                for module in enabled:
+                for module in on_squash:
                     module.on_squash(item[1], cycle)
 
     def quiescent(self, cycle):
@@ -234,18 +323,18 @@ class RSE:
 
         That is *cycle* itself (or earlier) while an input queue holds
         an item, and otherwise the soonest of the MAU transfer's
-        completion (or *cycle* while a request waits to start), each
-        module's :meth:`RSEModule.next_event` and the self-checker's
-        watchdog deadline.  None means only new pipeline input can
-        wake the framework.  Every :meth:`step` before the answer is a
-        pure cycle stamp, which lets the pipeline skip dead cycles
-        with modules attached.  Asked right after ``step(cycle - 1)``:
-        blocked CHECKs still queued then wait for a payload or a squash
-        that only a pipeline hook delivers, and deferred commits wait
-        for their Commit_Out item.
+        completion (or *cycle* while a request waits to start), the
+        :meth:`RSEModule.next_event` of each module that overrides
+        ``step`` and the self-checker's watchdog deadline.  None means
+        only new pipeline input can wake the framework.  Every
+        :meth:`step` before the answer is a pure cycle stamp, which lets
+        the pipeline skip dead cycles with modules attached.  Asked
+        right after ``step(cycle - 1)``: blocked CHECKs still queued
+        then wait for a payload or a squash that only a pipeline hook
+        delivers, and deferred commits wait for their Commit_Out item.
         """
         soonest = self.queues.next_due()
-        for source in (self.mau, self.selfcheck, *self.modules.values()):
+        for source in (self.mau, self.selfcheck, *self._steppers):
             due = source.next_event(cycle)
             if due is not None and (soonest is None or due < soonest):
                 soonest = due

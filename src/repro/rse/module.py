@@ -59,6 +59,8 @@ class RSEModule:
         """Hook: module was disabled via a CHECK instruction."""
 
     # ------------------------------------------------------- input routing
+    # The engine feeds a module an input port's items only when the
+    # module's class overrides that port's hook (see :func:`overrides`).
 
     def on_check(self, uop, entry, cycle):
         """A CHECK instruction addressed to this module arrived.
@@ -101,7 +103,7 @@ class RSEModule:
         to it can change its state.  A subclass that overrides
         :meth:`step` without answering here is stepped every cycle.
         """
-        if type(self).step is RSEModule.step:
+        if not overrides(self, "step"):
             return None
         return cycle
 
@@ -159,3 +161,11 @@ class RSEModule:
         return "<%s module=%d %s%s>" % (
             self.name, self.MODULE_ID, self.MODE.value,
             " enabled" if self.enabled else "")
+
+
+def overrides(module, hook):
+    """True when *module*'s class overrides the :class:`RSEModule` *hook*.
+
+    The engine steps, and feeds an input port to, only such modules.
+    """
+    return getattr(type(module), hook) is not getattr(RSEModule, hook)

@@ -13,6 +13,12 @@ the framework, so "information passed by the pipeline is available to
 the framework only after a delay of one cycle".  The queues implement
 that latch: an item enqueued at cycle *c* becomes visible at *c + 1*.
 Queue depth equals the re-order buffer size (Section 3.1).
+
+A port latches an item only when something on the other side reads it
+(:meth:`repro.rse.engine.RSE.attach` works that out from the attached
+modules); otherwise the engine bumps the queue's ``pushed_total`` and
+stores nothing.  Only the queues the engine marks live can hold items,
+and only those are scanned for due items and squash flushes.
 """
 
 from collections import deque
@@ -70,26 +76,36 @@ class InputInterface:
         self.memory_out = InputQueue("Memory_Out", depth)
         self.commit_out = InputQueue("Commit_Out", depth)
         self._queues = tuple(getattr(self, name) for name in self.QUEUE_NAMES)
+        # Until the engine wires the ports, every queue can hold items.
+        self._live = self._queues
 
     def all_queues(self):
         return list(self._queues)
 
+    def set_live(self, live):
+        """Let only the queues in *live* hold items; empty the others."""
+        self._live = tuple(queue for queue in self._queues if queue in live)
+        for queue in self._queues:
+            if queue not in self._live:
+                queue._items.clear()
+
     def next_due(self):
         """The soonest cycle any queued item becomes visible, or None."""
         soonest = None
-        for queue in self._queues:
+        for queue in self._live:
             items = queue._items
             if items and (soonest is None or items[0][0] < soonest):
                 soonest = items[0][0]
         return soonest
 
     def discard_squashed(self, seqs):
-        """Flush queued entries belonging to squashed instructions.
+        """Flush queued entries of the squashed instructions in set *seqs*.
 
         Section 3.1: "the RSE uses this information to flush the input
         queues ... no speculative state is maintained in the RSE modules."
+        Commit_Out keeps its items: squash notices travel through it.
         """
-        dead = set(seqs)
-        for queue in (self.fetch_out, self.regfile_data, self.execute_out,
-                      self.memory_out):
-            queue.discard(lambda payload: payload[0] in dead)
+        commit_out = self.commit_out
+        for queue in self._live:
+            if queue._items and queue is not commit_out:
+                queue.discard(lambda payload: payload[0] in seqs)

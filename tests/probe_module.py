@@ -1,4 +1,6 @@
-"""A minimal synchronous test module used by engine/self-check tests."""
+"""Test modules: a minimal synchronous one for engine/self-check tests,
+and a passive observer of the Execute_Out, Memory_Out and Commit_Out
+taps."""
 
 from repro.rse.module import ModuleMode, RSEModule
 
@@ -30,3 +32,29 @@ class ProbeModule(RSEModule):
             else:
                 still_due.append((due, entry))
         self._due = still_due
+
+
+TAP_MODULE_ID = 9
+
+
+class TapObserver(RSEModule):
+    """Records what arrives on the Execute_Out, Memory_Out and Commit_Out
+    taps, the inputs no shipped module reads."""
+
+    MODULE_ID = TAP_MODULE_ID
+    MODE = ModuleMode.ASYNC
+
+    def __init__(self):
+        super().__init__("Tap")
+        self.executed = []          # (name, eff_addr, value)
+        self.mem_loads = []         # (pc, value)
+        self.commits = []           # pcs in commit order
+
+    def on_execute(self, uop, cycle):
+        self.executed.append((uop.instr.name, uop.eff_addr, uop.value))
+
+    def on_mem_load(self, uop, cycle, value):
+        self.mem_loads.append((uop.pc, value))
+
+    def on_commit(self, uop, cycle):
+        self.commits.append(uop.pc)

@@ -8,28 +8,9 @@ on.
 
 from repro.isa.assembler import assemble
 from repro.pipeline.core import EventKind
-from repro.rse.module import ModuleMode, RSEModule
 from repro.system import build_machine
 
-
-class TapObserver(RSEModule):
-    MODULE_ID = 9
-    MODE = ModuleMode.ASYNC
-
-    def __init__(self):
-        super().__init__("Tap")
-        self.executed = []          # (name, eff_addr or value)
-        self.mem_loads = []         # (pc, value)
-        self.commits = []           # pcs in commit order
-
-    def on_execute(self, uop, cycle):
-        self.executed.append((uop.instr.name, uop.eff_addr, uop.value))
-
-    def on_mem_load(self, uop, cycle, value):
-        self.mem_loads.append((uop.pc, value))
-
-    def on_commit(self, uop, cycle):
-        self.commits.append(uop.pc)
+from probe_module import TapObserver
 
 
 def run(source):
@@ -101,32 +82,43 @@ def test_commit_order_is_program_order():
 
 
 def test_wrong_path_loads_never_reach_memory_out():
-    # A load on a mispredicted path may execute speculatively, but the
-    # Memory_Out tap only sees committed state per the squash protocol.
+    # The never-taken branch waits on a divide, and a first-seen branch
+    # is predicted taken, so the core runs down `wrong` meanwhile.  Its
+    # load depends on the divide too and completes one cycle before the
+    # branch resolves: Memory_Out latches it, and the squash flushes it
+    # before the latch delivers.  The two warm-ups put the poison line
+    # in dl1 and the `wrong` block in il1, so the load is that fast.
     machine, asm, observer = run("""
         .data
         good: .word 1
         poison: .word 0xDEAD
         .text
         main:
-            li $t0, 1
-            li $t2, 30
-        loop:
-            beqz $t0, wrong          # never taken
-            j cont
+            la $t5, poison
+            lw $t4, 0($t5)
+            jal warm
+            li $t1, 1
+            li $t0, 0
+            div $t2, $t0, $t1
+            move $t7, $t2
+            addi $t7, $t7, 0
+            addi $t7, $t7, 0
+            addi $t7, $t7, 0
+            bnez $t7, wrong
+            lw $t6, good
+            halt
+        warm:
+            jr $ra
         wrong:
-            lw $t3, poison
-        cont:
-            addi $t2, $t2, -1
-            bnez $t2, loop
-            lw $t4, good
+            add $t8, $t5, $t2
+            lw $t3, 0($t8)
             halt
     """)
-    values = [value for __, value in observer.mem_loads]
-    assert 1 in values
-    # The poison load may appear transiently in Execute_Out (speculative
-    # execution is real) but commits never include the wrong-path pc.
-    assert asm.symbols["main"] + 12 not in observer.commits or True
-    wrong_pc = None
-    for pc in observer.commits:
-        assert pc != asm.symbols.get("wrong")
+    wrong_load = asm.symbols["wrong"] + 4
+    # Three loads completed: the warm-up, the wrong-path one and `good`.
+    assert machine.rse.queues.memory_out.pushed_total == 3
+    assert [pc for pc, __ in observer.mem_loads] == [
+        asm.symbols["main"] + 8, asm.symbols["warm"] - 8]
+    assert wrong_load not in [pc for pc, __ in observer.mem_loads]
+    for pc in range(asm.symbols["wrong"], asm.symbols["wrong"] + 12, 4):
+        assert pc not in observer.commits
