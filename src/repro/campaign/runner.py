@@ -353,11 +353,12 @@ class ForkEngine:
     another shape, raises :class:`~repro.checkpoint.CheckpointError`
     here rather than mid-shard.
 
-    :meth:`strike` simulates each distinct trigger prefix once.
-    Triggers should arrive in ascending order for maximal prefix reuse;
-    a smaller trigger simply rewinds to the base checkpoint and
-    re-advances.  :meth:`strike_from_base` runs a whole injection from
-    the pristine state instead, for impure models and unforked runs.
+    :meth:`strike` simulates each distinct trigger prefix once and
+    restores the trunk once per injection.  Triggers should arrive in
+    ascending order for maximal prefix reuse; a smaller trigger simply
+    rewinds to the base checkpoint and re-advances.
+    :meth:`strike_from_base` runs a whole injection from the pristine
+    state instead, for impure models and unforked runs.
     """
 
     def __init__(self, ctx, image=None):
@@ -386,20 +387,25 @@ class ForkEngine:
         self.terminal = None
 
     def _advance_to(self, trigger):
-        """Point ``self.prefix`` at cycle *trigger* exactly.
+        """Put the trunk at cycle *trigger* exactly, with ``self.prefix``
+        its checkpoint there.
 
-        Returns True when the trigger is reachable; False when the
-        fault-free workload ends first (``self.terminal`` then holds the
-        terminal event, matching what a cold run would report).
+        Restores once: the prefix itself when the trigger is shared, or
+        the nearest earlier prefix (or ``base``), which then runs forward
+        and is captured — the trunk already is the new prefix, so no
+        second restore follows.  Returns True when the trigger is
+        reachable; False when the fault-free workload ends first
+        (``self.terminal`` then holds the terminal event, matching what a
+        cold run would report).
         """
         if self.terminal is not None and trigger >= self.terminal[1]:
             return False
         if trigger < self.prefix.cycle:
             self.prefix = self.base
-        if self.prefix.cycle == trigger:
-            return True
         machine = self.machine
         machine.restore(self.prefix)
+        if self.prefix.cycle == trigger:
+            return True
         event = machine.pipeline.run(max_cycles=trigger - self.prefix.cycle)
         if event.kind is EventKind.MAX_CYCLES:
             self.prefix = machine.checkpoint()
@@ -408,13 +414,12 @@ class ForkEngine:
         return False
 
     def strike(self, injection, trigger):
-        """Restore the prefix at *trigger*, fire, run out the budget."""
+        """Advance the trunk to *trigger*, fire, run out the budget."""
         ctx = self.ctx
         if not self._advance_to(trigger):
             event, cycles = self.terminal
             return not_triggered_record(injection, event=event, cycles=cycles)
         machine = self.machine
-        machine.restore(self.prefix)
         ctx.model.fire(machine, ctx, injection.params)
         event = machine.pipeline.run(
             max_cycles=ctx.spec.max_cycles - trigger)

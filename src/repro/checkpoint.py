@@ -41,6 +41,15 @@ deep-copies the stored state again (so the checkpoint stays pristine)
 and grafts the fields back onto the live objects — external references
 to the machine's components remain valid across a restore.
 
+**Only what can change is copied.**  Decoded instructions
+(:class:`~repro.isa.instructions.Instr`) are immutable values whose
+``__deepcopy__`` returns themselves, so the ROB, fetch buffer, IOQ,
+input queues and module tables share them with the live machine.
+In-flight uops and IOQ entries copy slot by slot, sending only their
+object-valued slots (a uop's producers, an entry's uop) through the
+memo; caches, predictor, bus and pipeline stats copy their flat
+tables directly.
+
 **Pending MAU work is plain data.**  Module->MAU requests carry a
 ``(module, tag)`` continuation instead of a Python closure, so a machine
 with transfers in flight — an ICM fill, a DDT dump, any step of the
@@ -62,18 +71,25 @@ can cross a process (or host) boundary — the lever the sharded campaign
 service (:mod:`repro.campaign.service`) uses to simulate a warmup
 prefix once and ship the warmed image to every worker:
 
-* a fixed **versioned header** (magic + format version) so a reader can
-  reject foreign or stale images *before* unpickling anything;
+* a fixed **checked header** (magic, format version 2, and the length
+  and CRC32 of the pickled body) so a reader rejects foreign, stale,
+  truncated or bit-flipped images *before* unpickling anything; a body
+  or state that still fails to unpickle is a :class:`CheckpointError`
+  too, never a stray exception;
 * the **page store is deduplicated** by content — identical pages (the
   zero page under a sparse heap, replicated data segments) serialize
   once, and the page table references blobs by ordinal;
 * component state is pickled with the machine's pinned singletons
-  replaced by **pin references** (ordinal placeholders).  On restore
-  into a machine of the same shape, each placeholder resolves to that
-  machine's own singleton — the deserialized state grafts onto the
-  target machine exactly like a live restore.  Restoring into a machine
-  of a different shape (protected vs bare) is a loud
-  :class:`CheckpointError`, not silent corruption.
+  replaced by **pin references** (:class:`_PinRef` ordinal
+  placeholders).  The swap happens in the pickler's
+  ``reducer_override``, which CPython consults only for objects that
+  are not of a builtin type, and unpickling yields the placeholders
+  directly.  On restore into a machine of the same shape, each
+  placeholder resolves to that machine's own singleton — the
+  deserialized state grafts onto the target machine exactly like a
+  live restore.  Restoring into a machine of a different shape
+  (protected vs bare) is a loud :class:`CheckpointError`, not silent
+  corruption.
 
 A :class:`CampaignImage` bundles one serialized checkpoint with the
 campaign-spec fingerprint it was warmed for plus a metadata dict
@@ -86,18 +102,21 @@ import hashlib
 import io
 import pickle
 import struct
+import zlib
 
 __all__ = ["CampaignImage", "CheckpointError", "MachineCheckpoint",
            "capture", "restore", "warm"]
 
-#: Wire-format header: magic + little-endian u16 version.  Bump the
-#: version whenever the payload layout changes; readers reject any
-#: version they were not built for.
+#: Wire-format header: magic, little-endian u16 version, then the u32
+#: length and CRC32 of the pickled body.  Bump the version whenever the
+#: header or payload layout changes; readers reject any version they
+#: were not built for, and any body whose length or checksum is off,
+#: before unpickling anything.
 WIRE_MAGIC = b"RPCP"
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 IMAGE_MAGIC = b"RPCI"
-IMAGE_VERSION = 1
-_HEADER = struct.Struct("<4sH")
+IMAGE_VERSION = 2
+_HEADER = struct.Struct("<4sHII")
 
 
 class CheckpointError(RuntimeError):
@@ -131,8 +150,10 @@ class _PinRef:
     """Placeholder for a pinned machine singleton inside wire state.
 
     Serialized checkpoints cannot carry the live singletons a capture's
-    deepcopy memo preserved, so the wire pickler replaces each with its
-    ordinal in the deterministic :func:`_pins` list.  During
+    deepcopy memo preserved, so the wire pickler (:class:`_PinPickler`)
+    replaces each with a placeholder holding its ordinal in the
+    deterministic :func:`_pins` list; unpickling yields the
+    placeholders themselves.  During
     :func:`restore` the placeholder's ``__deepcopy__`` resolves it to
     the *target* machine's singleton at the same ordinal — outside a
     restore it deep-copies to itself, keeping deserialized checkpoints
@@ -168,6 +189,63 @@ class _PinRef:
 _ACTIVE_PINS = None
 
 
+class _PinPickler(pickle.Pickler):
+    """Pickles checkpoint state with each pinned singleton swapped for a
+    :class:`_PinRef`.
+
+    CPython consults ``reducer_override`` only for objects that are not
+    of a builtin type (never for the ints, strings, lists and dicts
+    that make up most of the state), so only machine objects pay for
+    the pin lookup.
+    """
+
+    def __init__(self, file, pin_ids):
+        super().__init__(file, protocol=4)
+        self._pin_ids = pin_ids       # id(pin) -> ordinal
+
+    def reducer_override(self, obj):
+        ordinal = self._pin_ids.get(id(obj))
+        if ordinal is None:
+            return NotImplemented
+        return _PinRef, (ordinal,)
+
+
+def _seal(magic, version, body):
+    """Prefix *body* with the versioned, length- and CRC-checked header."""
+    return _HEADER.pack(magic, version, len(body), zlib.crc32(body)) + body
+
+
+def _open_wire(payload, magic, version, what):
+    """Check a :func:`_seal` header; returns the unpickled body.
+
+    Every way an image can be foreign, stale, truncated or corrupted
+    surfaces as :class:`CheckpointError`.
+    """
+    if len(payload) < _HEADER.size:
+        raise CheckpointError("truncated %s image" % what)
+    found_magic, found_version, length, crc = _HEADER.unpack_from(payload)
+    if found_magic != magic:
+        raise CheckpointError(
+            "not a %s image (bad magic %r)" % (what, found_magic))
+    if found_version != version:
+        raise CheckpointError(
+            "%s image is format version %d; this build reads only "
+            "version %d" % (what, found_version, version))
+    body = memoryview(payload)[_HEADER.size:]
+    if len(body) != length:
+        raise CheckpointError(
+            "%s image body is %d bytes; its header says %d (truncated "
+            "or padded)" % (what, len(body), length))
+    if zlib.crc32(body) != crc:
+        raise CheckpointError("%s image fails its checksum" % what)
+    try:
+        return pickle.loads(body)
+    except Exception as exc:
+        raise CheckpointError(
+            "%s image does not unpickle: %s: %s"
+            % (what, type(exc).__name__, exc)) from exc
+
+
 class MachineCheckpoint:
     """An immutable whole-machine snapshot (see module docstring)."""
 
@@ -195,8 +273,9 @@ class MachineCheckpoint:
     # ------------------------------------------------------------ wire format
 
     def to_bytes(self):
-        """Serialize to a self-contained byte string (versioned header,
-        deduplicated page store, pin-substituted component state)."""
+        """Serialize to a self-contained byte string (versioned, checked
+        header, deduplicated page store, pin-substituted component
+        state)."""
         blobs = []
         blob_index = {}
         page_blob = {}
@@ -212,16 +291,7 @@ class MachineCheckpoint:
                     for ordinal, pin in enumerate(self._pins)}
                    if self._pins is not None else {})
         buffer = io.BytesIO()
-        pickler = pickle.Pickler(buffer, protocol=4)
-
-        def persistent_id(obj):
-            if type(obj) is _PinRef:
-                return ("pin", obj.index)
-            ordinal = pin_ids.get(id(obj))
-            return None if ordinal is None else ("pin", ordinal)
-
-        pickler.persistent_id = persistent_id
-        pickler.dump(self._state)
+        _PinPickler(buffer, pin_ids).dump(self._state)
         document = {
             "cycle": self.cycle,
             "versions": self.versions,
@@ -230,50 +300,31 @@ class MachineCheckpoint:
             "state": buffer.getvalue(),
             "pin_count": self.pin_count,
         }
-        return (_HEADER.pack(WIRE_MAGIC, WIRE_VERSION)
-                + pickle.dumps(document, protocol=4))
+        return _seal(WIRE_MAGIC, WIRE_VERSION,
+                     pickle.dumps(document, protocol=4))
 
     @classmethod
     def from_bytes(cls, payload):
         """Deserialize a :meth:`to_bytes` image.
 
-        Rejects anything that is not a checkpoint image of exactly
-        :data:`WIRE_VERSION` before unpickling the body.
+        Rejects anything that is not an intact checkpoint image of
+        exactly :data:`WIRE_VERSION` before unpickling the body; any
+        failure to decode the body or the state is a
+        :class:`CheckpointError`.
         """
-        document = cls._open_wire(payload, WIRE_MAGIC, WIRE_VERSION,
-                                  "checkpoint")
-        buffer = io.BytesIO(document["state"])
-        unpickler = pickle.Unpickler(buffer)
-
-        def persistent_load(pid):
-            kind, ordinal = pid
-            if kind != "pin":
-                raise CheckpointError(
-                    "unknown persistent reference %r in checkpoint" % (pid,))
-            return _PinRef(ordinal)
-
-        unpickler.persistent_load = persistent_load
-        state = unpickler.load()
-        blobs = document["blobs"]
-        pages = {index: blobs[ordinal]
-                 for index, ordinal in document["page_blob"].items()}
-        return cls(document["cycle"], pages, document["versions"], state,
-                   pins=None, pin_count=document["pin_count"])
-
-    @staticmethod
-    def _open_wire(payload, magic, version, what):
-        """Validate a versioned header; returns the unpickled document."""
-        if len(payload) < _HEADER.size:
-            raise CheckpointError("truncated %s image" % what)
-        found_magic, found_version = _HEADER.unpack_from(payload)
-        if found_magic != magic:
+        document = _open_wire(payload, WIRE_MAGIC, WIRE_VERSION,
+                              "checkpoint")
+        try:
+            state = pickle.loads(document["state"])
+            blobs = document["blobs"]
+            pages = {index: blobs[ordinal]
+                     for index, ordinal in document["page_blob"].items()}
+            return cls(document["cycle"], pages, document["versions"],
+                       state, pins=None, pin_count=document["pin_count"])
+        except Exception as exc:
             raise CheckpointError(
-                "not a %s image (bad magic %r)" % (what, found_magic))
-        if found_version != version:
-            raise CheckpointError(
-                "%s image is format version %d; this build reads only "
-                "version %d" % (what, found_version, version))
-        return pickle.loads(payload[_HEADER.size:])
+                "malformed checkpoint image: %s: %s"
+                % (type(exc).__name__, exc)) from exc
 
 
 class CampaignImage:
@@ -311,15 +362,20 @@ class CampaignImage:
     def to_bytes(self):
         document = {"fingerprint": self.fingerprint,
                     "payload": self.payload, "meta": self.meta}
-        return (_HEADER.pack(IMAGE_MAGIC, IMAGE_VERSION)
-                + pickle.dumps(document, protocol=4))
+        return _seal(IMAGE_MAGIC, IMAGE_VERSION,
+                     pickle.dumps(document, protocol=4))
 
     @classmethod
     def from_bytes(cls, payload):
-        document = MachineCheckpoint._open_wire(
-            payload, IMAGE_MAGIC, IMAGE_VERSION, "campaign")
-        return cls(document["fingerprint"], document["payload"],
-                   document["meta"])
+        document = _open_wire(payload, IMAGE_MAGIC, IMAGE_VERSION,
+                              "campaign")
+        try:
+            return cls(document["fingerprint"], document["payload"],
+                       document["meta"])
+        except Exception as exc:
+            raise CheckpointError(
+                "malformed campaign document: %s: %s"
+                % (type(exc).__name__, exc)) from exc
 
     def __repr__(self):
         return "CampaignImage(fingerprint=%s, %d bytes)" % (

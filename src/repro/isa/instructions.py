@@ -225,6 +225,11 @@ class Instr:
         self.serializing = (iclass is InstrClass.SYSCALL
                             or iclass is InstrClass.HALT)
 
+    def __deepcopy__(self, memo):
+        # Immutable: machine checkpoints share decoded instructions with
+        # the live machine instead of cloning every one in flight.
+        return self
+
     def __repr__(self):
         return "<Instr %s word=0x%08x>" % (self.disassemble(), self.word)
 

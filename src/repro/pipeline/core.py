@@ -29,6 +29,7 @@ the cache-side cost is measured by the separate NOP-rewriting experiment
 (Section 5.1, "Cache overhead simulation").
 """
 
+import copy
 import enum
 
 from repro.isa import predecode, semantics
@@ -122,9 +123,29 @@ class Uop:
         self.fault = None           # (pc, cause) when this uop faults
         self.forwarded = False      # load satisfied by store forwarding
 
+    def __deepcopy__(self, memo):
+        # Slot walk for machine checkpoints: only the producer links go
+        # through the memo, so a uop shared by the ROB, the rename map,
+        # an IOQ entry and an RSE queue clones exactly once.  ``instr``
+        # is an immutable shared value; every other slot holds an int,
+        # a bool, None or a tuple of those.
+        clone = object.__new__(Uop)
+        memo[id(self)] = clone
+        for name in _UOP_VALUE_SLOTS:
+            setattr(clone, name, getattr(self, name))
+        wait = self.wait_a
+        clone.wait_a = None if wait is None else copy.deepcopy(wait, memo)
+        wait = self.wait_b
+        clone.wait_b = None if wait is None else copy.deepcopy(wait, memo)
+        return clone
+
     def __repr__(self):
         return "<Uop #%d pc=0x%08x %s state=%d>" % (
             self.seq, self.pc, self.instr.name, self.state)
+
+
+_UOP_VALUE_SLOTS = tuple(name for name in Uop.__slots__
+                         if name not in ("wait_a", "wait_b"))
 
 
 class PipelineStats:

@@ -147,11 +147,13 @@ class RSE:
         """Fetch_Out: instruction enters the window; allocate its IOQ entry."""
         entry = self.ioq.allocate(uop, cycle)
         fetch_out = self.queues.fetch_out
-        if self._fetch_readers or uop.instr.is_check:
+        if uop.instr.is_check:
+            fetch_out.push(cycle, (uop.seq, uop))
+            self.selfcheck.observe_alloc(entry)
+        elif self._fetch_readers:
             fetch_out.push(cycle, (uop.seq, uop))
         else:
             fetch_out.pushed_total += 1
-        self.selfcheck.observe_alloc(entry)
 
     def on_operands(self, uop, cycle, values):
         """Regfile_Data: operand values read at issue, written to the IOQ."""
@@ -253,7 +255,9 @@ class RSE:
         worked = due is not None and due <= cycle
         if worked:
             self._deliver(cycle)
-        if self._blk_queues and self._drain_blk_queues(cycle):
+        # Drained deques stay (module order decides MAU request order),
+        # so test for a queued CHECK, not for a key.
+        if any(self._blk_queues.values()) and self._drain_blk_queues(cycle):
             worked = True
         for module in self._steppers:
             if module.step(cycle):

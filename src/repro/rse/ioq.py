@@ -17,6 +17,8 @@ scenarios of Table 2); the effective value seen by the pipeline and the
 self-checking watchdog honours the stuck-at override.
 """
 
+import copy
+
 
 class IOQEntry:
     """One IOQ entry, keyed by the in-flight instruction's sequence number."""
@@ -37,6 +39,17 @@ class IOQEntry:
         self.stuck_check = None
         self.valid_set_cycle = None
         self.error_transitions = 0
+
+    def __deepcopy__(self, memo):
+        # Slot walk for machine checkpoints: ``uop`` goes through the
+        # memo so the entry and the ROB share one clone; every other
+        # slot holds an int, None or a tuple of ints.
+        clone = object.__new__(IOQEntry)
+        memo[id(self)] = clone
+        for name in _ENTRY_VALUE_SLOTS:
+            setattr(clone, name, getattr(self, name))
+        clone.uop = copy.deepcopy(self.uop, memo)
+        return clone
 
     # ------------------------------------------------------ effective bits
 
@@ -68,6 +81,10 @@ class IOQEntry:
     def __repr__(self):
         return "IOQEntry(seq=%d, cv=%d, chk=%d)" % (
             self.seq, self.effective_check_valid, self.effective_check)
+
+
+_ENTRY_VALUE_SLOTS = tuple(name for name in IOQEntry.__slots__
+                           if name != "uop")
 
 
 class IOQ:

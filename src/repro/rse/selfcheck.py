@@ -57,13 +57,11 @@ class SelfChecker:
     # ------------------------------------------------------------ observers
 
     def observe_alloc(self, entry):
-        """Called when an IOQ entry is allocated.
+        """Called when a CHECK's IOQ entry is allocated.
 
         A CHECK entry must start with ``checkValid`` = 0; seeing 1 at
         allocation time means the written 0 never landed (stuck-at-1).
         """
-        if not entry.uop.instr.is_check:
-            return
         if entry.effective_check_valid == 1 and entry.valid_set_cycle is None:
             self._stuck1_streak += 1
             if self._stuck1_streak >= self.stuck1_threshold:

@@ -261,6 +261,40 @@ def test_fork_records_match_cold_serial():
     assert cold.records == forked.records
 
 
+@pytest.mark.parametrize("model, source, seed, repeated_triggers", [
+    ("reg-flip", LOOP, 4, 4),
+    ("reg-flip", DEMO_WORKLOAD, 1, 0),
+    ("mem-flip", DEMO_WORKLOAD, 1, 1),
+], ids=["loop-reg-flip", "demo-reg-flip", "demo-mem-flip"])
+def test_fork_restores_once_per_struck_injection(model, source, seed,
+                                                 repeated_triggers,
+                                                 monkeypatch):
+    """A new trigger restores the nearest prefix, runs on and captures:
+    the trunk already is the new prefix, so it strikes without a second
+    restore.  A repeated trigger restores its shared prefix once."""
+    from repro import checkpoint
+
+    spec = spec_for(model=model, source=source, injections=16, seed=seed,
+                    max_cycles=10_000)
+    cold = run_campaign(spec, options=ExecutionOptions(fork=False))
+    restores = []
+    real_restore = checkpoint.restore
+
+    def counting_restore(machine, point):
+        restores.append(point.cycle)
+        return real_restore(machine, point)
+
+    monkeypatch.setattr(checkpoint, "restore", counting_restore)
+    forked = run_campaign(spec, options=ExecutionOptions(fork=True))
+    assert forked.records == cold.records
+    triggers = [record["params"]["cycle"] for record in forked.records]
+    assert len(triggers) - len(set(triggers)) == repeated_triggers
+    struck = [record for record in forked.records
+              if record["outcome"] != Outcome.NOT_TRIGGERED.value]
+    assert struck
+    assert len(restores) == len(struck)
+
+
 def test_fork_parallel_matches_cold(tmp_path):
     spec = spec_for(model="mem-flip", source=DEMO_WORKLOAD, protected=False,
                     injections=10, seed=11, max_cycles=20_000)

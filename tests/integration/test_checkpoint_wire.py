@@ -7,14 +7,20 @@ the same shape behaves exactly like the machine it was captured from.
 These tests prove that over the Table 4 workloads (quick configuration)
 on the full protected machine — kernel, out-of-order pipeline, RSE with
 the ICM enabled — plus the loud-failure paths: stale format versions,
-foreign blobs, and shape mismatches must all raise
-:class:`CheckpointError` instead of corrupting anything.
+foreign blobs, truncated or bit-flipped images, bodies that do not
+decode, and shape mismatches must all raise :class:`CheckpointError`
+instead of corrupting anything.
 """
+
+import pickle
+import random
+import struct
 
 import pytest
 
-from repro.checkpoint import (CampaignImage, CheckpointError,
-                              MachineCheckpoint, WIRE_MAGIC, _HEADER)
+from repro.checkpoint import (CampaignImage, CheckpointError, IMAGE_MAGIC,
+                              IMAGE_VERSION, MachineCheckpoint, WIRE_MAGIC,
+                              WIRE_VERSION, _HEADER, _seal)
 from repro.experiments.table4 import workload_sources
 from repro.program.layout import MemoryLayout
 from repro.rse.check import MODULE_ICM
@@ -79,13 +85,90 @@ def test_wire_round_trip_matches_live_machine(name):
     assert fresh.snapshot() == donor.snapshot()
 
 
+def _full_rob_machine(source):
+    """A protected machine stepped until its ROB is full and holds
+    uops still waiting on producers, with CHECKs latched in Fetch_Out."""
+    machine = build_workload_machine(source)
+    pipeline = machine.pipeline
+    for __ in range(20_000):
+        machine.kernel.run_slice(1)
+        rob = pipeline.rob
+        if (len(rob) == pipeline.config.rob_entries
+                and any(uop.wait_a is not None or uop.wait_b is not None
+                        for uop in rob)
+                and len(machine.rse.queues.fetch_out)):
+            return machine
+    pytest.fail("the workload never filled the ROB")
+
+
+def _assert_uops_resolve_into_rob(machine):
+    """Every in-flight uop reference is one of the machine's ROB uops."""
+    rob = machine.pipeline.rob
+    by_seq = {uop.seq: uop for uop in rob}
+    assert len(by_seq) == len(rob)
+    for uop in rob:
+        for producer in (uop.wait_a, uop.wait_b):
+            assert producer is None or by_seq.get(producer.seq) is producer
+    for producer in machine.pipeline.rename.values():
+        assert by_seq.get(producer.seq) is producer
+    entries = machine.rse.ioq.entries()
+    assert entries
+    for entry in entries:
+        assert by_seq.get(entry.seq) is entry.uop
+    items = list(machine.rse.queues.fetch_out._items)
+    assert items
+    for __, (seq, uop) in items:
+        assert by_seq.get(seq) is uop
+
+
+def _final_state(machine):
+    result = machine.kernel.run(max_cycles=BUDGET)
+    return (result.reason, machine.pipeline.cycle,
+            list(machine.pipeline.regs), machine.snapshot()["rse"])
+
+
+def test_restore_shares_instrs_and_keeps_uop_aliasing():
+    """A checkpoint copies each in-flight uop once, keeps the ROB, the
+    rename map, the IOQ and Fetch_Out pointing at the same clones, and
+    shares the immutable decoded instructions instead of copying them."""
+    source = workload_sources(quick=True)["kmeans"]
+    expected = _final_state(build_workload_machine(source))
+
+    donor = _full_rob_machine(source)
+    captured_instrs = [uop.instr for uop in donor.pipeline.rob]
+    checkpoint = donor.checkpoint()
+    payload = checkpoint.to_bytes()
+    assert _final_state(donor) == expected
+
+    for __ in range(2):
+        donor.restore(checkpoint)
+        _assert_uops_resolve_into_rob(donor)
+        assert all(uop.instr is instr for uop, instr
+                   in zip(donor.pipeline.rob, captured_instrs))
+        assert _final_state(donor) == expected
+
+    fresh = build_workload_machine(source)
+    fresh.restore(MachineCheckpoint.from_bytes(payload))
+    _assert_uops_resolve_into_rob(fresh)
+    assert [uop.instr.word for uop in fresh.pipeline.rob] == \
+        [instr.word for instr in captured_instrs]
+    assert _final_state(fresh) == expected
+
+
 def test_wire_rejects_stale_version():
     machine = build_workload_machine(
         workload_sources(quick=True)["kmeans"])
     payload = machine.checkpoint().to_bytes()
-    stale = _HEADER.pack(WIRE_MAGIC, 99) + payload[_HEADER.size:]
+    __, __, length, crc = _HEADER.unpack_from(payload)
+    body = payload[_HEADER.size:]
+    stale = _HEADER.pack(WIRE_MAGIC, 99, length, crc) + body
     with pytest.raises(CheckpointError, match="version"):
         MachineCheckpoint.from_bytes(stale)
+    # A version-1 image put its two-field header straight before the
+    # pickle; it is refused on the version, before anything unpickles.
+    version1 = struct.pack("<4sH", WIRE_MAGIC, 1) + body
+    with pytest.raises(CheckpointError, match="version 1"):
+        MachineCheckpoint.from_bytes(version1)
 
 
 def test_wire_rejects_foreign_and_truncated_payloads():
@@ -93,6 +176,57 @@ def test_wire_rejects_foreign_and_truncated_payloads():
         MachineCheckpoint.from_bytes(b"\x00\x01")           # truncated
     with pytest.raises(CheckpointError):
         MachineCheckpoint.from_bytes(b"XXXX\x01\x00rest")   # wrong magic
+
+
+def _corruptions(payload, rng, flips, truncations):
+    """Seeded single-bit flips anywhere in *payload*, then truncations
+    at seeded lengths (the empty image and one byte short included)."""
+    for __ in range(flips):
+        position = rng.randrange(len(payload))
+        damaged = bytearray(payload)
+        damaged[position] ^= 1 << rng.randrange(8)
+        yield bytes(damaged)
+    cuts = {0, len(payload) - 1}
+    while len(cuts) < truncations:
+        cuts.add(rng.randrange(len(payload)))
+    for cut in sorted(cuts):
+        yield payload[:cut]
+
+
+def test_wire_fuzz_raises_only_checkpoint_error():
+    """Every flipped or truncated image is refused with CheckpointError:
+    the header's body length and CRC32 catch them before unpickling."""
+    from repro.campaign import CampaignSpec, DEMO_WORKLOAD
+    from repro.campaign.service import build_campaign_image
+
+    protected = build_workload_machine(workload_sources(quick=True)["kmeans"])
+    protected.kernel.run(max_cycles=500)
+    spec = CampaignSpec(DEMO_WORKLOAD, model="reg-flip", injections=4,
+                        seed=3, max_cycles=20_000)
+    targets = ((protected.checkpoint().to_bytes(), MachineCheckpoint),
+               (build_campaign_image(spec).to_bytes(), CampaignImage))
+    rng = random.Random(19)
+    for payload, reader in targets:
+        reader.from_bytes(payload)
+        for damaged in _corruptions(payload, rng, flips=300,
+                                    truncations=100):
+            with pytest.raises(CheckpointError):
+                reader.from_bytes(damaged)
+
+
+@pytest.mark.parametrize("body", [
+    b"\x80\x04not a pickle",                     # the body does not unpickle
+    pickle.dumps(["not", "a", "document"]),       # wrong document shape
+    pickle.dumps({"state": b"\x80\x04junk", "blobs": [], "page_blob": {},
+                  "cycle": 0, "versions": {}, "pin_count": 0}),  # bad state
+])
+def test_wire_rejects_undecodable_bodies(body):
+    """A body whose header checks out but whose document or state does
+    not decode is still a CheckpointError, never a stray exception."""
+    with pytest.raises(CheckpointError):
+        MachineCheckpoint.from_bytes(_seal(WIRE_MAGIC, WIRE_VERSION, body))
+    with pytest.raises(CheckpointError):
+        CampaignImage.from_bytes(_seal(IMAGE_MAGIC, IMAGE_VERSION, body))
 
 
 def test_wire_rejects_shape_mismatch():
