@@ -32,7 +32,6 @@ The aggregator publishes three views of the same counts:
 """
 
 import glob
-import json
 import os
 
 from repro.analysis.stats import rate, wilson_interval
@@ -40,7 +39,7 @@ from repro.campaign.models import Outcome
 from repro.campaign.report import (damage_count_from_counts,
                                    detection_stats_from_counts,
                                    format_outcome_report)
-from repro.campaign.store import StoreMismatch
+from repro.campaign.store import StoreMismatch, parse_line
 from repro.obs import MetricsRegistry
 
 #: Version tag on every aggregator snapshot document.
@@ -80,13 +79,9 @@ class StoreTail:
         self.offset += end + 1
         payloads = []
         for line in chunk[:end].split(b"\n"):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payloads.append(json.loads(line.decode()))
-            except (UnicodeDecodeError, ValueError):
-                continue                 # torn line a resume terminated
+            payload = parse_line(line)
+            if payload is not None:          # else a torn line
+                payloads.append(payload)
         return payloads
 
 

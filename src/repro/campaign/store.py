@@ -20,7 +20,25 @@ import os
 
 
 class StoreMismatch(RuntimeError):
-    """The store on disk belongs to a different campaign configuration."""
+    """The store on disk belongs to a different campaign configuration,
+    or has no usable campaign header."""
+
+
+def parse_line(line):
+    """The JSON object on one store line (bytes), or None.
+
+    A line that is blank, not UTF-8, not JSON or not a JSON object is a
+    torn line: a killed campaign's partial record, or a fragment that a
+    resume terminated.  Readers skip it.
+    """
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        payload = json.loads(line.decode())
+    except (UnicodeDecodeError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
 
 
 class ResultStore:
@@ -100,27 +118,28 @@ class ResultStore:
         leaves a partial record; resuming terminates it and appends
         after, so the fragment can sit mid-file) and deduplicates by
         injection id, first record winning — records are deterministic,
-        so a duplicate is always byte-identical anyway.
+        so a duplicate is always byte-identical anyway.  A line is torn
+        when :func:`parse_line` rejects it, and a run record without an
+        integer ``id`` is torn too.  A store without a campaign header
+        raises :class:`StoreMismatch`.
         """
         header = None
         records = []
         seen = set()
-        with open(self.path) as handle:
+        with open(self.path, "rb") as handle:
             for line in handle:
-                line = line.strip()
-                if not line:
+                payload = parse_line(line)
+                if payload is None:
                     continue
-                try:
-                    payload = json.loads(line)
-                except ValueError:
-                    continue            # torn line from a killed campaign
-                if payload.get("kind") == "campaign":
+                kind = payload.get("kind")
+                if kind == "campaign":
                     header = payload
-                elif payload.get("kind") == "run":
-                    del payload["kind"]     # return records exactly as run
-                    if payload.get("id") in seen:
+                elif kind == "run":
+                    run_id = payload.get("id")
+                    if not isinstance(run_id, int) or run_id in seen:
                         continue
-                    seen.add(payload.get("id"))
+                    del payload["kind"]     # return records exactly as run
+                    seen.add(run_id)
                     records.append(payload)
         if header is None:
             raise StoreMismatch("%s has no campaign header" % self.path)
@@ -129,6 +148,9 @@ class ResultStore:
     def verify(self, fingerprint):
         """Load and check the store belongs to *fingerprint*'s campaign."""
         header, records = self.load()
+        if "fingerprint" not in header:
+            raise StoreMismatch("%s has a campaign header without a "
+                                "fingerprint" % self.path)
         if header["fingerprint"] != fingerprint:
             raise StoreMismatch(
                 "%s was written by a different campaign configuration "

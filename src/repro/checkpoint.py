@@ -71,7 +71,7 @@ can cross a process (or host) boundary — the lever the sharded campaign
 service (:mod:`repro.campaign.service`) uses to simulate a warmup
 prefix once and ship the warmed image to every worker:
 
-* a fixed **checked header** (magic, format version 2, and the length
+* a fixed **checked header** (magic, format version 3, and the length
   and CRC32 of the pickled body) so a reader rejects foreign, stale,
   truncated or bit-flipped images *before* unpickling anything; a body
   or state that still fails to unpickle is a :class:`CheckpointError`
@@ -113,7 +113,9 @@ __all__ = ["CampaignImage", "CheckpointError", "MachineCheckpoint",
 #: were not built for, and any body whose length or checksum is off,
 #: before unpickling anything.
 WIRE_MAGIC = b"RPCP"
-WIRE_VERSION = 2
+#: Version 3: non-CHECK IOQ entries travel as a reference to the shared
+#: entry, and the RSE engine counts its queued blocking CHECKs.
+WIRE_VERSION = 3
 IMAGE_MAGIC = b"RPCI"
 IMAGE_VERSION = 2
 _HEADER = struct.Struct("<4sHII")

@@ -22,6 +22,10 @@ Supported syntax
   ``bnez``, ``blt``, ``bgt``, ``ble``, ``bge``, ``neg``, ``not``, ``ret``,
   ``lw/sw rt, label`` (label-addressed memory access via ``$at``).
 * ``chk MODULE, BLK|NBLK, op, param`` — the RSE CHECK instruction.
+
+Every instruction and pseudo-instruction takes exactly the operands its
+syntax names, and a section may not outgrow :data:`MAX_SECTION_BYTES`.
+Any malformed statement raises :class:`AssemblyError` with its line.
 """
 
 import re
@@ -41,6 +45,18 @@ DEFAULT_DATA_BASE = 0x10000000
 _AT = 1          # assembler temporary register
 _ZERO = 0
 _RA = 31
+
+#: Largest ``.text`` or ``.data`` section the assembler builds (16 MiB).
+MAX_SECTION_BYTES = 1 << 24
+
+#: Operand count of each instruction syntax (``InstrSpec.syntax``) ...
+_SYNTAX_OPERANDS = {"rrr": 3, "rri": 3, "rrs": 3, "rrv": 3, "ri": 2,
+                    "mem": 2, "br2": 3, "br1": 2, "j": 1, "r": 1, "rr": 2,
+                    "none": 0, "chk": 4}
+#: ... and of each pseudo-instruction.
+_PSEUDO_OPERANDS = {"nop": 0, "move": 2, "neg": 2, "not": 2, "ret": 0,
+                    "b": 1, "beqz": 2, "bnez": 2, "blt": 3, "bgt": 3,
+                    "ble": 3, "bge": 3, "subi": 3, "li": 2, "la": 2}
 
 
 class AssemblyError(ValueError):
@@ -185,15 +201,16 @@ class Assembler:
             kind = "directive" if name.startswith(".") else "instr"
             operands = self._split_operands(operand_text)
             stmt = _Statement(kind, name, operands, lineno, raw, section)
+            self._check_operand_count(stmt)
             stmt.size = self._statement_size(stmt, offsets[section])
-            if name == ".align" or (kind == "directive" and
-                                    name in (".word", ".half")):
-                # Alignment may shift the statement start; recompute below.
-                pass
             offsets[section] = self._align_for(stmt, offsets[section])
             self._bind_labels(pending_labels, section, offsets)
             stmt.address = offsets[section]
             offsets[section] += stmt.size
+            if offsets[section] > MAX_SECTION_BYTES:
+                raise AssemblyError("%s section exceeds %d bytes"
+                                    % (section, MAX_SECTION_BYTES),
+                                    lineno, raw)
             statements.append(stmt)
         self._bind_labels(pending_labels, section, offsets)
         return statements
@@ -206,14 +223,39 @@ class Assembler:
             self.symbols[label] = base + offsets[section]
         pending_labels.clear()
 
+    def _check_operand_count(self, stmt):
+        """Exactly the operands the instruction's syntax names: one for
+        ``.space`` and ``.align``."""
+        name = stmt.name
+        if stmt.kind == "instr":
+            spec = SPEC_BY_NAME.get(name)
+            expected = (_SYNTAX_OPERANDS[spec.syntax] if spec is not None
+                        else _PSEUDO_OPERANDS.get(name))
+            if expected is None:
+                raise AssemblyError("unknown instruction %r" % name,
+                                    stmt.lineno, stmt.line)
+        elif name in (".space", ".align"):
+            expected = 1
+        else:
+            return
+        if len(stmt.operands) != expected:
+            raise AssemblyError(
+                "%s takes %d operand%s, got %d"
+                % (name, expected, "" if expected == 1 else "s",
+                   len(stmt.operands)), stmt.lineno, stmt.line)
+
     def _align_for(self, stmt, offset):
         if stmt.kind == "instr" or stmt.name in (".word",):
             return (offset + 3) & ~3
         if stmt.name == ".half":
             return (offset + 1) & ~1
         if stmt.name == ".align":
-            alignment = 1 << self._eval(stmt.operands[0], stmt.lineno,
-                                        stmt.line, allow_symbols=False)
+            power = self._eval(stmt.operands[0], stmt.lineno, stmt.line,
+                               allow_symbols=False)
+            if not 0 <= power <= 16:
+                raise AssemblyError(".align takes a power of two from 0 "
+                                    "to 16", stmt.lineno, stmt.line)
+            alignment = 1 << power
             return (offset + alignment - 1) & ~(alignment - 1)
         return offset
 
@@ -228,8 +270,12 @@ class Assembler:
         if name == ".byte":
             return len(stmt.operands)
         if name == ".space":
-            return self._eval(stmt.operands[0], stmt.lineno, stmt.line,
+            size = self._eval(stmt.operands[0], stmt.lineno, stmt.line,
                               allow_symbols=False)
+            if size < 0:
+                raise AssemblyError(".space needs a size of 0 or more",
+                                    stmt.lineno, stmt.line)
+            return size
         if name == ".asciiz":
             return len(self._string_literal(stmt)) + 1
         if name == ".align":
@@ -238,30 +284,23 @@ class Assembler:
                             stmt.line)
 
     def _expansion_length(self, stmt):
-        """Number of machine instructions a (pseudo-)instruction expands to."""
+        """Number of machine instructions a (pseudo-)instruction expands to.
+
+        :meth:`_check_operand_count` has already rejected unknown names.
+        """
         name = stmt.name
-        if name in SPEC_BY_NAME or name == "nop":
-            spec = SPEC_BY_NAME.get(name)
-            if (spec is not None and spec.syntax == "mem"
-                    and len(stmt.operands) > 1
-                    and "(" not in stmt.operands[1]):
+        spec = SPEC_BY_NAME.get(name)
+        if spec is not None:
+            if spec.syntax == "mem" and "(" not in stmt.operands[1]:
                 return 3          # label-addressed pseudo form (via $at)
             return 1
-        if name in ("move", "b", "beqz", "bnez", "neg", "not", "ret", "subi"):
-            return 1
-        if name in ("blt", "bgt", "ble", "bge"):
-            return 2
-        if name == "la":
+        if name in ("blt", "bgt", "ble", "bge", "la"):
             return 2
         if name == "li":
             value = self._eval(stmt.operands[1], stmt.lineno, stmt.line,
                                allow_symbols=False)
             return 1 if -0x8000 <= value <= 0xFFFF else 2
-        if name in ("lw", "sw", "lb", "sb", "lh", "sh", "lbu", "lhu"):
-            # Reached only for the label-addressed pseudo form.
-            return 3
-        raise AssemblyError("unknown instruction %r" % name, stmt.lineno,
-                            stmt.line)
+        return 1          # nop, move, b, beqz, bnez, neg, not, ret, subi
 
     # --------------------------------------------------------------- pass 2
 
@@ -301,7 +340,11 @@ class Assembler:
         if name == ".space":
             return b"\x00" * stmt.size
         if name == ".asciiz":
-            return self._string_literal(stmt).encode("latin-1") + b"\x00"
+            try:
+                return self._string_literal(stmt).encode("latin-1") + b"\x00"
+            except UnicodeEncodeError:
+                raise AssemblyError(".asciiz holds a character outside "
+                                    "Latin-1", stmt.lineno, stmt.line) from None
         if name == ".align":
             return b""
         raise AssemblyError("unknown directive %r" % name, stmt.lineno,
@@ -319,13 +362,13 @@ class Assembler:
 
         # Pseudo-instructions -------------------------------------------------
         if name == "move":
-            rd, rs = self._regs(ops, 2, err)
+            rd, rs = self._regs(ops, err)
             return [self._enc("or", rd=rd, rs=rs, rt=_ZERO)]
         if name == "neg":
-            rd, rs = self._regs(ops, 2, err)
+            rd, rs = self._regs(ops, err)
             return [self._enc("sub", rd=rd, rs=_ZERO, rt=rs)]
         if name == "not":
-            rd, rs = self._regs(ops, 2, err)
+            rd, rs = self._regs(ops, err)
             return [self._enc("nor", rd=rd, rs=rs, rt=_ZERO)]
         if name == "ret":
             return [self._enc("jr", rs=_RA)]
@@ -349,7 +392,7 @@ class Assembler:
                                   stmt)
             return [slt, branch]
         if name == "subi":
-            rt, rs = self._regs(ops[:2], 2, err)
+            rt, rs = self._regs(ops[:2], err)
             imm = self._eval(ops[2], stmt.lineno, stmt.line)
             return [self._enc("addi", rt=rt, rs=rs, imm=-imm)]
         if name == "li":
@@ -367,9 +410,7 @@ class Assembler:
         if name == "chk":
             return [self._emit_chk(stmt)]
 
-        spec = SPEC_BY_NAME.get(name)
-        if spec is None:
-            raise err("unknown instruction %r" % name)
+        spec = SPEC_BY_NAME[name]
         syntax = spec.syntax
 
         if syntax == "mem" and "(" not in ops[1]:
@@ -389,22 +430,22 @@ class Assembler:
         err = lambda msg: AssemblyError(msg, stmt.lineno, stmt.line)
         syntax = spec.syntax
         if syntax == "rrr":
-            rd, rs, rt = self._regs(ops, 3, err)
+            rd, rs, rt = self._regs(ops, err)
             return self._enc(spec.name, rd=rd, rs=rs, rt=rt)
         if syntax == "rri":
-            rt, rs = self._regs(ops[:2], 2, err)
+            rt, rs = self._regs(ops[:2], err)
             imm = self._eval(ops[2], stmt.lineno, stmt.line)
             self._check_imm(imm, spec.name, err)
             return self._enc(spec.name, rt=rt, rs=rs, imm=imm)
         if syntax == "rrs":
-            rd, rt = self._regs(ops[:2], 2, err)
+            rd, rt = self._regs(ops[:2], err)
             shamt = self._eval(ops[2], stmt.lineno, stmt.line,
                                allow_symbols=False)
             if not 0 <= shamt < 32:
                 raise err("shift amount out of range")
             return self._enc(spec.name, rd=rd, rt=rt, shamt=shamt)
         if syntax == "rrv":
-            rd, rt, rs = self._regs(ops, 3, err)
+            rd, rt, rs = self._regs(ops, err)
             return self._enc(spec.name, rd=rd, rt=rt, rs=rs)
         if syntax == "ri":
             rt = self._reg(ops[0], err)
@@ -415,7 +456,7 @@ class Assembler:
             offset, base = self._mem_operand(ops[1], stmt)
             return self._enc(spec.name, rt=rt, rs=base, imm=offset)
         if syntax == "br2":
-            rs, rt = self._regs(ops[:2], 2, err)
+            rs, rt = self._regs(ops[:2], err)
             return self._branch(spec.name, rs, rt, ops[2], pc, stmt)
         if syntax == "br1":
             rs = self._reg(ops[0], err)
@@ -427,7 +468,7 @@ class Assembler:
             rs = self._reg(ops[0], err)
             return self._enc(spec.name, rs=rs)
         if syntax == "rr":
-            rd, rs = self._regs(ops, 2, err)
+            rd, rs = self._regs(ops, err)
             return self._enc(spec.name, rd=rd, rs=rs)
         if syntax == "none":
             return self._enc(spec.name)
@@ -436,9 +477,6 @@ class Assembler:
     def _emit_chk(self, stmt):
         """``chk MODULE, BLK|NBLK, op, param`` — Section 3.3 fields."""
         ops = stmt.operands
-        if len(ops) != 4:
-            raise AssemblyError("chk needs MODULE, BLK|NBLK, op, param",
-                                stmt.lineno, stmt.line)
         module = self._eval(ops[0], stmt.lineno, stmt.line)
         mode = ops[1].strip().lower()
         if mode not in ("blk", "nblk"):
@@ -488,7 +526,9 @@ class Assembler:
         offset_text = text[:open_paren].strip()
         offset = (self._eval(offset_text, stmt.lineno, stmt.line)
                   if offset_text else 0)
-        base = reg_num(text[open_paren + 1:-1])
+        base = self._reg(text[open_paren + 1:-1],
+                         lambda msg: AssemblyError(msg, stmt.lineno,
+                                                   stmt.line))
         return offset, base
 
     def _reg(self, text, err):
@@ -497,10 +537,8 @@ class Assembler:
         except RegisterError as exc:
             raise err(str(exc)) from None
 
-    def _regs(self, ops, count, err):
-        if len(ops) < count:
-            raise err("expected %d operands" % count)
-        return tuple(self._reg(op, err) for op in ops[:count])
+    def _regs(self, ops, err):
+        return tuple(self._reg(op, err) for op in ops)
 
     def _split_operands(self, text):
         """Split on commas that are not inside parens or string literals."""

@@ -201,6 +201,12 @@ class Pipeline:
       insertion policy (Section 5.1).
     * ``mem_check(addr, size, kind) -> str | None`` — page-permission
       probe installed by the kernel; returns a fault cause or None.
+      It must be page-granular (every address of a page gets the same
+      yes or no for a kind, though a cause may name the address) and
+      may change its answers, or be replaced, only between
+      :meth:`run` calls: the fused loop probes instruction fetch once
+      per page per call and reuses a yes for the rest of the call,
+      while :meth:`step` probes every fetch.
     """
 
     def __init__(self, memory, hierarchy, config=None, rse=None):
@@ -314,7 +320,9 @@ class Pipeline:
         the timer and SavePage freeze windows are handled here too.  A
         same-block I-fetch memo short-circuits the cache model for
         straight-line runs (the block is MRU with identical
-        hit/latency/stats outcomes either way).
+        hit/latency/stats outcomes either way), and the fetch
+        permission of a page, once ``mem_check`` allows it, holds for
+        the rest of the call (see the ``mem_check`` contract above).
 
         After a dead cycle — no pipeline state changed and
         ``rse.step`` reported no work — every cycle before the next
@@ -341,6 +349,8 @@ class Pipeline:
         iblock_shift = hierarchy.il1._block_shift
         memo_ok = hierarchy.l1_latency == 1
         last_iblock = -1
+        mem_check = self.mem_check
+        fetchable = set()          # pages mem_check let this call fetch
         cache = self._predecode
         centries_get = cache.entries.get if cache is not None else None
         memory = self.memory
@@ -716,7 +726,6 @@ class Pipeline:
                 # ---- fetch (fused _fetch/_next_fetch/_decode_at) --------
                 if self.fetch_enabled:
                     check_injector = self.check_injector
-                    mem_check = self.mem_check
                     fbudget = fetch_width
                     while fbudget and len(fetch_buffer) < buffer_entries:
                         pc = self.fetch_pc
@@ -728,8 +737,12 @@ class Pipeline:
                                 break
                             pc, instr, fault_cause = triple
                         else:
-                            fault_cause = (None if mem_check is None
-                                           else mem_check(pc, 4, "x"))
+                            fault_cause = None
+                            if (mem_check is not None
+                                    and pc >> PAGE_SHIFT not in fetchable):
+                                fault_cause = mem_check(pc, 4, "x")
+                                if fault_cause is None:
+                                    fetchable.add(pc >> PAGE_SHIFT)
                             if fault_cause is not None:
                                 instr = _FAULT_MARKER
                             else:

@@ -12,12 +12,20 @@ loader and the MLR module"):
   step needs an explicit permission grant, Figure 3(A) I9/I11).
 """
 
+import copy
+
 from repro.memory.mainmem import PAGE_SHIFT, PAGE_SIZE
 from repro.program.image import HEADER_BYTES
 
 
 class LoadedProcess:
-    """Result of loading: entry state plus the permission map."""
+    """Result of loading: entry state plus the permission map.
+
+    An immutable value: nothing changes it, or the image it names,
+    after the load (the kernel keeps its own live permission map), so
+    machine checkpoints share it and its deep copy is itself.  A
+    change of layout installs a new one (:meth:`with_heap_base`).
+    """
 
     def __init__(self, image, entry, initial_sp, initial_gp, page_perms):
         self.image = image
@@ -25,6 +33,22 @@ class LoadedProcess:
         self.initial_sp = initial_sp
         self.initial_gp = initial_gp
         self.page_perms = page_perms      # page index -> perms string
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def with_heap_base(self, heap_base):
+        """This process with its heap moved to *heap_base*.
+
+        The image and its layout may be shared with other loads of the
+        same program, so both are copied, never changed in place.
+        """
+        layout = copy.copy(self.image.layout)
+        layout.heap_base = heap_base
+        image = copy.copy(self.image)
+        image.layout = layout
+        return LoadedProcess(image, self.entry, self.initial_sp,
+                             self.initial_gp, self.page_perms)
 
     def __repr__(self):
         return "LoadedProcess(entry=0x%08x, sp=0x%08x)" % (

@@ -22,8 +22,9 @@ so the snapshot's per-queue ``pushed`` is the same either way:
 
 * Fetch_Out latches every CHECK, which the engine routes, and other
   instructions only while a module reads ``on_fetch``;
-* Regfile_Data never latches: :meth:`RSE.on_operands` writes the IOQ
-  payload directly;
+* Regfile_Data never latches: :meth:`RSE.on_operands` writes a CHECK's
+  payload into its IOQ entry directly, and the payload of any other
+  instruction goes nowhere, since only CHECK entries are ever read;
 * Execute_Out and Memory_Out latch while a module reads ``on_execute``
   or ``on_mem_load``;
 * Commit_Out latches a commit while a module reads ``on_commit`` and a
@@ -32,6 +33,13 @@ so the snapshot's per-queue ``pushed`` is the same either way:
 
 Liveness follows attached modules, never enabled ones: a CHECK can
 enable a module while items latched for it still wait for delivery.
+
+Every non-CHECK instruction holds the IOQ's shared constant '10' entry
+(:data:`~repro.rse.ioq.NON_CHECK_ENTRY`); only a CHECK gets an entry
+of its own.  :meth:`RSE.step` calls out only to what can act on its
+cycle: the blocking-CHECK drain while a CHECK is queued, the MAU when a
+transfer is due or a request waits, and the self-checker on its scan
+cycles while the framework is coupled.
 """
 
 from collections import deque
@@ -65,7 +73,10 @@ class RSE:
         # order (the hardware module scans Fetch_Out in order); a CHECK
         # whose a0/a1 payload has not yet issued holds younger same-module
         # CHECKs behind it.
+        # Drained deques stay (module order decides MAU request order),
+        # so a count of queued CHECKs, not the keys, says when to drain.
         self._blk_queues = {}             # module id -> deque of (uop, entry)
+        self._blk_queued = 0              # CHECKs held in those deques
         # Non-blocking (asynchronous) CHECKs mutate module state only at
         # commit — "the module ... on receiving the commit signal from the
         # pipeline, logs the permanent state" (Section 3.2).  Squashed
@@ -156,11 +167,16 @@ class RSE:
             fetch_out.pushed_total += 1
 
     def on_operands(self, uop, cycle, values):
-        """Regfile_Data: operand values read at issue, written to the IOQ."""
+        """Regfile_Data: a CHECK's operand values, written to its IOQ entry.
+
+        Only CHECK entries are ever read, so other instructions' values
+        are counted and dropped.
+        """
         self.queues.regfile_data.pushed_total += 1
-        entry = self.ioq.get(uop.seq)
-        if entry is not None:
-            entry.payload = values
+        if uop.instr.is_check:
+            entry = self.ioq.get(uop.seq)
+            if entry is not None:
+                entry.payload = values
 
     def on_execute(self, uop, cycle):
         """Execute_Out: result / effective address available."""
@@ -248,23 +264,28 @@ class RSE:
         Returns True when the step changed framework state: a latched
         input reached the framework, a blocked CHECK was delivered, or
         timed MAU, module or self-check work fell due.  A cycle with no
-        queue head due builds no lists.
+        queue head due builds no lists, and the drain, the MAU and the
+        self-checker are called only on a cycle where they can act.
         """
         self.cycle = cycle
         due = self.queues.next_due()
         worked = due is not None and due <= cycle
         if worked:
             self._deliver(cycle)
-        # Drained deques stay (module order decides MAU request order),
-        # so test for a queued CHECK, not for a key.
-        if any(self._blk_queues.values()) and self._drain_blk_queues(cycle):
+        if self._blk_queued and self._drain_blk_queues(cycle):
             worked = True
         for module in self._steppers:
             if module.step(cycle):
                 worked = True
-        if self.mau.step(cycle):
+        # The MAU acts when its transfer is due or a request waits.
+        mau = self.mau
+        active = mau._active
+        if ((mau._queue if active is None else active.done_cycle <= cycle)
+                and mau.step(cycle)):
             worked = True
-        if self.selfcheck.step(cycle):
+        selfcheck = self.selfcheck
+        if (not self.safe_mode and not cycle % selfcheck.scan_period
+                and selfcheck.step(cycle)):
             worked = True
         return worked
 
@@ -394,6 +415,7 @@ class RSE:
             return
         queue = self._blk_queues.setdefault(instr.module, deque())
         queue.append((uop, entry))
+        self._blk_queued += 1
         self._drain_blk_queues(cycle)
 
     def _drain_blk_queues(self, cycle):
@@ -407,11 +429,13 @@ class RSE:
                 uop, entry = queue[0]
                 if self.ioq.get(uop.seq) is not entry:
                     queue.popleft()          # squashed meanwhile
+                    self._blk_queued -= 1
                     drained = True
                     continue
                 if op_reads_payload(uop.instr.op) and entry.payload is None:
                     break          # hold younger CHECKs behind this one
                 queue.popleft()
+                self._blk_queued -= 1
                 drained = True
                 module = self.modules.get(module_id)
                 if module is not None and module.enabled:

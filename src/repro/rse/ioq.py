@@ -15,6 +15,13 @@ checkValid check   meaning
 Entries also support stuck-at fault injection on either bit (the error
 scenarios of Table 2); the effective value seen by the pipeline and the
 self-checking watchdog honours the stuck-at override.
+
+Only a CHECK's bits ever change or reach the commit gate, so every
+non-CHECK instruction holds the one immutable :data:`NON_CHECK_ENTRY`,
+the constant '10'.  Writing its bits raises, and live and wire
+checkpoints map it back to the same object.  Allocation counts,
+occupancy and lookups by sequence number are the same as with one
+entry per instruction.
 """
 
 import copy
@@ -87,6 +94,45 @@ _ENTRY_VALUE_SLOTS = tuple(name for name in IOQEntry.__slots__
                            if name != "uop")
 
 
+class _ConstantEntry(IOQEntry):
+    """The shared '10' entry of every non-CHECK instruction.
+
+    It belongs to no instruction (``seq`` and ``uop`` are None), its
+    bits cannot be written or stuck, and copying or pickling it yields
+    the module's one instance.
+    """
+
+    __slots__ = ()
+
+    def __init__(self):
+        for name in IOQEntry.__slots__:
+            object.__setattr__(self, name, None)
+        object.__setattr__(self, "check_valid", 1)
+        object.__setattr__(self, "check", 0)
+        object.__setattr__(self, "error_transitions", 0)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            "the shared non-CHECK IOQ entry is the constant '10'; "
+            "cannot set %s" % name)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return "NON_CHECK_ENTRY"
+
+    def __repr__(self):
+        return "IOQEntry('10', shared)"
+
+
+#: The one IOQ entry every non-CHECK instruction holds.
+NON_CHECK_ENTRY = _ConstantEntry()
+
+
 class IOQ:
     """The queue itself: allocation, result lookup, and freeing."""
 
@@ -95,7 +141,10 @@ class IOQ:
         self.allocated_total = 0
 
     def allocate(self, uop, cycle):
-        entry = IOQEntry(uop.seq, uop, cycle, uop.instr.is_check)
+        if uop.instr.is_check:
+            entry = IOQEntry(uop.seq, uop, cycle, True)
+        else:
+            entry = NON_CHECK_ENTRY
         self._entries[uop.seq] = entry
         self.allocated_total += 1
         return entry
@@ -107,9 +156,13 @@ class IOQ:
         self._entries.pop(seq, None)
 
     def pending_checks(self):
-        """CHECK entries whose module has not yet produced a result."""
+        """CHECK entries whose module has not yet produced a result.
+
+        The shared non-CHECK entry always reads valid, so the valid bit
+        alone picks them out.
+        """
         return [entry for entry in self._entries.values()
-                if entry.uop.instr.is_check and entry.effective_check_valid == 0]
+                if entry.effective_check_valid == 0]
 
     def entries(self):
         return list(self._entries.values())

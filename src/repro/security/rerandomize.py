@@ -22,8 +22,10 @@ Our realisation (documented in DESIGN.md as a reproduction of a
   only regains control at event boundaries, which is exactly the
   "process is stopped" condition): it relocates every mapped heap page
   by a fresh page-aligned offset, patches each registered pointer that
-  points into the heap, updates the kernel's brk/permissions, and
-  charges the copy cost in cycles.
+  points into the heap, updates the kernel's brk/permissions, installs
+  a :class:`~repro.program.loader.LoadedProcess` whose layout names the
+  new heap base (the loaded image may be shared, so it is never changed
+  in place), and charges the copy cost in cycles.
 """
 
 import random
@@ -74,8 +76,7 @@ def rerandomize_heap(kernel, rng=None, max_offset_pages=512,
     if kernel.current is not None and kernel.pipeline.rob:
         raise RuntimeError("re-randomization requires a drained pipeline")
     rng = rng or random.Random(kernel.pipeline.cycle)
-    layout = kernel.loaded.image.layout
-    old_base = layout.heap_base
+    old_base = kernel.loaded.image.layout.heap_base
     old_end = kernel.brk
     delta = rng.randrange(1, max_offset_pages) * PAGE_SIZE
     new_base = old_base + delta
@@ -108,7 +109,7 @@ def rerandomize_heap(kernel, rng=None, max_offset_pages=512,
                 pointers_patched += 1
 
     # The kernel's own view of the heap moves with it.
-    layout.heap_base = new_base
+    kernel.loaded = kernel.loaded.with_heap_base(new_base)
     kernel.brk = old_end + delta
     kernel.pipeline.advance_cycles(copy_cost_per_page * pages_moved)
     return RerandomizeReport(delta, pages_moved, pointers_patched, new_base)

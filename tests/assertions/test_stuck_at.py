@@ -83,7 +83,18 @@ def test_stuck_at_1_goes_to_watchdog_not_assertions():
     assert ioq_assertion_counts(machine) == {}
 
 
-def test_architectural_miscode_goes_to_assertions_not_watchdog():
+def test_architectural_miscode_goes_to_assertions_not_watchdog(monkeypatch):
+    # Count what the property is shown: the shared non-CHECK entry must
+    # reach it as well as the CHECK entries.
+    from repro.assertions.properties import IOQAllocEncoding
+    shown = {True: 0, False: 0}
+    original = IOQAllocEncoding.on_ioq_alloc
+
+    def counting(self, entry, is_check):
+        shown[is_check] += 1
+        original(self, entry, is_check)
+
+    monkeypatch.setattr(IOQAllocEncoding, "on_ioq_alloc", counting)
     module = ProbeModule(delay=5)
     machine = build_monitored(CHECK_LOOP, module)
     seen = {"count": 0}
@@ -103,6 +114,7 @@ def test_architectural_miscode_goes_to_assertions_not_watchdog():
     assert not machine.rse.selfcheck.trips
     # ... and the assertion suite flagged exactly that entry.
     assert ioq_assertion_counts(machine) == {"ioq-alloc-encoding": 1}
+    assert shown[True] >= 20 and shown[False] >= 40
 
 
 def test_healthy_check_traffic_is_silent_everywhere():

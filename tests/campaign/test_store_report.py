@@ -57,6 +57,75 @@ def test_headerless_file_rejected(tmp_path):
         ResultStore(str(path)).load()
 
 
+def _store_with_two_records(tmp_path):
+    store = ResultStore(str(tmp_path / "store.jsonl"))
+    store.write_header("fp", {"model": "instr-flip"})
+    store.append(record(0, "detected"))
+    store.append(record(1, "benign"))
+    store.close()
+    return store
+
+
+@pytest.mark.parametrize("line", [
+    b"\xff\xfe not utf-8\n",            # invalid UTF-8
+    b"[1, 2, 3]\n",                      # JSON, but not an object
+    b"17\n",
+    b'{"kind": "run", "outcome": "sdc"}\n',          # run without an id
+    b'{"kind": "run", "id": [2], "outcome": "sdc"}\n',
+])
+def test_store_skips_unusable_lines_as_torn(tmp_path, line):
+    store = _store_with_two_records(tmp_path)
+    with open(store.path, "ab") as handle:
+        handle.write(line)
+    store.append(record(3, "hang"))
+    store.close()
+    __, loaded = store.load()
+    assert [item["id"] for item in loaded] == [0, 1, 3]
+    assert store.done_ids() == {0, 1, 3}
+    assert store.record_for(3) == record(3, "hang")
+
+
+def test_header_without_fingerprint_is_a_mismatch(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text('{"kind": "campaign", "spec": {}}\n'
+                    '{"kind": "run", "id": 0, "outcome": "benign"}\n')
+    with pytest.raises(StoreMismatch):
+        ResultStore(str(path)).verify("fp")
+
+
+def test_damaged_stores_fail_only_with_store_mismatch(tmp_path):
+    """Seeded bit flips, truncations and insertions of a small store."""
+    import random
+
+    pristine = open(_store_with_two_records(tmp_path).path, "rb").read()
+    inserts = (b"\n", b"\xff", b"[]", b'{"kind": "run"}\n', b"{",
+               b'{"kind": "campaign"}\n', b'"id"', b"\x00", b"null\n")
+    path = str(tmp_path / "damaged.jsonl")
+    rng = random.Random(19)
+    mismatches = 0
+    for __ in range(400):
+        data = bytearray(pristine)
+        kind = rng.randrange(3)
+        if kind == 0:
+            for __ in range(rng.randrange(1, 4)):
+                data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        elif kind == 1:
+            del data[rng.randrange(len(data)):]
+        else:
+            at = rng.randrange(len(data) + 1)
+            data[at:at] = rng.choice(inserts)
+        with open(path, "wb") as handle:
+            handle.write(bytes(data))
+        store = ResultStore(path)
+        try:
+            __, loaded = store.verify("fp")
+            assert {item["id"] for item in loaded} == store.done_ids()
+            store.record_for(0)
+        except StoreMismatch:
+            mismatches += 1
+    assert mismatches > 20
+
+
 # ---------------------------------------------------------------- report
 
 def test_outcome_counts_cover_every_outcome():

@@ -24,6 +24,7 @@ from repro.checkpoint import (CampaignImage, CheckpointError, IMAGE_MAGIC,
 from repro.experiments.table4 import workload_sources
 from repro.program.layout import MemoryLayout
 from repro.rse.check import MODULE_ICM
+from repro.rse.ioq import NON_CHECK_ENTRY
 from repro.rse.modules.icm import build_checker_memory, make_icm_injector
 from repro.system import build_machine
 from repro.workloads.asmlib import build_workload_image
@@ -113,8 +114,18 @@ def _assert_uops_resolve_into_rob(machine):
         assert by_seq.get(producer.seq) is producer
     entries = machine.rse.ioq.entries()
     assert entries
+    checks = 0
+    for uop in rob:
+        entry = machine.rse.ioq.get(uop.seq)
+        if uop.instr.is_check:
+            assert entry is not NON_CHECK_ENTRY and entry.uop is uop
+            checks += 1
+        else:
+            assert entry is NON_CHECK_ENTRY
+    assert checks
     for entry in entries:
-        assert by_seq.get(entry.seq) is entry.uop
+        if entry is not NON_CHECK_ENTRY:
+            assert by_seq.get(entry.seq) is entry.uop
     items = list(machine.rse.queues.fetch_out._items)
     assert items
     for __, (seq, uop) in items:

@@ -209,3 +209,105 @@ def test_comments_and_blank_lines():
                 halt
     """)
     assert [i.name for i in asm.instructions()] == ["addi", "halt"]
+
+
+@pytest.mark.parametrize("line", [
+    "sw $t0",
+    "addi $t0, $t0",
+    "li $t0",
+    "beqz $t0",
+    "move $t0",
+    "addi $t0, $t0, 1, 5",
+    "add $t0, $t1, $t2, $t3",
+    "j main, 4",
+    "halt 7",
+    "ret $ra",
+    "la $t0, main, 8",
+    "chk 1, BLK, 2",
+])
+def test_operand_count_is_exact(line):
+    with pytest.raises(AssemblyError) as info:
+        assemble("main:\n    nop\n    %s\n    halt\n" % line)
+    assert info.value.lineno == 3
+    assert "operand" in str(info.value)
+
+
+def test_unknown_base_register_names_its_line():
+    with pytest.raises(AssemblyError) as info:
+        assemble("main:\n    lw $t0, 4($bogus)\n    halt\n")
+    assert info.value.lineno == 2
+    assert "bogus" in str(info.value)
+
+
+@pytest.mark.parametrize("line", [
+    ".space", ".space -4", ".space 4, 8", ".align", ".align -1",
+    ".align 40", ".space 0x7fffffff", '.asciiz "€"',
+])
+def test_bad_directives_are_assembly_errors(line):
+    with pytest.raises(AssemblyError) as info:
+        assemble(".data\nbuf:\n    %s\n.text\nmain:\n    halt\n" % line)
+    assert info.value.lineno == 3
+
+
+_FUZZ_CHARS = ",()$-+x0123456789abt .#:'\""
+_FUZZ_REGS = ("$t0", "$zero", "$ra", "$q9", "$32", "t", "")
+
+
+def _mutate(rng, source):
+    """One seeded edit of *source*: the kinds of slip a hand edit makes."""
+    lines = source.splitlines()
+    index = rng.randrange(len(lines))
+    line = lines[index]
+    kind = rng.randrange(8)
+    if kind == 0 and "," in line:
+        line = line.rsplit(",", 1)[0]                  # drop an operand
+    elif kind == 1:
+        line = line + rng.choice((", 4", ", $t0", ",", " 7"))
+    elif kind == 2 and line:
+        at = rng.randrange(len(line))
+        line = line[:at] + line[at + 1:]
+    elif kind == 3:
+        at = rng.randrange(len(line) + 1)
+        line = line[:at] + rng.choice(_FUZZ_CHARS) + line[at:]
+    elif kind == 4 and "$" in line:
+        start = line.index("$")
+        end = start + 1
+        while end < len(line) and line[end].isalnum():
+            end += 1
+        line = line[:start] + rng.choice(_FUZZ_REGS) + line[end:]
+    elif kind == 5:
+        return "\n".join(lines[:index] + [line[:rng.randrange(len(line) + 1)]])
+    elif kind == 6:
+        lines.insert(index, line)                      # duplicate a line
+    elif kind == 7 and line:
+        at = rng.randrange(len(line))
+        line = line[:at] + str(rng.choice((0, 9, 99999, -1))) + line[at:]
+    lines[index] = line
+    return "\n".join(lines)
+
+
+def test_mutated_workload_sources_fail_only_with_assembly_error():
+    import random
+
+    from repro.experiments import table4
+    from repro.workloads import fleet_server
+    from repro.workloads.asmlib import std_constants
+
+    sources = [(source, None) for source
+               in table4.workload_sources(quick=True).values()]
+    sources.append((fleet_server.source(0, 3, 2), std_constants()))
+    rng = random.Random(2004)
+    rejected = 0
+    for round_ in range(300):
+        base, constants = sources[round_ % len(sources)]
+        mutant = base
+        for __ in range(rng.randrange(1, 4)):
+            mutant = _mutate(rng, mutant)
+        try:
+            assemble(mutant, constants=constants)
+        except AssemblyError:
+            rejected += 1
+        except Exception as exc:          # pragma: no cover - the failure
+            pytest.fail("mutant %d raised %s: %s\n%s"
+                        % (round_, type(exc).__name__, exc, mutant))
+    assert rejected > 75

@@ -24,8 +24,10 @@ from repro.pipeline.core import EventKind
 from repro.rse.check import MODULE_AHBM, MODULE_ICM, asm_constants
 from repro.rse.module import ModuleMode, RSEModule
 from repro.rse.modules.icm import build_checker_memory, make_icm_injector
+from repro.program.layout import MemoryLayout
 from repro.system import build_machine
 from repro.workloads import gotplt
+from repro.workloads.asmlib import build_workload_image
 
 from helpers import STACK_TOP, load_assembly, make_pipeline
 from probe_module import TEST_MODULE_ID
@@ -110,6 +112,36 @@ main:
 
     prints = run_pair(source, max_cycles=10_000, prep=deny)
     assert prints[True]["kind"] == "fault"
+    assert_identical(prints)
+
+
+def test_revoked_fetch_permission_faults_on_the_next_run():
+    # mem_check may change only between run() calls; the fused loop
+    # probes fetch once per page per call, so when the kernel revokes
+    # "x" on a page between two runs, the very next fetch from it must
+    # fault, as it does under step().
+    source = """
+main:
+    li $t0, 0
+loop:
+    addi $t0, $t0, 1
+    j loop
+"""
+    prints = {}
+    for batch in (False, True):
+        machine = build_machine(pipeline_config=PipelineConfig(batch=batch))
+        image, asm = build_workload_image(source, MemoryLayout())
+        machine.kernel.load_process(image)
+        assert machine.kernel.run(max_cycles=333).reason == "max_cycles"
+        page = asm.symbols["loop"] >> 12
+        assert "x" in machine.kernel.page_perms[page]
+        machine.kernel.page_perms[page] = "r"
+        assert machine.kernel.run(max_cycles=500).reason == "fault"
+        __, pc, cause = machine.kernel.faults[-1]
+        assert pc >> 12 == page and cause.startswith("x-access violation")
+        prints[batch] = {"faults": machine.kernel.faults,
+                         "cycle": machine.pipeline.cycle,
+                         "stats": vars(machine.pipeline.stats)}
     assert_identical(prints)
 
 

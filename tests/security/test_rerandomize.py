@@ -50,9 +50,19 @@ wait:
 """
 
 
-def run_scenario(seed=7):
+def run_to_phase_1(machine, asm):
+    """Run until the guest signals phase 1 (pipeline drained at events)."""
+    for __ in range(10_000):
+        machine.kernel.run(max_cycles=2000)
+        if machine.memory.load_word(asm.symbols["phase"]) == 1:
+            return
+    raise AssertionError("guest never reached phase 1")
+
+
+def run_scenario(seed=7, image=None, asm=None):
     machine = build_machine()
-    image, asm = build_workload_image(PROGRAM, MemoryLayout())
+    if image is None:
+        image, asm = build_workload_image(PROGRAM, MemoryLayout())
     machine.kernel.load_process(image)
     register_pointer_table(machine.kernel, asm.symbols["ptr_table"], 1)
 
@@ -113,3 +123,50 @@ def test_unregistered_pointers_break():
             break
     result = machine.kernel.run(max_cycles=10_000_000)
     assert result.reason == "fault"          # stale heap_ptr, unmapped page
+
+
+def test_rerandomization_leaves_a_shared_image_alone():
+    """A second machine loading the same image after a re-randomization
+    starts with the image's own heap, not the moved one."""
+    image, asm = build_workload_image(PROGRAM, MemoryLayout())
+    heap_base = image.layout.heap_base
+    machine, __, __, report, __, __ = run_scenario(image=image, asm=asm)
+    assert (machine.kernel.loaded.image.layout.heap_base
+            == heap_base + report.delta)
+    assert image.layout.heap_base == heap_base
+
+    second = build_machine()
+    second.kernel.load_process(image)
+    assert second.kernel.brk == heap_base + PAGE_SIZE
+    assert second.kernel.loaded.image.layout.heap_base == heap_base
+
+
+def test_checkpoints_share_the_loaded_process():
+    machine = build_machine()
+    image, asm = build_workload_image(PROGRAM, MemoryLayout())
+    machine.kernel.load_process(image)
+    checkpoint = machine.checkpoint()
+    assert checkpoint._state["kernel"]["loaded"] is machine.kernel.loaded
+    machine.restore(checkpoint)
+    assert checkpoint._state["kernel"]["loaded"] is machine.kernel.loaded
+
+
+def test_restore_after_rerandomization_brings_back_the_old_heap():
+    machine = build_machine()
+    image, asm = build_workload_image(PROGRAM, MemoryLayout())
+    machine.kernel.load_process(image)
+    register_pointer_table(machine.kernel, asm.symbols["ptr_table"], 1)
+    run_to_phase_1(machine, asm)
+    before = machine.kernel.loaded
+    brk = machine.kernel.brk
+    checkpoint = machine.checkpoint()
+
+    report = rerandomize_heap(machine.kernel, rng=random.Random(7))
+    assert machine.kernel.loaded is not before
+    assert machine.kernel.brk == brk + report.delta
+
+    machine.restore(checkpoint)
+    assert machine.kernel.loaded is before
+    assert machine.kernel.loaded.image.layout.heap_base == \
+        image.layout.heap_base
+    assert machine.kernel.brk == brk
