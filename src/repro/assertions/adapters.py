@@ -6,11 +6,11 @@ the class method, so a detached machine runs the bare class methods
 with literally zero residual dispatch cost.  Unlike obs probes, an
 adapter's :class:`ShadowSet` also remembers what it displaced, so
 shadows *chain* over an already-instrumented method (e.g. an obs RSE
-probe) and can be temporarily **suspended**: the whole-machine
-checkpoint layer learns per-class field names from instance
-``__dict__``s, and capturing a shadowed pipeline would teach it
-wrapper closures as machine state (see
-:meth:`repro.assertions.hub.AssertionHub`).
+probe) and detach puts back exactly what was there.  A checkpoint never
+captures a shadow: :func:`repro.checkpoint.state_fields` leaves out
+instance attributes that shadow a class method, and the one other
+shadow, a bare pipeline's ``rse`` tap, is wiring the checkpoint layer
+skips.
 
 The funcsim adapter deliberately does NOT shadow — see
 :class:`FuncSimAdapter` for why the interpreter's instance dict must
@@ -28,40 +28,24 @@ MASK32 = 0xFFFFFFFF
 
 
 class ShadowSet:
-    """Instance-attribute shadows that chain, suspend and restore."""
+    """Instance-attribute shadows that chain and restore."""
 
     def __init__(self):
-        self._records = []          # (obj, attr, wrapper, had, displaced)
-        self._suspended = False
+        self._records = []          # (obj, attr, had, displaced)
 
     def shadow(self, obj, attr, wrapper):
         had = attr in obj.__dict__
-        displaced = obj.__dict__.get(attr)
-        self._records.append((obj, attr, wrapper, had, displaced))
+        self._records.append((obj, attr, had, obj.__dict__.get(attr)))
         setattr(obj, attr, wrapper)
 
-    def suspend(self):
-        """Put every displaced value back (keep the records for resume)."""
-        if self._suspended:
-            return
-        for obj, attr, wrapper, had, displaced in reversed(self._records):
+    def remove(self):
+        """Put every displaced value back."""
+        for obj, attr, had, displaced in reversed(self._records):
             if had:
                 setattr(obj, attr, displaced)
             else:
                 delattr(obj, attr)
-        self._suspended = True
-
-    def resume(self):
-        if not self._suspended:
-            return
-        for obj, attr, wrapper, __, ___ in self._records:
-            setattr(obj, attr, wrapper)
-        self._suspended = False
-
-    def remove(self):
-        self.suspend()
         self._records.clear()
-        self._suspended = False
 
 
 # ---------------------------------------------------------------- funcsim
@@ -385,12 +369,6 @@ class PipelineAdapter:
                     return verdict
 
                 shadows.shadow(rse, "ioq_gate", ioq_gate)
-
-    def suspend(self):
-        self.shadows.suspend()
-
-    def resume_shadows(self):
-        self.shadows.resume()
 
     def detach(self):
         self.shadows.remove()

@@ -8,16 +8,12 @@ per-property counters into the obs metrics registry
 (``assertions.<id>``), and contributes an ``assertions`` section to
 ``Machine.snapshot()`` carrying the violation records.
 
-Checkpoint interplay: the whole-machine checkpoint layer learns each
-class's field names from the first instance it captures
-(:data:`repro.checkpoint._FIELD_NAMES`), so capturing a pipeline that
-carries shadow wrappers would teach it the wrappers as machine state —
-and deepcopying their closures would drag the live monitor into the
-checkpoint.  The hub therefore shadows ``machine.checkpoint`` to
-*suspend* the engine-level shadows around the capture (the captured
-state is exactly what a bare machine would capture) and emits the
-``checkpoint``/``restore`` events the MAU-quiesce and page-version
-properties consume.
+Checkpoint interplay: the checkpoint layer never captures a shadow
+(:func:`repro.checkpoint.state_fields` leaves out instance attributes
+that shadow a class method), so a monitored machine captures exactly
+what a bare one does.  The hub shadows ``machine.checkpoint`` and
+``machine.restore`` only to emit the ``checkpoint``/``restore`` events
+the MAU-quiesce and page-version properties consume.
 """
 
 from repro.assertions.adapters import PipelineAdapter, ShadowSet
@@ -76,11 +72,7 @@ class AssertionHub:
 
         def checkpoint():
             orphans = _pending_orphans(machine.rse)
-            adapter.suspend()
-            try:
-                captured = orig_checkpoint()
-            finally:
-                adapter.resume_shadows()
+            captured = orig_checkpoint()
             for handler in checkpoint_handlers:
                 handler(orphans)
             return captured

@@ -397,12 +397,24 @@ class CampaignImage:
 _FIELD_NAMES = {}
 
 
-def _fields(obj, skip=frozenset()):
+def state_fields(obj):
+    """Names of *obj*'s state attributes, learned once per class.
+
+    An instance attribute shadowing a method of the class (an obs
+    probe's or assertion adapter's wrapper) instruments this one object
+    and is left out, whichever instance the class is learned from.
+    """
     cls = type(obj)
     names = _FIELD_NAMES.get(cls)
     if names is None:
-        names = _FIELD_NAMES[cls] = tuple(obj.__dict__)
-    return {name: getattr(obj, name) for name in names
+        names = _FIELD_NAMES[cls] = tuple(
+            name for name in obj.__dict__
+            if not callable(getattr(cls, name, None)))
+    return names
+
+
+def _fields(obj, skip=frozenset()):
+    return {name: getattr(obj, name) for name in state_fields(obj)
             if name not in skip}
 
 

@@ -43,7 +43,11 @@ Commands
     hardware-cost estimates.
 
 Every data-producing subcommand takes ``--json``; all machine-readable
-output is routed through one serializer (:func:`emit_json`).
+output is routed through one serializer (:func:`emit_json`).  A user
+error (a bad flag, an input file that cannot be read, a malformed
+program, a campaign store or checkpoint image from another
+configuration) prints one ``repro: error:`` line on stderr and exits
+2; any other exception is a bug and keeps its traceback.
 """
 
 import argparse
@@ -101,6 +105,20 @@ def flatten_doc(doc, prefix=""):
     return pairs
 
 
+class UsageError(Exception):
+    """A bad flag combination or an unreadable input file: ``main``
+    prints it as one line and exits 2."""
+
+
+def _read_input(path):
+    """The text of the input file the user named."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise UsageError(exc) from exc
+
+
 def _cmd_run(args):
     from repro.funcsim import FuncSim
     from repro.memory.mainmem import MainMemory
@@ -110,21 +128,18 @@ def _cmd_run(args):
     from repro.system import build_machine
     from repro.workloads.asmlib import build_workload_image, std_constants
 
-    with open(args.file) as handle:
-        source = handle.read()
+    source = _read_input(args.file)
 
     engine = args.engine or ("predecode" if args.func else "pipeline")
     if args.func and engine == "pipeline":
-        print("--func contradicts --engine pipeline")
-        return 2
+        raise UsageError("--func contradicts --engine pipeline")
 
     if engine != "pipeline":
         from repro.isa.assembler import assemble
 
         if args.stats_json:
-            print("--stats-json needs the full machine "
-                  "(use --engine pipeline)")
-            return 2
+            raise UsageError("--stats-json needs the full machine "
+                             "(use --engine pipeline)")
         asm = assemble(source, constants=std_constants())
         memory = MainMemory()
         memory.store_bytes(asm.text_base, asm.text)
@@ -321,8 +336,8 @@ def _cmd_attack_demo(args):
                                  engine=args.engine)
     else:
         if args.defense == "trr":
-            print("the GOT hijack demo supports defenses: none, mlr")
-            return 2
+            raise UsageError(
+                "the GOT hijack demo supports defenses: none, mlr")
         result = run_got_hijack(defense=args.defense, engine=args.engine)
     if args.json:
         emit_json({"attack": args.attack_cmd, "defense": args.defense,
@@ -409,16 +424,14 @@ def _cmd_campaign(args):
                                 run_campaign)
 
     if args.file:
-        with open(args.file) as handle:
-            source = handle.read()
+        source = _read_input(args.file)
     else:
         source = DEMO_WORKLOAD
 
     model_options = {}
     if args.bits is not None:
         if args.model not in ("instr-flip", "cf-corrupt"):
-            print("--bits only applies to instr-flip / cf-corrupt")
-            return 2
+            raise UsageError("--bits only applies to instr-flip / cf-corrupt")
         model_options["bits"] = args.bits
 
     spec = CampaignSpec(source=source, model=args.model,
@@ -588,7 +601,7 @@ def _parse_strike(text):
             raise ValueError
         return strike
     except (ValueError, IndexError):
-        raise SystemExit("bad --inject %r (want MODEL@NODE:CYCLE[:SEED])"
+        raise UsageError("bad --inject %r (want MODEL@NODE:CYCLE[:SEED])"
                          % text)
 
 
@@ -598,7 +611,7 @@ def _parse_kill(text):
         node, cycle = text.split(":")
         return int(node), int(cycle)
     except ValueError:
-        raise SystemExit("bad --kill %r (want NODE:CYCLE)" % text)
+        raise UsageError("bad --kill %r (want NODE:CYCLE)" % text)
 
 
 def _cmd_fleet(args):
@@ -750,10 +763,7 @@ def _cmd_report(args):
         print("no results in %s - run: pytest benchmarks/ --benchmark-only"
               % results_dir)
         return 1
-    sections = []
-    for path in paths:
-        with open(path) as handle:
-            sections.append(handle.read().rstrip())
+    sections = [_read_input(path).rstrip() for path in paths]
     if args.json:
         emit_json({"results_dir": results_dir,
                    "sections": [{"path": path, "text": text}
@@ -776,8 +786,7 @@ def _cmd_disasm(args):
     from repro.program.layout import MemoryLayout
     from repro.workloads.asmlib import build_workload_image
 
-    with open(args.file) as handle:
-        source = handle.read()
+    source = _read_input(args.file)
     image, __ = build_workload_image(source, MemoryLayout())
     print(disassemble_image(image))
     return 0
@@ -789,8 +798,7 @@ def _cmd_trace(args):
     from repro.memory.mainmem import MainMemory
     from repro.workloads.asmlib import std_constants
 
-    with open(args.file) as handle:
-        source = handle.read()
+    source = _read_input(args.file)
     asm = assemble(source, constants=std_constants())
     memory = MainMemory()
     memory.store_bytes(asm.text_base, asm.text)
@@ -811,8 +819,7 @@ def _cmd_stats(args):
         other = _load_stats_file(args.diff)
         if not (isinstance(doc, dict) and "schema" in doc
                 and isinstance(other, dict) and "schema" in other):
-            print("--diff requires two snapshot documents")
-            return 2
+            raise UsageError("--diff requires two snapshot documents")
         left = dict(flatten_doc(doc))
         right = dict(flatten_doc(other))
         diffs = []
@@ -868,8 +875,7 @@ def _load_stats_file(path):
     Returns the parsed snapshot dict for ``Machine.snapshot()`` JSON, or
     ``(header, records)`` for a campaign JSONL store.
     """
-    with open(path) as handle:
-        text = handle.read()
+    text = _read_input(path)
     try:
         doc = json.loads(text)          # one pretty-printed document
     except ValueError:
@@ -1294,7 +1300,18 @@ def main(argv=None):
     info_parser.set_defaults(func_impl=_cmd_info)
 
     args = parser.parse_args(_normalize_argv(argv))
-    return args.func_impl(args)
+    from repro.campaign.store import StoreMismatch
+    from repro.checkpoint import CheckpointError
+    from repro.isa.assembler import AssemblyError
+
+    try:
+        return args.func_impl(args)
+    except (AssemblyError, StoreMismatch, CheckpointError,
+            UsageError) as exc:
+        # Bad input is the user's to fix: one line, no traceback.  Any
+        # other exception is a bug and keeps its traceback.
+        print("repro: error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 def _normalize_argv(argv):

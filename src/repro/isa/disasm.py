@@ -1,6 +1,8 @@
 """Disassembler: segments and program images back to readable listings."""
 
 from repro.isa.encoding import DecodeError, decode
+from repro.isa.instructions import InstrClass
+from repro.isa.semantics import branch_target, jump_target
 
 
 class DisasmLine:
@@ -47,12 +49,10 @@ def disassemble_segment(memory, base, length, symbols=None):
 
 
 def _control_target(instr, pc):
-    from repro.isa.instructions import InstrClass
-
     if instr.iclass is InstrClass.BRANCH:
-        return (pc + 4 + (instr.imm << 2)) & 0xFFFFFFFF
+        return branch_target(instr, pc)
     if instr.name in ("j", "jal"):
-        return ((pc + 4) & 0xF0000000) | (instr.target << 2)
+        return jump_target(instr, pc)
     return None
 
 

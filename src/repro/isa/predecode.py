@@ -19,10 +19,12 @@ truth:
   bound closure, threaded-code style: operand register indices,
   immediates, branch targets, bound memory accessors and the operation
   are baked in at compile time, so executing the instruction is a single
-  call with no dispatch.  Rare opcodes fall back to the per-opcode
-  tables in :mod:`repro.isa.semantics` (``ALU_OPS`` etc.); for the hot
-  opcodes the expression is inlined and pinned to those tables by
-  ``tests/isa/test_semantics.py``.
+  call with no dispatch.  No opcode is restated here: the ALU and branch
+  closure factories are generated at import time from the templates in
+  :mod:`repro.isa.semantics`, and the divides and destination-less ALU
+  instructions call their ``ALU_OPS`` entry.  ``tests/isa/
+  test_predecode.py`` and ``test_fast_tiers.py`` pin every closure to
+  the table callables.
 
 Closure protocol (the contract with :class:`repro.funcsim.FuncSim`):
 
@@ -49,16 +51,19 @@ from repro.isa.encoding import decode
 from repro.isa.instructions import InstrClass
 from repro.isa.semantics import (
     ALU_OPS,
-    BRANCH_OPS,
+    ALU_TEMPLATES,
+    BRANCH_TEMPLATES,
+    IMM_FIELDS,
     LOAD_OPS,
+    OPERANDS,
     STORE_OPS,
     branch_target,
     jump_target,
+    template_fields,
 )
 from repro.memory.mainmem import PAGE_SHIFT
 
 MASK32 = 0xFFFFFFFF
-SIGN_BIT = 0x80000000
 
 #: Sentinel next-pc values (negative, so ``nxt >= 0`` is the fast test).
 HALT = -1          # closure set sim.halted; instruction retired
@@ -68,143 +73,73 @@ CHECK = -3         # caller must run the chk hook, then advance pc by 4
 
 # --------------------------------------------------------------- compilers
 #
-# Hot opcodes get hand-inlined closures (signed compares use the
-# xor-bias trick: a <s b  <=>  (a ^ 0x80000000) < (b ^ 0x80000000));
-# everything else closes over the semantics tables.  The factories below
-# return fn(sim) -> next_pc per the module protocol.
+# The ALU and branch closures are generated from the templates in
+# repro.isa.semantics: one factory per opcode, compiled when this module
+# is imported.  A factory bakes one instruction's register indices and
+# immediate fields and returns fn(sim) -> next_pc per the module
+# protocol.  An operand the template reads twice is loaded once; a
+# template that reads no register (lui) folds to a constant.
+
+def _factory_source(template, branch):
+    """Source of ``make(instr, next_pc)`` (branches: ``..., taken)``)."""
+    fields = template_fields(template)
+    names = dict(zip(fields, fields))
+    head = (["def make(instr, next_pc, taken):"] if branch else
+            ["def make(instr, next_pc):", "    dest = instr.dest"])
+    body = ["    def fn(sim):", "        regs = sim.regs"]
+    for field in fields:
+        index = OPERANDS.get(field)
+        if index is None:
+            head.append("    %s = %s" % (field, IMM_FIELDS[field]))
+            continue
+        head.append("    %s = instr.%s" % (index, index))
+        if template.count("{%s}" % field) > 1:
+            body.append("        %s = regs[%s]" % (field, index))
+        else:
+            names[field] = "regs[%s]" % index
+    expr = template.format(**names)
+    if not set(fields) & set(OPERANDS):
+        head.append("    value = " + expr)
+        expr = "value"
+    if branch:
+        body.append("        return taken if %s else next_pc" % expr)
+    else:
+        body += ["        regs[dest] = " + expr, "        return next_pc"]
+    return "\n".join(head + body + ["    return fn", ""])
+
+
+def _factories(templates, branch):
+    factories = {}
+    for name, template in templates.items():
+        namespace = {}
+        exec(compile(_factory_source(template, branch),
+                     "<predecode %s>" % name, "exec"), namespace)
+        factories[name] = namespace["make"]
+    return factories
+
+
+#: name -> make(instr, next_pc) for every templated ALU op.
+_ALU_FACTORIES = _factories(ALU_TEMPLATES, branch=False)
+#: name -> make(instr, next_pc, taken_pc) for every branch.
+_BRANCH_FACTORIES = _factories(BRANCH_TEMPLATES, branch=True)
+
 
 def _compile_alu(pc, instr, next_pc):
-    name = instr.name
     dest = instr.dest
+    make = _ALU_FACTORIES.get(instr.name)
+    if make is not None and dest:
+        return make(instr, next_pc)
+    # A divide, whose table op can fault, or an instruction without a
+    # destination, whose only possible effect is that fault: call the op.
+    op = ALU_OPS[instr.name]
     rs = instr.rs
     rt = instr.rt
-    if not dest:
-        # No architectural destination: only side effects (a divide
-        # fault) can matter, so always go through the semantics table.
-        op = ALU_OPS[name]
-        def fn(sim):
-            regs = sim.regs
-            op(instr, regs[rs], regs[rt])
-            return next_pc
-        return fn
-
-    if name == "add":
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = (regs[rs] + regs[rt]) & MASK32
-            return next_pc
-    elif name == "addi":
-        imm = instr.imm & MASK32
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = (regs[rs] + imm) & MASK32
-            return next_pc
-    elif name == "sub":
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = (regs[rs] - regs[rt]) & MASK32
-            return next_pc
-    elif name == "and":
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = regs[rs] & regs[rt]
-            return next_pc
-    elif name == "andi":
-        uimm = instr.uimm
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = regs[rs] & uimm
-            return next_pc
-    elif name == "or":
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = regs[rs] | regs[rt]
-            return next_pc
-    elif name == "ori":
-        uimm = instr.uimm
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = regs[rs] | uimm
-            return next_pc
-    elif name == "xor":
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = regs[rs] ^ regs[rt]
-            return next_pc
-    elif name == "xori":
-        uimm = instr.uimm
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = regs[rs] ^ uimm
-            return next_pc
-    elif name == "nor":
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = ~(regs[rs] | regs[rt]) & MASK32
-            return next_pc
-    elif name == "slt":
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = (1 if (regs[rs] ^ SIGN_BIT) < (regs[rt] ^ SIGN_BIT)
-                          else 0)
-            return next_pc
-    elif name == "slti":
-        biased = (instr.imm & MASK32) ^ SIGN_BIT
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = 1 if (regs[rs] ^ SIGN_BIT) < biased else 0
-            return next_pc
-    elif name == "sltu":
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = 1 if regs[rs] < regs[rt] else 0
-            return next_pc
-    elif name == "sltiu":
-        imm = instr.imm & MASK32
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = 1 if regs[rs] < imm else 0
-            return next_pc
-    elif name == "sll":
-        shamt = instr.shamt
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = (regs[rt] << shamt) & MASK32
-            return next_pc
-    elif name == "srl":
-        shamt = instr.shamt
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = regs[rt] >> shamt
-            return next_pc
-    elif name == "sra":
-        shamt = instr.shamt
-        def fn(sim):
-            regs = sim.regs
-            value = regs[rt]
-            regs[dest] = ((value - ((value & SIGN_BIT) << 1)) >> shamt) \
-                & MASK32
-            return next_pc
-    elif name == "lui":
-        value = (instr.uimm << 16) & MASK32
-        def fn(sim):
-            sim.regs[dest] = value
-            return next_pc
-    elif name == "mul":
-        def fn(sim):
-            regs = sim.regs
-            a = regs[rs]
-            b = regs[rt]
-            regs[dest] = ((a - ((a & SIGN_BIT) << 1)) *
-                          (b - ((b & SIGN_BIT) << 1))) & MASK32
-            return next_pc
-    else:
-        # Variable shifts, divides, remainders and anything added later.
-        op = ALU_OPS[name]
-        def fn(sim):
-            regs = sim.regs
-            regs[dest] = op(instr, regs[rs], regs[rt])
-            return next_pc
+    def fn(sim):
+        regs = sim.regs
+        value = op(instr, regs[rs], regs[rt])
+        if dest:
+            regs[dest] = value
+        return next_pc
     return fn
 
 
@@ -212,28 +147,10 @@ def _compile_load(pc, instr, next_pc, memory):
     dest = instr.dest
     rs = instr.rs
     imm = instr.imm
-    if instr.name == "lw" and dest:
-        load_word = memory.load_word
-        def fn(sim):
-            regs = sim.regs
-            addr = (regs[rs] + imm) & MASK32
-            trace = sim.trace_mem
-            if trace is not None:
-                trace(sim, instr, addr, False)
-            regs[dest] = load_word(addr)
-            return next_pc
-        return fn
-    op = LOAD_OPS[instr.name]
-    if dest:
-        def fn(sim):
-            regs = sim.regs
-            addr = (regs[rs] + imm) & MASK32
-            trace = sim.trace_mem
-            if trace is not None:
-                trace(sim, instr, addr, False)
-            regs[dest] = op(memory, addr)
-            return next_pc
-    else:
+    # lw calls the memory's own method: one frame fewer on the hot load.
+    op = type(memory).load_word if instr.name == "lw" \
+        else LOAD_OPS[instr.name]
+    if not dest:
         def fn(sim):
             addr = (sim.regs[rs] + imm) & MASK32
             trace = sim.trace_mem
@@ -241,6 +158,15 @@ def _compile_load(pc, instr, next_pc, memory):
                 trace(sim, instr, addr, False)
             op(memory, addr)          # alignment fault still applies
             return next_pc
+        return fn
+    def fn(sim):
+        regs = sim.regs
+        addr = (regs[rs] + imm) & MASK32
+        trace = sim.trace_mem
+        if trace is not None:
+            trace(sim, instr, addr, False)
+        regs[dest] = op(memory, addr)
+        return next_pc
     return fn
 
 
@@ -248,18 +174,9 @@ def _compile_store(pc, instr, next_pc, memory):
     rs = instr.rs
     rt = instr.rt
     imm = instr.imm
-    if instr.name == "sw":
-        store_word = memory.store_word
-        def fn(sim):
-            regs = sim.regs
-            addr = (regs[rs] + imm) & MASK32
-            trace = sim.trace_mem
-            if trace is not None:
-                trace(sim, instr, addr, True)
-            store_word(addr, regs[rt])
-            return next_pc
-        return fn
-    op = STORE_OPS[instr.name]
+    # sw calls the memory's own method: one frame fewer on the hot store.
+    op = type(memory).store_word if instr.name == "sw" \
+        else STORE_OPS[instr.name]
     def fn(sim):
         regs = sim.regs
         addr = (regs[rs] + imm) & MASK32
@@ -271,54 +188,17 @@ def _compile_store(pc, instr, next_pc, memory):
     return fn
 
 
-def _compile_branch(pc, instr, next_pc):
-    name = instr.name
-    rs = instr.rs
-    rt = instr.rt
-    taken = branch_target(instr, pc)
-    if name == "beq":
-        def fn(sim):
-            regs = sim.regs
-            return taken if regs[rs] == regs[rt] else next_pc
-    elif name == "bne":
-        def fn(sim):
-            regs = sim.regs
-            return taken if regs[rs] != regs[rt] else next_pc
-    elif name == "blez":
-        def fn(sim):
-            value = sim.regs[rs]
-            return taken if value == 0 or value & SIGN_BIT else next_pc
-    elif name == "bgtz":
-        def fn(sim):
-            value = sim.regs[rs]
-            return next_pc if value == 0 or value & SIGN_BIT else taken
-    elif name == "bltz":
-        def fn(sim):
-            return taken if sim.regs[rs] & SIGN_BIT else next_pc
-    elif name == "bgez":
-        def fn(sim):
-            return next_pc if sim.regs[rs] & SIGN_BIT else taken
-    else:
-        cond = BRANCH_OPS[name]
-        def fn(sim):
-            regs = sim.regs
-            return taken if cond(regs[rs], regs[rt]) else next_pc
-    return fn
-
-
 def _compile_jump(pc, instr, next_pc):
     name = instr.name
     dest = instr.dest
     rs = instr.rs
     if name in ("j", "jal"):
         target = jump_target(instr, pc)
-        if dest:          # jal link
-            def fn(sim):
-                sim.regs[dest] = next_pc
-                return target
-        else:
-            def fn(sim):
-                return target
+        if not dest:
+            return _compile_constant(target)
+        def fn(sim):          # jal link
+            sim.regs[dest] = next_pc
+            return target
         return fn
     # jr / jalr: the link is written before the target register is read,
     # matching the reference interpreter (visible when rd == rs).
@@ -340,13 +220,7 @@ def _compile_halt():
     return fn
 
 
-def _compile_serial(sentinel):
-    def fn(sim):
-        return sentinel
-    return fn
-
-
-def _compile_nop(next_pc):
+def _compile_constant(next_pc):
     def fn(sim):
         return next_pc
     return fn
@@ -363,17 +237,18 @@ def compile_instr(pc, instr, memory):
     if iclass is InstrClass.STORE:
         return _compile_store(pc, instr, next_pc, memory)
     if iclass is InstrClass.BRANCH:
-        return _compile_branch(pc, instr, next_pc)
+        return _BRANCH_FACTORIES[instr.name](instr, next_pc,
+                                             branch_target(instr, pc))
     if iclass is InstrClass.JUMP:
         return _compile_jump(pc, instr, next_pc)
     if iclass is InstrClass.SYSCALL:
-        return _compile_serial(SYSCALL)
+        return _compile_constant(SYSCALL)
     if iclass is InstrClass.HALT:
         return _compile_halt()
     if iclass is InstrClass.CHECK:
-        return _compile_serial(CHECK)
+        return _compile_constant(CHECK)
     if iclass is InstrClass.NOP:
-        return _compile_nop(next_pc)
+        return _compile_constant(next_pc)
     raise ValueError("cannot compile %r" % (instr,))          # pragma: no cover
 
 
@@ -424,9 +299,6 @@ class PredecodeCache:
                 != entry[0]):
             entry = self.refill(pc)
         return entry
-
-    def invalidate_all(self):
-        self.entries.clear()
 
 
 def cache_for(memory):

@@ -1,20 +1,27 @@
-"""Architectural semantics of the ISA, shared by every execution engine.
+"""Architectural semantics of the ISA: the one definition of every opcode.
 
-Both the functional reference simulator (:mod:`repro.funcsim`) and the
-out-of-order pipeline (:mod:`repro.pipeline`) call into this module, so
-"what an instruction computes" has a single source of truth; the two
-engines differ only in *when* things happen.  Register values are
-represented as unsigned 32-bit Python ints everywhere.
+Every execution engine reads this module, so "what an instruction
+computes" has a single source of truth; the engines differ only in
+*when* things happen.  Register values are unsigned 32-bit Python ints
+everywhere.
 
-Dispatch is table-driven: each mnemonic maps to one small function in
-:data:`ALU_OPS`, :data:`BRANCH_OPS`, :data:`LOAD_OPS` or
-:data:`STORE_OPS`, and the public name-based entry points
-(:func:`alu_result`, :func:`branch_taken`, :func:`load_from`,
-:func:`store_to`) are thin wrappers over those tables.  The predecode
-layer (:mod:`repro.isa.predecode`) compiles per-instruction closures
-from the same tables, so an op's semantics live in exactly one place no
-matter which engine — or which speed tier of an engine — executes it.
+Each mnemonic has a **callable** (:data:`ALU_OPS`, :data:`BRANCH_OPS`,
+:data:`LOAD_OPS`, :data:`STORE_OPS`), which the reference interpreter,
+the pipeline and the tests call through :func:`alu_result`,
+:func:`branch_taken`, :func:`load_from` and :func:`store_to`.  Next to
+it sits an **expression template** (:data:`ALU_TEMPLATES`,
+:data:`BRANCH_TEMPLATES`; the load callables are generated from
+:data:`LOADS`) over ``{a}``/``{b}`` (the rs/rt values) and the
+immediate fields of :data:`IMM_FIELDS`.  The fast tiers are generated
+from the templates: the predecode closures (:mod:`repro.isa.predecode`)
+at import time, the trace JIT's code (:mod:`repro.isa.traces`) per
+trace.  Signed compares use the xor-bias form, ``a <s b`` iff ``(a ^
+2**31) < (b ^ 2**31)``.  The divides have no template: a divide can
+fault, so every tier calls its table op.  ``tests/isa/
+test_fast_tiers.py`` holds every generated form equal to its callable.
 """
+
+import re
 
 from repro.isa.instructions import InstrClass
 
@@ -45,7 +52,7 @@ def to_unsigned(value):
 # Every entry has the uniform signature ``op(instr, a, b) -> value`` with
 # *a* the rs-operand and *b* the rt-operand (unsigned 32-bit); immediates
 # and shift amounts come from *instr*.  The uniform shape is what lets
-# the predecode compiler bake any of these into a closure.
+# the fast tiers fall back to any of these, as they do for the divides.
 
 def _op_div(instr, a, b):
     if b == 0:
@@ -114,6 +121,54 @@ ALU_OPS = {
     "remu": _op_remu,
 }
 
+#: name -> expression template computing what the :data:`ALU_OPS` entry
+#: computes, for every ALU op that cannot fault (all but the divides).
+ALU_TEMPLATES = {
+    "add": "({a} + {b}) & 4294967295",
+    "addi": "({a} + {imm}) & 4294967295",
+    "sub": "({a} - {b}) & 4294967295",
+    "and": "{a} & {b}",
+    "andi": "{a} & {uimm}",
+    "or": "{a} | {b}",
+    "ori": "{a} | {uimm}",
+    "xor": "{a} ^ {b}",
+    "xori": "{a} ^ {uimm}",
+    "nor": "~({a} | {b}) & 4294967295",
+    "slt": "(1 if ({a} ^ 2147483648) < ({b} ^ 2147483648) else 0)",
+    "slti": "(1 if ({a} ^ 2147483648) < {bimm} else 0)",
+    "sltu": "(1 if {a} < {b} else 0)",
+    "sltiu": "(1 if {a} < {imm32} else 0)",
+    "sll": "({b} << {shamt}) & 4294967295",
+    "srl": "{b} >> {shamt}",
+    "sra": "(({b} - (({b} & 2147483648) << 1)) >> {shamt}) & 4294967295",
+    "sllv": "({b} << ({a} & 31)) & 4294967295",
+    "srlv": "{b} >> ({a} & 31)",
+    "srav": "(({b} - (({b} & 2147483648) << 1)) >> ({a} & 31))"
+            " & 4294967295",
+    "lui": "({uimm} << 16) & 4294967295",
+    "mul": "(({a} - (({a} & 2147483648) << 1))"
+           " * ({b} - (({b} & 2147483648) << 1))) & 4294967295",
+}
+
+#: Template operand -> the register field of ``instr`` it reads.
+OPERANDS = {"a": "rs", "b": "rt"}
+
+#: Immediate fields a template may name, as expressions over the decoded
+#: ``instr``.  The fast tiers evaluate each once, when they compile the
+#: instruction, so no template pays for a mask or a bias at run time.
+IMM_FIELDS = {
+    "imm": "instr.imm",
+    "uimm": "instr.uimm",
+    "shamt": "instr.shamt",
+    "imm32": "instr.imm & 4294967295",
+    "bimm": "(instr.imm & 4294967295) ^ 2147483648",
+}
+
+
+def template_fields(template):
+    """The fields *template* names, in first-use order, each once."""
+    return tuple(dict.fromkeys(re.findall(r"{(\w+)}", template)))
+
 
 def alu_result(instr, a, b):
     """Result of an ALU or MDU instruction.
@@ -137,6 +192,16 @@ BRANCH_OPS = {
     "bgtz": lambda a, b: to_signed(a) > 0,
     "bltz": lambda a, b: to_signed(a) < 0,
     "bgez": lambda a, b: to_signed(a) >= 0,
+}
+
+#: name -> taken-condition template for every :data:`BRANCH_OPS` entry.
+BRANCH_TEMPLATES = {
+    "beq": "{a} == {b}",
+    "bne": "{a} != {b}",
+    "blez": "({a} ^ 2147483648) <= 2147483648",
+    "bgtz": "({a} ^ 2147483648) > 2147483648",
+    "bltz": "{a} >= 2147483648",
+    "bgez": "{a} < 2147483648",
 }
 
 
@@ -178,23 +243,40 @@ def effective_address(instr, rs_value):
 
 # Memory --------------------------------------------------------------------
 
-def _load_lh(memory, addr):
-    value = memory.load_half(addr)
-    return (value - 0x10000 if value & 0x8000 else value) & MASK32
+#: name -> (bytes read, extension template) for every load mnemonic.  In
+#: the template ``{v}`` is the zero-extended value of the bytes read; the
+#: template gives the register value the load writes.
+LOADS = {
+    "lw": (4, "{v}"),
+    "lh": (2, "({v} - 65536 if {v} & 32768 else {v}) & 4294967295"),
+    "lhu": (2, "{v}"),
+    "lb": (1, "({v} - 256 if {v} & 128 else {v}) & 4294967295"),
+    "lbu": (1, "{v}"),
+}
+
+_READERS = {4: "load_word", 2: "load_half", 1: "load_byte"}
 
 
-def _load_lb(memory, addr):
-    value = memory.load_byte(addr)
-    return (value - 0x100 if value & 0x80 else value) & MASK32
+def _load_fn(params, read, extend):
+    """Compile ``def (params): v = read; return extend`` into a function."""
+    namespace = {}
+    exec("def load(%s):\n    v = %s\n    return %s\n"
+         % (params, read, extend.format(v="v")), namespace)
+    return namespace["load"]
 
 
 #: name -> load(memory, addr) for every load mnemonic.
 LOAD_OPS = {
-    "lw": lambda memory, addr: memory.load_word(addr),
-    "lh": _load_lh,
-    "lhu": lambda memory, addr: memory.load_half(addr),
-    "lb": _load_lb,
-    "lbu": lambda memory, addr: memory.load_byte(addr),
+    name: _load_fn("memory, addr", "memory.%s(addr)" % _READERS[width],
+                   extend)
+    for name, (width, extend) in LOADS.items()
+}
+
+#: name -> extend(raw): the value the load yields when the low bytes of
+#: *raw* hold the bytes it reads (the pipeline's store forwarding).
+_LOAD_EXTEND = {
+    name: _load_fn("raw", "raw & %d" % ((1 << 8 * width) - 1), extend)
+    for name, (width, extend) in LOADS.items()
 }
 
 #: name -> store(memory, addr, value) for every store mnemonic.
@@ -213,6 +295,11 @@ def load_from(memory, instr, addr):
     return op(memory, addr)
 
 
+def load_value(instr, raw):
+    """The value load *instr* yields from *raw*, its bytes low byte first."""
+    return _LOAD_EXTEND[instr.name](raw)
+
+
 def store_to(memory, instr, addr, value):
     """Perform the store described by *instr*."""
     op = STORE_OPS.get(instr.name)
@@ -221,11 +308,11 @@ def store_to(memory, instr, addr, value):
     op(memory, addr, value)
 
 
+#: name -> bytes touched, for every load and store mnemonic.
+ACCESS_SIZES = dict({name: width for name, (width, __) in LOADS.items()},
+                    sw=4, sh=2, sb=1)
+
+
 def access_size(instr):
     """Bytes touched by a load/store instruction."""
-    name = instr.name
-    if name in ("lw", "sw"):
-        return 4
-    if name in ("lh", "lhu", "sh"):
-        return 2
-    return 1
+    return ACCESS_SIZES[instr.name]

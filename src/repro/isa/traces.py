@@ -7,8 +7,10 @@ instructions — ending at a branch, jump, serializing instruction
 (syscall/halt/CHECK), page boundary or length cap — are compiled into a
 *single* Python function via ``compile()``/``exec``, with every
 architectural register the run touches promoted to a local variable and
-the per-opcode expressions inlined exactly as the predecode closures
-(and therefore :mod:`repro.isa.semantics`) specify them.  A run whose
+each instruction's expression rendered from its template in
+:mod:`repro.isa.semantics` (``ALU_TEMPLATES``, ``BRANCH_TEMPLATES``,
+``LOADS``), the templates the predecode closures are generated from
+too; no opcode is restated here.  A run whose
 terminating branch jumps back to its own head becomes a *loop trace*:
 the compiled function iterates internally, retiring a whole iteration
 per pass, and only returns when the loop exits, the step budget would be
@@ -57,18 +59,21 @@ from repro.isa.encoding import DecodeError
 from repro.isa.instructions import InstrClass
 from repro.isa.predecode import cache_for
 from repro.isa.semantics import (
+    ACCESS_SIZES,
+    ALU_OPS,
+    ALU_TEMPLATES,
+    BRANCH_TEMPLATES,
+    IMM_FIELDS,
+    LOADS,
+    OPERANDS,
     ArithmeticFault,
-    _op_div,
-    _op_divu,
-    _op_rem,
-    _op_remu,
     branch_target,
     jump_target,
+    template_fields,
 )
 from repro.memory.mainmem import PAGE_SHIFT, MemoryFault
 
 MASK32 = 0xFFFFFFFF
-SIGN_BIT = 0x80000000
 
 #: Dispatches from a cold head before the trace is compiled.
 HEAT_THRESHOLD = 4
@@ -104,28 +109,34 @@ class TraceFault(Exception):
         self.exc = exc
 
 
-# The division/remainder table ops take (instr, a, b) but only read the
-# operands; these adapters give the generated code a two-argument form.
-
-def _div(a, b):
-    return _op_div(None, a, b)
-
-
-def _rem(a, b):
-    return _op_rem(None, a, b)
-
-
-def _divu(a, b):
-    return _op_divu(None, a, b)
-
-
-def _remu(a, b):
-    return _op_remu(None, a, b)
-
-
 # ---------------------------------------------------------------- codegen
 
 _WB = "__WB__"          # placeholder; replaced by the register writeback
+
+#: Template field -> its compile-time value for one instruction: the
+#: register number for the operands ``a``/``b``, else the immediate.
+_STATIC = {field: eval("lambda instr: " + source) for field, source
+           in dict(IMM_FIELDS, **{operand: "instr." + reg for operand, reg
+                                  in OPERANDS.items()}).items()}
+
+#: Move idioms: (name, field) -> the template the op collapses to when
+#: *field* is statically zero (register r0, or a zero immediate); fields
+#: are tried in ``_ZERO_FIELDS`` order.  Registers hold the unsigned-32
+#: invariant, so an identity drops the mask too.
+_COLLAPSES = {
+    ("add", "b"): "{a}", ("add", "a"): "{b}", ("addi", "imm"): "{a}",
+    ("sub", "b"): "{a}", ("and", "b"): "0", ("and", "a"): "0",
+    ("andi", "uimm"): "0", ("or", "b"): "{a}", ("or", "a"): "{b}",
+    ("ori", "uimm"): "{a}", ("xor", "b"): "{a}", ("xor", "a"): "{b}",
+    ("xori", "uimm"): "{a}", ("sll", "shamt"): "{b}",
+    ("srl", "shamt"): "{b}", ("sra", "shamt"): "{b}",
+}
+_ZERO_FIELDS = ("b", "a", "imm", "uimm", "shamt")
+#: A square (``mul rd, rs, rs``) sign-converts its operand once.
+_SQUARE = "((_t := ({a} - (({a} & 2147483648) << 1))) * _t) & 4294967295"
+
+#: Access width -> the noun :class:`MainMemory` names it by in faults.
+_WIDTH_NOUN = {4: "word", 2: "halfword"}
 
 
 class _Unsupported(Exception):
@@ -180,21 +191,16 @@ class _Emitter:
         # continue-style back edges stay resident in one function).
         last = instrs[-1]
         last_pc = pcs[-1]
-        self.loop = False
         if last.iclass is InstrClass.BRANCH:
-            taken = branch_target(last, last_pc)
-            fall = (last_pc + 4) & MASK32
-            if taken == head or fall == head:
-                self.loop = True
-        elif (last.iclass is InstrClass.JUMP and last.name in ("j", "jal")
-                and jump_target(last, last_pc) == head):
-            self.loop = True
-        if not self.loop:
-            for k, instr in enumerate(instrs[:-1]):
-                if (instr.iclass is InstrClass.BRANCH
-                        and branch_target(instr, pcs[k]) == head):
-                    self.loop = True
-                    break
+            ends = (branch_target(last, last_pc), (last_pc + 4) & MASK32)
+        elif last.iclass is InstrClass.JUMP and last.name in ("j", "jal"):
+            ends = (jump_target(last, last_pc),)
+        else:
+            ends = ()
+        self.loop = head in ends or any(
+            instr.iclass is InstrClass.BRANCH
+            and branch_target(instr, pc) == head
+            for pc, instr in zip(pcs[:-1], instrs[:-1]))
 
     # ----------------------------------------------------------- operands
 
@@ -221,128 +227,47 @@ class _Emitter:
 
     # ------------------------------------------------------------- opcodes
 
+    def _render(self, template, instr):
+        """*template* with its operands read and its immediates inlined."""
+        values = {}
+        for field in template_fields(template):
+            value = _STATIC[field](instr)
+            values[field] = (self._ref(value) if field in OPERANDS
+                             else "%d" % value)
+        return template.format(**values)
+
     def _alu_expr(self, instr):
-        # Move idioms (``or rd, rs, r0``, ``sll rd, rt, 0``, ``addi rd,
-        # rs, 0`` …) collapse to plain copies: registers hold the
-        # unsigned-32 invariant, so the identity drops the mask too.
+        """Value expression of a templated ALU op (collapsing move idioms
+        such as ``or rd, rs, r0`` and ``sll rd, rt, 0`` to plain copies)."""
         name = instr.name
-        a = lambda: self._ref(instr.rs)
-        b = lambda: self._ref(instr.rt)
-        if name == "add":
-            if instr.rt == 0:
-                return a()
-            if instr.rs == 0:
-                return b()
-            return "(%s + %s) & 4294967295" % (a(), b())
-        if name == "addi":
-            if instr.imm == 0:
-                return a()
-            return "(%s + %d) & 4294967295" % (a(), instr.imm)
-        if name == "sub":
-            if instr.rt == 0:
-                return a()
-            return "(%s - %s) & 4294967295" % (a(), b())
-        if name == "and":
-            if instr.rs == 0 or instr.rt == 0:
-                return "0"
-            return "%s & %s" % (a(), b())
-        if name == "andi":
-            if instr.uimm == 0:
-                return "0"
-            return "%s & %d" % (a(), instr.uimm)
-        if name == "or":
-            if instr.rt == 0:
-                return a()
-            if instr.rs == 0:
-                return b()
-            return "%s | %s" % (a(), b())
-        if name == "ori":
-            if instr.uimm == 0:
-                return a()
-            return "%s | %d" % (a(), instr.uimm)
-        if name == "xor":
-            if instr.rt == 0:
-                return a()
-            if instr.rs == 0:
-                return b()
-            return "%s ^ %s" % (a(), b())
-        if name == "xori":
-            if instr.uimm == 0:
-                return a()
-            return "%s ^ %d" % (a(), instr.uimm)
-        if name == "nor":
-            return "~(%s | %s) & 4294967295" % (a(), b())
-        if name == "slt":
-            return ("(1 if (%s ^ 2147483648) < (%s ^ 2147483648) else 0)"
-                    % (a(), b()))
-        if name == "slti":
-            biased = (instr.imm & MASK32) ^ SIGN_BIT
-            return "(1 if (%s ^ 2147483648) < %d else 0)" % (a(), biased)
-        if name == "sltu":
-            return "(1 if %s < %s else 0)" % (a(), b())
-        if name == "sltiu":
-            return "(1 if %s < %d else 0)" % (a(), instr.imm & MASK32)
-        if name == "sll":
-            if instr.shamt == 0:
-                return b()
-            return "(%s << %d) & 4294967295" % (b(), instr.shamt)
-        if name == "srl":
-            if instr.shamt == 0:
-                return b()
-            return "%s >> %d" % (b(), instr.shamt)
-        if name == "sra":
-            if instr.shamt == 0:
-                return b()
-            bb = b()
-            return ("((%s - ((%s & 2147483648) << 1)) >> %d) & 4294967295"
-                    % (bb, bb, instr.shamt))
-        if name == "sllv":
-            return "(%s << (%s & 31)) & 4294967295" % (b(), a())
-        if name == "srlv":
-            return "%s >> (%s & 31)" % (b(), a())
-        if name == "srav":
-            bb = b()
-            return ("((%s - ((%s & 2147483648) << 1)) >> (%s & 31)) "
-                    "& 4294967295" % (bb, bb, a()))
-        if name == "lui":
-            return "%d" % ((instr.uimm << 16) & MASK32)
-        if name == "mul":
-            aa, bb = a(), b()
-            if instr.rs == instr.rt:          # square: sign-convert once
-                return ("((_t := (%s - ((%s & 2147483648) << 1))) * _t) "
-                        "& 4294967295" % (aa, aa))
-            return ("((%s - ((%s & 2147483648) << 1)) * "
-                    "(%s - ((%s & 2147483648) << 1))) & 4294967295"
-                    % (aa, aa, bb, bb))
-        raise _Unsupported(name)
+        template = ALU_TEMPLATES.get(name)
+        if template is None:
+            raise _Unsupported(name)
+        for field in _ZERO_FIELDS:
+            if (name, field) in _COLLAPSES and not _STATIC[field](instr):
+                template = _COLLAPSES[name, field]
+                break
+        if name == "mul" and instr.rs == instr.rt:
+            template = _SQUARE
+        return self._render(template, instr)
 
     def _branch_cond(self, instr):
-        """Taken-condition expression (mirrors the predecode closures)."""
-        name = instr.name
-        if name == "beq":
-            return "%s == %s" % (self._ref(instr.rs), self._ref(instr.rt))
-        if name == "bne":
-            return "%s != %s" % (self._ref(instr.rs), self._ref(instr.rt))
-        a = self._ref(instr.rs)
-        if name == "blez":
-            return "%s == 0 or %s & 2147483648" % (a, a)
-        if name == "bgtz":
-            return "not (%s == 0 or %s & 2147483648)" % (a, a)
-        if name == "bltz":
-            return "%s & 2147483648" % a
-        if name == "bgez":
-            return "not (%s & 2147483648)" % a
-        raise _Unsupported(name)
+        """Taken-condition expression of a conditional branch."""
+        template = BRANCH_TEMPLATES.get(instr.name)
+        if template is None:
+            raise _Unsupported(instr.name)
+        return self._render(template, instr)
 
     # ------------------------------------------------------- instructions
 
     def _emit_alu(self, index, pc, instr):
         name = instr.name
         dest = instr.dest
-        if name in ("div", "rem", "divu", "remu"):
+        if name not in ALU_TEMPLATES:
+            # A divide: its table op can fault, so call it.
             self.faultable = True
-            call = "_%s(%s, %s)" % (name, self._ref(instr.rs),
-                                    self._ref(instr.rt))
+            call = "_%s(_INS[%d], %s, %s)" % (
+                name, index, self._ref(instr.rs), self._ref(instr.rt))
             self.line("_i = %d" % index)
             if dest:
                 self.line("%s = %s" % (self._wref(dest), call))
@@ -388,38 +313,38 @@ class _Emitter:
         self.line("    raise _TF(%s, %d, _MF(_a, '%s'))"
                   % (self._count(index), pc, message))
 
-    def _emit_load(self, index, pc, instr):
-        # Inlined MainMemory.load_word/half/byte (same alignment faults,
-        # same first-touch page materialisation, little-endian bytes).
+    def _emit_access(self, index, pc, instr, kind):
+        """``_a`` = the effective address, the alignment fault and the
+        page lookup of a load or store; returns its width in bytes."""
+        width = ACCESS_SIZES.get(instr.name)
+        if width is None:
+            raise _Unsupported(instr.name)
         self.line("_a = (%s + %d) & 4294967295"
                   % (self._ref(instr.rs), instr.imm))
-        name = instr.name
-        dest = instr.dest
-        if name == "lw":
-            self.line("if _a & 3:")
-            self._fault_exit(index, pc, "unaligned word load")
-        elif name in ("lh", "lhu"):
-            self.line("if _a & 1:")
-            self._fault_exit(index, pc, "unaligned halfword load")
-        elif name not in ("lb", "lbu"):
-            raise _Unsupported(name)
+        if width > 1:
+            self.line("if _a & %d:" % (width - 1))
+            self._fault_exit(index, pc, "unaligned %s %s"
+                             % (_WIDTH_NOUN[width], kind))
         self._emit_page()
-        if name == "lw":
+        if width > 1:
             self.line("_o = _a & 4095")
-            value = "_fb(_lp[_o:_o + 4], 'little')"
-        elif name in ("lh", "lhu"):
-            self.line("_o = _a & 4095")
-            value = "_fb(_lp[_o:_o + 2], 'little')"
+        return width
+
+    def _emit_load(self, index, pc, instr):
+        # Inlined MainMemory.load_word/half/byte (same alignment faults,
+        # same first-touch page materialisation, little-endian bytes),
+        # then the load's extension template from LOADS.
+        width = self._emit_access(index, pc, instr, "load")
+        if width > 1:
+            value = "_fb(_lp[_o:_o + %d], 'little')" % width
         else:
             value = "_lp[_a & 4095]"
-        if name == "lh":
+        extend = LOADS[instr.name][1]
+        if extend != "{v}":
             self.line("_v = %s" % value)
-            value = "(_v - 65536 if _v & 32768 else _v) & 4294967295"
-        elif name == "lb":
-            self.line("_v = %s" % value)
-            value = "(_v - 256 if _v & 128 else _v) & 4294967295"
-        if dest:
-            self.line("%s = %s" % (self._wref(dest), value))
+            value = extend.format(v="_v")
+        if instr.dest:
+            self.line("%s = %s" % (self._wref(instr.dest), value))
         # Without a destination the alignment fault and the first-touch
         # page materialisation above are the load's only effects.
         if self.logging:
@@ -428,26 +353,13 @@ class _Emitter:
     def _emit_store(self, index, pc, instr):
         # Inlined MainMemory.store_word/half/byte including the per-page
         # write-version bump every cached view revalidates against.
-        self.line("_a = (%s + %d) & 4294967295"
-                  % (self._ref(instr.rs), instr.imm))
-        name = instr.name
-        if name == "sw":
-            self.line("if _a & 3:")
-            self._fault_exit(index, pc, "unaligned word store")
-        elif name == "sh":
-            self.line("if _a & 1:")
-            self._fault_exit(index, pc, "unaligned halfword store")
-        elif name != "sb":
-            raise _Unsupported(name)
-        self._emit_page()
+        width = self._emit_access(index, pc, instr, "store")
         value = self._ref(instr.rt)
-        if name == "sw":
+        if width == 4:
             # Register values hold the unsigned-32 invariant, so the
             # store_word mask would be a no-op (to_bytes still range-checks).
-            self.line("_o = _a & 4095")
             self.line("_lp[_o:_o + 4] = (%s).to_bytes(4, 'little')" % value)
-        elif name == "sh":
-            self.line("_o = _a & 4095")
+        elif width == 2:
             self.line("_lp[_o:_o + 2] = (%s & 65535)"
                       ".to_bytes(2, 'little')" % value)
         else:
@@ -607,24 +519,21 @@ class _Emitter:
                       % (taken, cond, fall, cnt))
             return
         if iclass is InstrClass.JUMP:
-            name = instr.name
-            link = (pc + 4) & MASK32
-            if name in ("j", "jal"):
-                if instr.dest:
-                    self.line("%s = %d" % (self._wref(instr.dest), link))
+            # The link is written before jr/jalr read their target
+            # register (the predecode/interpreter order, visible when
+            # rd == rs).
+            if instr.dest:
+                self.line("%s = %d" % (self._wref(instr.dest),
+                                       (pc + 4) & MASK32))
+            if instr.name in ("j", "jal"):
                 target = jump_target(instr, pc)
                 if self.loop and target == self.head:
                     return          # unconditional back edge: while loops
-                self.line(_WB)
-                self.line("return (%d, %s)" % (target, cnt))
-                return
-            # jr / jalr: link is written before the target register is
-            # read (the predecode/interpreter order, visible when rd==rs).
-            if instr.dest:
-                self.line("%s = %d" % (self._wref(instr.dest), link))
+                target = "%d" % target
+            else:
+                target = "%s & 4294967295" % self._ref(instr.rs)
             self.line(_WB)
-            self.line("return (%s & 4294967295, %s)"
-                      % (self._ref(instr.rs), cnt))
+            self.line("return (%s, %s)" % (target, cnt))
             return
         # Non-control end (page boundary / length cap / serializing next);
         # the instruction itself was already emitted (and logged) above.
@@ -719,8 +628,11 @@ def compile_trace(head, pcs, instrs, memory, logging=False):
         "_versions": memory.write_versions,
         "_vget": memory.write_versions.get,
         "_fb": int.from_bytes,
-        "_div": _div, "_rem": _rem, "_divu": _divu, "_remu": _remu,
+        # Untemplated (faulting) ALU ops call their table op.
+        "_INS": tuple(instrs),
     }
+    bindings.update(("_" + name, op) for name, op in ALU_OPS.items()
+                    if name not in ALU_TEMPLATES)
     exec(code, bindings, namespace)
     return namespace["_trace"]
 
@@ -877,11 +789,6 @@ class TraceCache:
             self.notraces += 1
             return entry
         return self.build(head)
-
-    def invalidate_all(self):
-        self.entries.clear()
-        self.heat.clear()
-        self.rebuilds.clear()
 
     # --------------------------------------------------------------- stats
 

@@ -12,6 +12,8 @@ dl2       128 KB  2-way
 ========  ======  =============
 """
 
+from repro.checkpoint import state_fields
+
 
 class CacheStats:
     """Counters reported in Table 4 (#accesses, miss rate)."""

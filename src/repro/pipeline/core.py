@@ -1206,7 +1206,7 @@ class Pipeline:
             # range lives at bit 8k) before width extraction.
             raw = forward_from.store_value >> (
                 8 * (addr - forward_from.eff_addr))
-            uop.value = self._extract_load_value(instr, raw)
+            uop.value = semantics.load_value(instr, raw)
             uop.forwarded = True
             uop.done_cycle = cycle + 1
             self.stats.load_forwards += 1
@@ -1221,21 +1221,6 @@ class Pipeline:
         if self.rse is not None:
             self.rse.on_operands(uop, cycle, (rs_val, 0))
         return True
-
-    @staticmethod
-    def _extract_load_value(instr, raw):
-        name = instr.name
-        if name == "lw":
-            return raw & MASK32
-        if name == "lh":
-            value = raw & 0xFFFF
-            return (value - 0x10000 if value & 0x8000 else value) & MASK32
-        if name == "lhu":
-            return raw & 0xFFFF
-        if name == "lb":
-            value = raw & 0xFF
-            return (value - 0x100 if value & 0x80 else value) & MASK32
-        return raw & 0xFF          # lbu
 
     # -------------------------------------------------------------- dispatch
 

@@ -7,6 +7,8 @@ direction, plus a direct-mapped BTB for targets (needed by ``jr``/
 ``jalr``, whose targets are register values unknown at fetch).
 """
 
+from repro.checkpoint import state_fields
+
 
 class BranchPredictor:
     """Direction (bimodal 2-bit counters) + target (BTB) prediction."""
@@ -28,18 +30,15 @@ class BranchPredictor:
         """Flat-table clone.  Predictor state is lists of ints/None (and
         scalar counters), so generic deepcopy's per-element dispatch is
         pure overhead on the machine-checkpoint path — copy the lists
-        wholesale instead.  Field names are cached per class (subclasses
-        like gshare add their own) and moved via getattr/setattr:
-        touching ``__dict__`` would materialise it and cost the original
-        and the clone CPython's inline-values attribute fast path on the
+        wholesale instead.  Field names come from
+        :func:`repro.checkpoint.state_fields` (cached per class, probe
+        shadows left out) and move via getattr/setattr: touching
+        ``__dict__`` would materialise it and cost the original and the
+        clone CPython's inline-values attribute fast path on the
         per-prediction hot loop."""
-        cls = type(self)
-        names = cls.__dict__.get("_COPY_FIELDS")
-        if names is None:
-            names = cls._COPY_FIELDS = tuple(self.__dict__)
-        clone = object.__new__(cls)
+        clone = object.__new__(type(self))
         memo[id(self)] = clone
-        for name in names:
+        for name in state_fields(self):
             value = getattr(self, name)
             setattr(clone, name,
                     list(value) if isinstance(value, list) else value)

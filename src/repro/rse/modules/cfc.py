@@ -24,6 +24,7 @@ Design (derived-signature monitoring, asynchronous mode):
 """
 
 from repro.isa.encoding import DecodeError, decode
+from repro.isa.semantics import branch_target, jump_target
 from repro.rse.module import ModuleMode, RSEModule
 
 #: Module number on the CHECK interface (1..4 are the paper's modules).
@@ -54,8 +55,7 @@ def build_cfg(memory, text_base, text_length):
     indirect_targets = set()
     for pc, instr in instrs.items():
         if instr.name == "jal":
-            target = ((pc + 4) & 0xF0000000) | (instr.target << 2)
-            indirect_targets.add(target)          # function entry
+            indirect_targets.add(jump_target(instr, pc))          # entry
             indirect_targets.add((pc + 4) & MASK32)          # return site
         elif instr.name == "jalr":
             indirect_targets.add((pc + 4) & MASK32)
@@ -63,11 +63,10 @@ def build_cfg(memory, text_base, text_length):
     successors = {}
     for pc, instr in instrs.items():
         if instr.iclass is InstrClass.BRANCH:
-            taken = (pc + 4 + (instr.imm << 2)) & MASK32
-            successors[pc] = frozenset({taken, (pc + 4) & MASK32})
+            successors[pc] = frozenset({branch_target(instr, pc),
+                                        (pc + 4) & MASK32})
         elif instr.name in ("j", "jal"):
-            target = ((pc + 4) & 0xF0000000) | (instr.target << 2)
-            successors[pc] = frozenset({target})
+            successors[pc] = frozenset({jump_target(instr, pc)})
         elif instr.name in ("jr", "jalr"):
             successors[pc] = None          # checked against indirect_targets
     return successors, frozenset(indirect_targets)

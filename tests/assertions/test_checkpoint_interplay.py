@@ -1,9 +1,10 @@
 """Assertions stay correct — and silent — across checkpoint/restore.
 
-The hub must suspend the engine-level shadows while the checkpoint
-layer captures (so wrapper closures never become machine state), emit
-the checkpoint/restore events, and treat the restore redirect as a
-sanctioned discontinuity rather than a contiguity violation.
+Capturing a monitored machine must leave its shadows in place and out
+of the checkpoint (wrapper closures never become machine state); the
+hub must emit the checkpoint/restore events and treat the restore
+redirect as a sanctioned discontinuity rather than a contiguity
+violation.
 """
 
 from repro.assertions.monitor import AssertionMonitor
@@ -57,8 +58,8 @@ def test_shadows_resume_after_capture(monkeypatch):
     machine = build_monitored_machine()
     machine.pipeline.run(max_cycles=400)
     machine.checkpoint()
-    # Break sw *after* the capture: if the suspended shadows were not
-    # re-installed, the dropped stores would sail past unobserved.
+    # Break sw *after* the capture: if capturing had dropped the
+    # shadows, the dropped stores would sail past unobserved.
     monkeypatch.setitem(semantics.STORE_OPS, "sw",
                         lambda memory, addr, value: None)
     machine.pipeline.run(max_cycles=5_000)

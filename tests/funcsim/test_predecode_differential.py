@@ -22,13 +22,14 @@ from tests.helpers import load_assembly, make_pipeline
 WORKLOADS = table4.workload_sources(quick=True)
 
 
-def build_sim(source, predecode_enabled, constants=None):
+def build_sim(source, predecode_enabled, constants=None, jit_enabled=False):
     asm = assemble(source, constants=constants)
     mem = MainMemory()
     mem.store_bytes(asm.text_base, asm.text)
     mem.store_bytes(asm.data_base, asm.data)
     sim = FuncSim(mem, entry=asm.entry, sp=0x7FFF0000,
-                  predecode_enabled=predecode_enabled)
+                  predecode_enabled=predecode_enabled,
+                  jit_enabled=jit_enabled)
     return sim, asm
 
 
@@ -41,10 +42,14 @@ def test_funcsim_cache_on_off_identical(workload):
     source = WORKLOADS[workload]
     ref, __ = build_sim(source, predecode_enabled=False)
     fast, __ = build_sim(source, predecode_enabled=True)
+    jit, __ = build_sim(source, predecode_enabled=True, jit_enabled=True)
     ref_result = ref.run(max_steps=2_000_000)
     fast_result = fast.run(max_steps=2_000_000)
-    assert ref_result is fast_result is StepResult.HALTED
+    jit_result = jit.run(max_steps=2_000_000)
+    assert ref_result is fast_result is jit_result is StepResult.HALTED
     assert architectural_state(ref) == architectural_state(fast)
+    assert architectural_state(ref) == architectural_state(jit)
+    assert jit.trace_cache.stats()["compiled"] > 0
 
 
 def test_step_and_run_agree_through_the_cache():

@@ -321,3 +321,49 @@ def test_stats_rejects_unrecognised_file(tmp_path):
     bogus.write_text("not json at all\n")
     with pytest.raises(SystemExit):
         main(["stats", str(bogus)])
+
+
+# ------------------------------------------------------------ error boundary
+
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("repro: error: "), err
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err, err
+
+
+def test_missing_input_file_is_one_line_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.s")
+    assert main(["run", missing]) == 2
+    assert_one_line_error(capsys, "missing.s")
+    assert main(["stats", missing]) == 2
+    assert_one_line_error(capsys, "missing.s")
+
+
+def test_malformed_program_is_one_line_error(tmp_path, capsys):
+    source = tmp_path / "bad.s"
+    source.write_text("main:\n    addi $t0, $t0\n    halt\n")
+    assert main(["run", str(source)]) == 2
+    assert_one_line_error(capsys, "addi takes 3 operands", "line 2")
+
+
+def test_foreign_campaign_store_is_one_line_error(tmp_path, capsys):
+    store = str(tmp_path / "camp.jsonl")
+    args = ["campaign", "--model", "reg-flip", "--injections", "2",
+            "--max-cycles", "20000", "--store", store]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main(args + ["--seed", "9"]) == 2
+    assert_one_line_error(capsys, "different campaign configuration")
+
+
+def test_internal_errors_keep_their_traceback(monkeypatch):
+    import repro.cli as cli
+
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "_cmd_info", broken)
+    with pytest.raises(KeyError):
+        main(["info"])

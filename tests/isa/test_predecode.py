@@ -1,9 +1,9 @@
 """The predecode layer: closure-vs-oracle equivalence and cache invalidation.
 
-The closures :func:`repro.isa.predecode.compile_instr` emits inline the
-hot opcodes by hand (bias-trick compares, baked immediates); these tests
-pin every inlined kernel to the table-driven semantics in
-:mod:`repro.isa.semantics`, which remain the single source of truth.
+The closures :func:`repro.isa.predecode.compile_instr` emits are
+generated from the templates in :mod:`repro.isa.semantics` (bias-trick
+compares, baked immediates); these tests pin them to the table
+callables next to those templates, which remain the reference.
 """
 
 import pytest

@@ -134,3 +134,33 @@ def test_attach_detach_reattach_cycle_accepts_new_kwargs():
     machine.obs.attach("commit", limit=200)
     machine.obs.detach()
     assert machine.obs.attached() == []
+
+
+def test_restore_carries_no_probe_shadows(monkeypatch):
+    """A checkpoint of a probed machine holds state, not the probes.
+
+    Every class learns its field names from the probed machine here, as
+    the first capture in a process would; restoring into a fresh machine
+    must still leave it with bare methods, and running it must drive its
+    own IOQ, not the one the capture machine's probe wrappers call into.
+    """
+    from repro import checkpoint
+
+    monkeypatch.setattr(checkpoint, "_FIELD_NAMES", {})
+    probed = build_loaded(with_rse=True)
+    probed.obs.attach("rse")
+    probed.obs.attach("mispredict")
+    probed.obs.attach("fetch_stall")
+    probed.obs.attach("sched")
+    probed.kernel.run_slice(500)
+    captured = probed.checkpoint()
+
+    fresh = build_loaded(with_rse=True)
+    fresh.restore(captured)
+    assert [attr for attr in shadowed_attrs(fresh)
+            if attr not in ("cpu_transfer", "mau_transfer")] == []
+    probed_before = probed.snapshot()["rse"]["ioq"]["allocated"]
+    fresh_before = fresh.snapshot()["rse"]["ioq"]["allocated"]
+    fresh.kernel.run_slice(300)
+    assert probed.snapshot()["rse"]["ioq"]["allocated"] == probed_before
+    assert fresh.snapshot()["rse"]["ioq"]["allocated"] > fresh_before
