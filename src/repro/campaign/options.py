@@ -28,8 +28,8 @@ class ExecutionOptions:
             unless ``shards`` says otherwise); 1 runs it in-process.
         fork: share trigger prefixes via machine checkpoints instead of
             re-simulating the warmup per injection (pure-arm models).
-        batch: False forces the pipeline's one-step()-per-cycle
-            reference loop (``--no-jit``).
+        batch: False runs the pipeline one step() per cycle
+            (``--no-jit``).
         shards: >0 routes execution through the sharded campaign
             service (:mod:`repro.campaign.service`): the injection
             space splits into that many seed-range shards with

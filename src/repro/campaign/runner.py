@@ -141,9 +141,9 @@ class CampaignContext:
 
     def __init__(self, spec, batch=True, golden=None):
         self.spec = spec
-        # Execution detail like ``fork``: batch=False forces the
-        # pipeline's one-step()-per-cycle reference loop.  Records are
-        # identical either way, so it stays out of the fingerprint.
+        # Execution detail like ``fork``: batch=False runs the
+        # pipeline one step() per cycle.  Records are identical either
+        # way, so it stays out of the fingerprint.
         self.batch = batch
         self.model = get_model(spec.model, **spec.model_options)
         if not getattr(self.model, "needs_workload", True):

@@ -39,7 +39,8 @@ ROB, the rename map and an IOQ entry; a thread shared between the
 kernel and the scheduler) resolves to one consistent clone.  Restore
 deep-copies the stored state again (so the checkpoint stays pristine)
 and grafts the fields back onto the live objects — external references
-to the machine's components remain valid across a restore.
+to the machine's components, and to its branch predictor and bus,
+remain valid across a restore.
 
 **Only what can change is copied.**  Decoded instructions
 (:class:`~repro.isa.instructions.Instr`) are immutable values whose
@@ -418,9 +419,15 @@ def _fields(obj, skip=frozenset()):
             if name not in skip}
 
 
-def _graft(obj, fields):
+def _graft(obj, fields, refill=()):
+    """Set *fields* on *obj*; the components named in *refill* (ones a
+    probe may instrument) take their clone's fields in place instead of
+    being replaced, so wrappers attached to them keep counting."""
     for key, value in fields.items():
-        setattr(obj, key, value)
+        if key in refill:
+            _graft(getattr(obj, key), _fields(value))
+        else:
+            setattr(obj, key, value)
 
 
 def _pins(machine):
@@ -509,8 +516,8 @@ def restore(machine, checkpoint):
         state = copy.deepcopy(checkpoint._state, memo)
     finally:
         _ACTIVE_PINS = None
-    _graft(machine.pipeline, state["pipeline"])
-    _graft(machine.hierarchy, state["hierarchy"])
+    _graft(machine.pipeline, state["pipeline"], refill=("predictor",))
+    _graft(machine.hierarchy, state["hierarchy"], refill=("bus",))
     _graft(machine.kernel, state["kernel"])
     rse = machine.rse
     if rse is not None:

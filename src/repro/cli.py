@@ -350,9 +350,35 @@ def _cmd_attack_demo(args):
     return 0
 
 
+def _check_attack_axes(classes, configs, engine="pipeline"):
+    """Reject attack classes and module configs the corpus does not
+    have, or that *engine* cannot run, as usage errors."""
+    from repro.security.attackgen import (ATTACK_CLASSES, FUNCSIM_CLASSES,
+                                          FUNCSIM_MODULES, parse_config)
+
+    for attack_class in classes:
+        if attack_class not in ATTACK_CLASSES:
+            raise UsageError("unknown attack class %r (have: %s)"
+                             % (attack_class, ", ".join(ATTACK_CLASSES)))
+        if engine != "pipeline" and attack_class not in FUNCSIM_CLASSES:
+            raise UsageError("attack class %r is threaded; it needs "
+                             "--engine pipeline" % attack_class)
+    for config in configs:
+        try:
+            tokens = parse_config(config)
+        except ValueError as exc:
+            raise UsageError(exc) from exc
+        unsupported = [t for t in tokens if t not in FUNCSIM_MODULES]
+        if engine != "pipeline" and unsupported:
+            raise UsageError("module config %r needs --engine pipeline "
+                             "(RSE modules: %s)"
+                             % (config, ", ".join(unsupported)))
+
+
 def _cmd_attack_run(args):
     from repro.security.attackgen import generate_variant, run_variant
 
+    _check_attack_axes((args.attack_class,), (args.config,), args.engine)
     variant = generate_variant(args.attack_class, args.seed,
                                config=args.config)
     run = run_variant(variant, max_cycles=args.max_cycles,
@@ -383,6 +409,7 @@ def _cmd_attack_matrix(args):
                if args.classes else ATTACK_CLASSES)
     configs = (tuple(t for t in args.configs.split(",") if t)
                if args.configs else DEFAULT_CONFIGS)
+    _check_attack_axes(classes, configs)
     options = None
     if args.workers > 1 or args.shards or args.store:
         from repro.campaign import ExecutionOptions
@@ -892,7 +919,7 @@ def _load_stats_file(path):
 
         header, records = ResultStore(path).load()
         return header, records
-    raise SystemExit("unrecognized stats file: %s" % path)
+    raise UsageError("unrecognized stats file: %s" % path)
 
 
 def _stats_cell(value):
@@ -1015,10 +1042,9 @@ def main(argv=None):
                             help="use the functional simulator "
                                  "(alias for --engine predecode)")
     run_parser.add_argument("--no-jit", action="store_true",
-                            help="escape hatch: force the reference "
-                                 "execution paths (per-instruction "
-                                 "closures / one-step()-per-cycle "
-                                 "pipeline loop)")
+                            help="escape hatch: per-instruction "
+                                 "closures, and one pipeline cycle per "
+                                 "step() call (no dead-cycle skips)")
     run_parser.add_argument("--icm", action="store_true",
                             help="attach the RSE with the ICM enabled")
     run_parser.add_argument("--max-cycles", type=int, default=50_000_000)
@@ -1079,9 +1105,8 @@ def main(argv=None):
     campaign_parser.add_argument("--no-jit", dest="batch",
                                  action="store_false",
                                  help="escape hatch: run every injection "
-                                      "on the pipeline's "
-                                      "one-step()-per-cycle reference "
-                                      "loop (records are identical)")
+                                      "one pipeline cycle per step() "
+                                      "call (records are identical)")
     campaign_parser.set_defaults(batch=True)
     campaign_parser.add_argument("--unprotected", action="store_true",
                                  help="run without the RSE/ICM (baseline)")

@@ -83,7 +83,7 @@ class CommitRecorder:
         pass
 
     def step(self, cycle):
-        return False          # never any work: the fused loop may skip
+        return False          # never any work: the cycle loop may skip
 
     def quiescent(self, cycle):
         return None           # no timed work

@@ -49,10 +49,10 @@ class PipelineConfig:
         #: decoded stream is bit-identical either way; False keeps the
         #: direct decode path for differential testing).
         self.predecode = predecode
-        #: Let :meth:`Pipeline.run` take the fused cycle loop, which
-        #: skips provably-dead cycles in one jump, with or without the
-        #: RSE (perf only — cycle counts, stats and events are
-        #: identical; False forces the one-step()-per-cycle loop).
+        #: Let :meth:`Pipeline.run` run its whole budget in one call of
+        #: the cycle loop, which skips provably-dead cycles in one jump,
+        #: with or without the RSE (perf only — cycle counts, stats and
+        #: events are identical; False runs one step() per cycle).
         self.batch = batch
 
     def copy(self, **overrides):

@@ -65,14 +65,14 @@ def _fault_marker(word=0):
 
 _FAULT_MARKER = _fault_marker()
 
-#: A cycle later than any the machine reaches: the fused loop's stand-in
+#: A cycle later than any the machine reaches: the cycle loop's stand-in
 #: for "no limit" and "no timer", so each is one int compare per cycle.
 _NEVER = 1 << 62
 
 
 def _every_cycle(cycle):
     """Next-event answer for an RSE stand-in without ``quiescent``: it
-    may act on any cycle, so the fused loop never skips past one."""
+    may act on any cycle, so the cycle loop never skips past one."""
     return cycle
 
 
@@ -204,9 +204,10 @@ class Pipeline:
       It must be page-granular (every address of a page gets the same
       yes or no for a kind, though a cause may name the address) and
       may change its answers, or be replaced, only between
-      :meth:`run` calls: the fused loop probes instruction fetch once
-      per page per call and reuses a yes for the rest of the call,
-      while :meth:`step` probes every fetch.
+      :meth:`run` calls: the cycle loop probes instruction fetch once
+      per page per call and reuses a yes for the rest of the call
+      (a whole :meth:`run` with ``config.batch`` on, one cycle per
+      :meth:`step` otherwise).
     """
 
     def __init__(self, memory, hierarchy, config=None, rse=None):
@@ -290,36 +291,38 @@ class Pipeline:
         """Simulate until an event occurs; returns the :class:`PipelineEvent`.
 
         Returns a ``MAX_CYCLES`` event exactly *max_cycles* cycles later
-        when no other event comes first.  With ``config.batch`` on (and
-        no per-cycle observer shadowing :meth:`step`), :meth:`_run_fast`
-        runs the cycle loop fused, with or without the RSE, and jumps
-        over provably-dead cycles with exact cycle/stat bookkeeping.
-        Any shadowed ``step`` (obs probes, :mod:`repro.assertions`,
-        tests poking per-cycle) deopts to the one-``step()``-per-cycle
-        reference loop so no observer misses a cycle.
+        when no other event comes first.  With ``config.batch`` on and
+        :meth:`step` not shadowed, one :meth:`_cycles` call runs the
+        whole budget and jumps over provably-dead cycles; otherwise
+        each cycle is one :meth:`step` call, so anything that shadows
+        ``step`` (a test observing every cycle) misses none.
         """
-        limit = None if max_cycles is None else self.cycle + max_cycles
+        limit = _NEVER if max_cycles is None else self.cycle + max_cycles
         if (self.config.batch
                 and getattr(self.step, "__func__", None) is Pipeline.step):
-            return self._run_fast(limit)
-        while True:
+            event = self._cycles(limit)
+        else:
             event = self.step()
-            if event is not None:
-                return event
-            if limit is not None and self.cycle >= limit:
-                return PipelineEvent(EventKind.MAX_CYCLES, pc=self.fetch_pc)
+            while event is None and self.cycle < limit:
+                event = self.step()
+        if event is None:
+            event = PipelineEvent(EventKind.MAX_CYCLES, pc=self.fetch_pc)
+        return event
 
-    def _run_fast(self, limit):
-        """Fused cycle loop: the batch path behind :meth:`run`.
+    def step(self):
+        """Advance one machine cycle; returns an event or None."""
+        return self._cycles(self.cycle + 1)
 
-        Runs the five phase bodies of :meth:`step` fused, with their
-        helpers inlined and hot attributes cached in locals, on every
+    def _cycles(self, limit):
+        """The cycle loop: run until an event or cycle *limit*.
+
+        Each cycle runs writeback, commit, issue, dispatch and fetch,
+        in that order, with hot attributes cached in locals, on every
         machine.  The RSE attachment points are bound methods hoisted
         once per call from the instance (so obs and assertion shadows
-        keep firing) and called in the order :meth:`step` calls them;
-        the timer and SavePage freeze windows are handled here too.  A
-        same-block I-fetch memo short-circuits the cache model for
-        straight-line runs (the block is MRU with identical
+        keep firing); the timer and SavePage freeze windows are handled
+        here too.  A same-block I-fetch memo short-circuits the cache
+        model for straight-line runs (the block is MRU with identical
         hit/latency/stats outcomes either way), and the fetch
         permission of a page, once ``mem_check`` allows it, holds for
         the rest of the call (see the ``mem_check`` contract above).
@@ -329,14 +332,12 @@ class Pipeline:
         horizon would repeat the same no-op.  The horizons are a uop's
         ``done_cycle``, the pending I-fetch, the timer, the end of a
         freeze window, *limit* and the RSE's next event
-        (:meth:`RSE.quiescent`).  The loop jumps to the nearest one,
-        replays the skipped cycles' ``fetch_stall_cycles`` and
-        ``check_wait_cycles``, and stamps the RSE with the last skipped
-        cycle.  Returns the event that ended the run.
-
-        This duplicates :meth:`step`'s semantics by design; the
-        reference stays canonical and ``tests/pipeline/test_batch.py``
-        holds the two cycle-exact.
+        (:meth:`RSE.quiescent`).  While *limit* is ahead the loop jumps
+        to the nearest one, replays the skipped cycles'
+        ``fetch_stall_cycles`` and ``check_wait_cycles``, and stamps
+        the RSE with the last skipped cycle; a one-cycle call never
+        looks.  Returns the event that ended the run, or None at
+        *limit*.
         """
         stats = self.stats
         config = self.config
@@ -400,8 +401,6 @@ class Pipeline:
         alu_latency = config.alu_latency
         mul_latency = config.mul_latency
         div_latency = config.div_latency
-        if limit is None:
-            limit = _NEVER
         pending_timer = self._pending_timer
         timer_at = self.timer_deadline
         if pending_timer or timer_at is None:
@@ -418,7 +417,7 @@ class Pipeline:
                     worked = rse is not None and rse_step(cycle)
                     cycle += 1
                     self.cycle = cycle
-                    if not worked:
+                    if not worked and cycle < limit:
                         horizon = min(frozen_until, limit)
                         if rse is not None:
                             due = rse_next(cycle)
@@ -430,8 +429,7 @@ class Pipeline:
                             if rse is not None:
                                 rse_step(cycle - 1)
                     if cycle >= limit:
-                        return PipelineEvent(EventKind.MAX_CYCLES,
-                                             pc=self.fetch_pc)
+                        return None
                     continue
                 active = False
                 event = None
@@ -443,7 +441,7 @@ class Pipeline:
                     active = True
                 rob = self.rob
                 if rob:
-                    # ---- writeback (fused _writeback) -------------------
+                    # ---- writeback --------------------------------------
                     index = 0
                     for uop in rob:
                         if uop.state == S_EXEC and uop.done_cycle <= cycle:
@@ -470,7 +468,7 @@ class Pipeline:
                                     self.fetch_enabled = not pending_timer
                                     break
                         index += 1
-                    # ---- commit (fused _commit) -------------------------
+                    # ---- commit -----------------------------------------
                     committed = 0
                     while rob and committed < commit_width:
                         uop = rob[0]
@@ -540,8 +538,9 @@ class Pipeline:
                             on_commit(uop, cycle)
                         if smc_flush:
                             # Store rewrote a page younger in-flight
-                            # instructions were decoded from; squash and
-                            # refetch, as the reference commit does.
+                            # instructions were decoded from: squash and
+                            # refetch so they re-decode what memory now
+                            # holds, as the in-order interpreter does.
                             self.flush_all()
                             self.fetch_pc = (uop.pc + 4) & MASK32
                             self.fetch_enabled = not pending_timer
@@ -567,7 +566,7 @@ class Pipeline:
                 rob_nonempty = bool(rob)
                 rob = self.rob          # commit may have swapped the list
                 fetch_buffer = self.fetch_buffer
-                # ---- issue (fused _issue/_operands_ready/_issue_alu) ----
+                # ---- issue ----------------------------------------------
                 if rob_nonempty:
                     budget = issue_width
                     alu_free = int_alus
@@ -672,7 +671,7 @@ class Pipeline:
                         budget -= 1
                     if budget != issue_width:
                         active = True
-                # ---- dispatch (fused _dispatch/_rename_sources) ---------
+                # ---- dispatch -------------------------------------------
                 if fetch_buffer:
                     dbudget = dispatch_width
                     while dbudget and fetch_buffer:
@@ -723,7 +722,7 @@ class Pipeline:
                         active = True
                         if serializing:
                             break
-                # ---- fetch (fused _fetch/_next_fetch/_decode_at) --------
+                # ---- fetch ----------------------------------------------
                 if self.fetch_enabled:
                     check_injector = self.check_injector
                     fbudget = fetch_width
@@ -831,7 +830,7 @@ class Pipeline:
                 self.cycle = cycle
                 if event is not None:
                     return event
-                if not active:
+                if not active and cycle < limit:
                     # ---- dead cycle: jump to the next horizon -----------
                     horizon = limit
                     rob = self.rob
@@ -867,226 +866,11 @@ class Pipeline:
                             # cycle stamps; replay the last one.
                             rse_step(cycle - 1)
                 if cycle >= limit:
-                    return PipelineEvent(EventKind.MAX_CYCLES,
-                                         pc=self.fetch_pc)
+                    return None
         finally:
             stats.cycles += cycle - start
 
-    # ----------------------------------------------------------------- cycle
-
-    def step(self):
-        """Advance one machine cycle; returns an event or None."""
-        cycle = self.cycle
-        event = None
-        if cycle >= self.freeze_until:
-            if (self.timer_deadline is not None and not self._pending_timer
-                    and cycle >= self.timer_deadline):
-                self._pending_timer = True
-                self.fetch_enabled = False
-            rob = self.rob
-            if rob:
-                self._writeback(cycle)
-                event = self._commit(cycle)
-            if event is None:
-                if rob:
-                    self._issue(cycle)
-                if self.fetch_buffer:
-                    self._dispatch(cycle)
-                if self.fetch_enabled:
-                    self._fetch(cycle)
-                if (self._pending_timer and not self.rob
-                        and not self.fetch_buffer):
-                    event = PipelineEvent(EventKind.TIMER, pc=self.fetch_pc)
-        if self.rse is not None:
-            self.rse.step(cycle)
-        self.cycle = cycle + 1
-        self.stats.cycles += 1
-        return event
-
-    # ------------------------------------------------------------- writeback
-
-    def _writeback(self, cycle):
-        completed = False
-        for index, uop in enumerate(self.rob):
-            if uop.state != S_EXEC or uop.done_cycle > cycle:
-                continue
-            completed = True
-            uop.state = S_DONE
-            instr = uop.instr
-            rse = self.rse
-            if rse is not None:
-                rse.on_execute(uop, cycle)
-                if instr.is_load and uop.fault is None:
-                    rse.on_mem_load(uop, cycle, uop.value)
-            if uop.actual_next is not None:
-                taken = uop.actual_next != ((uop.pc + 4) & MASK32)
-                if instr.iclass is InstrClass.BRANCH:
-                    self.predictor.update(uop.pc, taken, uop.actual_next)
-                elif instr.name in ("jr", "jalr"):
-                    self.predictor.update(uop.pc, True, uop.actual_next)
-                correct = uop.actual_next == uop.pred_next
-                self.predictor.record_hit(correct)
-                if not correct:
-                    self.stats.mispredicts += 1
-                    self._flush_younger(index)
-                    self.fetch_pc = uop.actual_next
-                    self.fetch_enabled = not self._pending_timer
-                    return True
-        return completed
-
-    # ---------------------------------------------------------------- commit
-
-    def _commit(self, cycle):
-        committed = 0
-        stats = self.stats
-        rse = self.rse
-        while self.rob and committed < self.config.commit_width:
-            uop = self.rob[0]
-            if uop.state != S_DONE:
-                break
-            instr = uop.instr
-            if instr.is_check and rse is not None:
-                gate = rse.ioq_gate(uop, cycle)
-                if gate == "wait":
-                    stats.check_wait_cycles += 1
-                    break
-                if gate == "error":
-                    module = instr.module
-                    pc = uop.pc
-                    self.flush_all()
-                    self.fetch_enabled = False
-                    return PipelineEvent(EventKind.CHECK_ERROR, pc=pc,
-                                         cause="module %d" % module, uop=uop)
-            if uop.fault is not None:
-                pc, cause = uop.fault
-                self.flush_all()
-                self.fetch_enabled = False
-                return PipelineEvent(EventKind.FAULT, pc=pc, cause=cause,
-                                     uop=uop)
-            # --- retire -----------------------------------------------------
-            smc_flush = False
-            if instr.is_store:
-                if rse is not None:
-                    stall = rse.pre_commit_store(uop, cycle)
-                    if stall:
-                        self.freeze_until = cycle + stall
-                        stats.savepage_stalls += 1
-                semantics.store_to(self.memory, instr, uop.eff_addr,
-                                   uop.store_value)
-                self.hierarchy.dstore(cycle, uop.eff_addr)
-                stats.stores += 1
-                smc_flush = self._smc_hazard(uop.eff_addr >> PAGE_SHIFT)
-            dest = instr.dest
-            if dest and uop.value is not None:
-                self.regs[dest] = uop.value
-            if dest and self.rename.get(dest) is uop:
-                del self.rename[dest]
-            self.rob.pop(0)
-            if instr.is_mem:
-                self._lsq_used -= 1
-            committed += 1
-            if instr.is_check:
-                if uop.injected:
-                    stats.committed_checks += 1
-                else:
-                    stats.committed_checks += 1
-                    stats.instret += 1
-            elif instr.iclass is InstrClass.NOP:
-                stats.committed_nops += 1
-                stats.instret += 1
-            else:
-                stats.instret += 1
-            if instr.is_load:
-                stats.loads += 1
-            if instr.is_control:
-                stats.branches += 1
-            if rse is not None:
-                rse.on_commit(uop, cycle)
-            if smc_flush:
-                # The store rewrote a page that younger in-flight
-                # instructions were decoded from (self-modifying code
-                # landing inside the fetch window).  Squash them and
-                # refetch so execution re-decodes what memory now holds,
-                # exactly like the in-order reference interpreter.
-                self.flush_all()
-                self.fetch_pc = (uop.pc + 4) & MASK32
-                self.fetch_enabled = not self._pending_timer
-                return None
-            if instr.iclass is InstrClass.SYSCALL:
-                return PipelineEvent(EventKind.SYSCALL, pc=uop.pc, uop=uop)
-            if instr.iclass is InstrClass.HALT:
-                return PipelineEvent(EventKind.HALT, pc=uop.pc, uop=uop)
-            if self.freeze_until > cycle:
-                break          # SavePage handler suspended the process
-        return None
-
     # ----------------------------------------------------------------- issue
-
-    def _issue(self, cycle):
-        config = self.config
-        budget = config.issue_width
-        alu_free = config.int_alus
-        mdu_free = config.mdus
-        mem_free = config.mem_ports
-        for index, uop in enumerate(self.rob):
-            if budget == 0:
-                break
-            if uop.state != S_WAIT:
-                continue
-            if not self._operands_ready(uop):
-                continue
-            instr = uop.instr
-            iclass = instr.iclass
-            if iclass is InstrClass.LOAD:
-                if mem_free == 0:
-                    continue
-                if not self._try_issue_load(uop, index, cycle):
-                    continue
-                mem_free -= 1
-            elif iclass is InstrClass.STORE:
-                if mem_free == 0:
-                    continue
-                self._issue_store(uop, cycle)
-                mem_free -= 1
-            elif iclass is InstrClass.MDU:
-                if mdu_free == 0:
-                    continue
-                self._issue_alu(uop, cycle)
-                mdu_free -= 1
-            else:          # ALU, branch, jump, CHECK
-                if alu_free == 0:
-                    continue
-                self._issue_alu(uop, cycle)
-                alu_free -= 1
-            budget -= 1
-        return config.issue_width - budget
-
-    def _operands_ready(self, uop):
-        producer = uop.wait_a
-        if producer is not None:
-            if producer.state != S_DONE or producer.value is None:
-                if producer.state == S_DONE and producer.value is None:
-                    # Producer faulted; operand value is undefined but the
-                    # fault will retire first, squashing this uop.
-                    uop.val_a = 0
-                    uop.wait_a = None
-                else:
-                    return False
-            else:
-                uop.val_a = producer.value
-                uop.wait_a = None
-        producer = uop.wait_b
-        if producer is not None:
-            if producer.state != S_DONE or producer.value is None:
-                if producer.state == S_DONE and producer.value is None:
-                    uop.val_b = 0
-                    uop.wait_b = None
-                else:
-                    return False
-            else:
-                uop.val_b = producer.value
-                uop.wait_b = None
-        return True
 
     def _rs_rt_values(self, uop):
         instr = uop.instr
@@ -1105,44 +889,6 @@ class Pipeline:
                 if reg == instr.rt:
                     rt_val = uop.val_b
         return rs_val, rt_val
-
-    def _issue_alu(self, uop, cycle):
-        instr = uop.instr
-        iclass = instr.iclass
-        config = self.config
-        uop.state = S_EXEC
-        uop.done_cycle = cycle + config.alu_latency
-        if iclass is InstrClass.CHECK:
-            if self.rse is not None:
-                self.rse.on_operands(uop, cycle, (uop.val_a, uop.val_b))
-            return
-        rs_val, rt_val = self._rs_rt_values(uop)
-        try:
-            if iclass is InstrClass.MDU:
-                latency = (config.mul_latency if instr.name == "mul"
-                           else config.div_latency)
-                uop.done_cycle = cycle + latency
-                uop.value = semantics.alu_result(instr, rs_val, rt_val)
-            elif iclass is InstrClass.ALU:
-                uop.value = semantics.alu_result(instr, rs_val, rt_val)
-            elif iclass is InstrClass.BRANCH:
-                taken = semantics.branch_taken(instr, rs_val, rt_val)
-                uop.actual_next = (semantics.branch_target(instr, uop.pc)
-                                   if taken else (uop.pc + 4) & MASK32)
-            elif iclass is InstrClass.JUMP:
-                if instr.dest:          # jal / jalr: link register
-                    uop.value = (uop.pc + 4) & MASK32
-                # jalr writes the link before reading the target register
-                # (the reference-interpreter order, visible when rd == rs).
-                if instr.dest and instr.dest == instr.rs:
-                    rs_val = uop.value
-                uop.actual_next = semantics.jump_target(instr, uop.pc, rs_val)
-                # An unaligned target redirects normally; the fetch unit
-                # faults at the target pc, exactly like the interpreter.
-        except semantics.ArithmeticFault:
-            uop.fault = (uop.pc, "integer divide by zero")
-        if self.rse is not None and not instr.is_check:
-            self.rse.on_operands(uop, cycle, (rs_val, rt_val))
 
     def _issue_store(self, uop, cycle):
         instr = uop.instr
@@ -1222,116 +968,15 @@ class Pipeline:
             self.rse.on_operands(uop, cycle, (rs_val, 0))
         return True
 
-    # -------------------------------------------------------------- dispatch
-
-    def _dispatch(self, cycle):
-        config = self.config
-        width = config.dispatch_width
-        budget = width
-        while budget and self.fetch_buffer:
-            if len(self.rob) >= config.rob_entries:
-                break
-            uop = self.fetch_buffer[0]
-            instr = uop.instr
-            if instr.serializing and self.rob:
-                break          # syscalls/halt dispatch into an empty ROB
-            if instr.is_mem and self._lsq_used >= config.lsq_entries:
-                break
-            self.fetch_buffer.pop(0)
-            self._rename_sources(uop)
-            self.rob.append(uop)
-            if instr.is_mem:
-                self._lsq_used += 1
-            if (instr.serializing or instr.iclass is InstrClass.NOP
-                    or instr.fmt == "FAULT"):
-                uop.state = S_DONE
-            if self.rse is not None:
-                self.rse.on_dispatch(uop, cycle)
-            budget -= 1
-            if instr.serializing:
-                break          # nothing younger may enter until it retires
-        return width - budget
-
-    def _rename_sources(self, uop):
-        srcs = uop.instr.srcs
-        rename = self.rename
-        regs = self.regs
-        if srcs:
-            reg = srcs[0]
-            producer = rename.get(reg)
-            if producer is None:
-                uop.val_a = regs[reg]
-            elif producer.state == S_DONE and producer.value is not None:
-                uop.val_a = producer.value
-            else:
-                uop.wait_a = producer
-            if len(srcs) > 1:
-                reg = srcs[1]
-                producer = rename.get(reg)
-                if producer is None:
-                    uop.val_b = regs[reg]
-                elif producer.state == S_DONE and producer.value is not None:
-                    uop.val_b = producer.value
-                else:
-                    uop.wait_b = producer
-        dest = uop.instr.dest
-        if dest:
-            rename[dest] = uop
-
     # ----------------------------------------------------------------- fetch
 
-    def _fetch(self, cycle):
-        if not self.fetch_enabled:
-            return 0
-        config = self.config
-        budget = config.fetch_width
-        fetched = 0
-        while budget and len(self.fetch_buffer) < config.fetch_buffer_entries:
-            triple = self._next_fetch(cycle)
-            if triple is None:
-                return fetched
-            pc, instr, fault_cause = triple
-            if (self.check_injector is not None
-                    and not self._injected_for_held
-                    and (fault_cause is not None or not instr.is_check)):
-                check = self.check_injector(pc, instr)
-                if check is not None:
-                    self._held = triple
-                    self._injected_for_held = True
-                    uop = Uop(self._seq, pc, check, injected=True)
-                    self._seq += 1
-                    uop.pred_next = pc          # the checked instr follows
-                    self.fetch_buffer.append(uop)
-                    budget -= 1
-                    fetched += 1
-                    continue
-            self._held = None
-            self._injected_for_held = False
-            uop = Uop(self._seq, pc, instr)
-            self._seq += 1
-            if fault_cause is not None:
-                # Poisoned fetch: precise fault at commit; stop fetching.
-                uop.fault = (pc, fault_cause)
-                uop.state = S_DONE
-                self.fetch_buffer.append(uop)
-                self.fetch_enabled = False
-                return fetched + 1
-            uop.pred_next = self._predict(pc, instr)
-            self.fetch_buffer.append(uop)
-            self.fetch_pc = uop.pred_next
-            budget -= 1
-            fetched += 1
-            if instr.serializing:
-                self.fetch_enabled = False
-                break
-        return fetched
-
     def _next_fetch(self, cycle):
-        """Produce ``(pc, instr, fault_cause)`` for the next instruction.
+        """``(pc, instr, fault_cause)`` for a fetch off the plain path.
 
-        Returns None while the fetch unit is stalled (I-cache miss).  On
-        a fetch-path fault the returned instruction is a poison marker
-        and *fault_cause* explains it.
+        That is a held instruction (its injected CHECK went first), a
+        pending I-cache miss (None, counting one stall, until it is
+        ready) or an unaligned pc (a poison marker explained by
+        *fault_cause*).
         """
         if self._held is not None:
             return self._held
@@ -1342,19 +987,7 @@ class Pipeline:
                 return None
             self._pending_fetch = None
             return self._decode_at(pc)
-        pc = self.fetch_pc
-        if pc & 3:
-            return pc, _FAULT_MARKER, "unaligned fetch"
-        if self.mem_check is not None:
-            cause = self.mem_check(pc, 4, "x")
-            if cause is not None:
-                return pc, _FAULT_MARKER, cause
-        done = self.hierarchy.ifetch(cycle, pc)
-        if done > cycle + 1:
-            self._pending_fetch = (pc, done)
-            self.stats.fetch_stall_cycles += 1
-            return None
-        return self._decode_at(pc)
+        return self.fetch_pc, _FAULT_MARKER, "unaligned fetch"
 
     def _decode_at(self, pc):
         cache = self._predecode
@@ -1373,20 +1006,6 @@ class Pipeline:
             return pc, _fault_marker(exc.word), str(exc)
         except MemoryFault as exc:
             return pc, _FAULT_MARKER, str(exc)
-
-    def _predict(self, pc, instr):
-        iclass = instr.iclass
-        if iclass is InstrClass.BRANCH:
-            if self.predictor.predict_direction(pc):
-                return semantics.branch_target(instr, pc)
-            return (pc + 4) & MASK32
-        if iclass is InstrClass.JUMP:
-            if instr.name in ("j", "jal"):
-                return semantics.jump_target(instr, pc)
-            target = self.predictor.predict_target(pc)
-            self.predictor.lookups += 1
-            return target if target is not None else (pc + 4) & MASK32
-        return (pc + 4) & MASK32
 
     # ----------------------------------------------------------------- flush
 

@@ -155,14 +155,18 @@ class IOQ:
     def free(self, seq):
         self._entries.pop(seq, None)
 
-    def pending_checks(self):
-        """CHECK entries whose module has not yet produced a result.
+    def oldest_pending_check(self):
+        """The first-allocated CHECK entry whose module has not yet
+        produced a result, or None.
 
         The shared non-CHECK entry always reads valid, so the valid bit
-        alone picks them out.
+        alone picks CHECKs out, and allocation order is alloc-cycle
+        order.
         """
-        return [entry for entry in self._entries.values()
-                if entry.effective_check_valid == 0]
+        for entry in self._entries.values():
+            if entry.effective_check_valid == 0:
+                return entry
+        return None
 
     def entries(self):
         return list(self._entries.values())

@@ -88,12 +88,13 @@ class SelfChecker:
         """Scan for overdue CHECKs; returns True when the watchdog trips."""
         if self.engine.safe_mode or cycle % self.scan_period:
             return False
-        for entry in self.engine.ioq.pending_checks():
-            if cycle - entry.alloc_cycle > self.watchdog_timeout:
-                self._trip(cycle,
-                           "no checkValid 0->1 transition within timeout "
-                           "(module makes no progress or stuck-at-0)")
-                return True
+        oldest = self.engine.ioq.oldest_pending_check()
+        if (oldest is not None
+                and cycle - oldest.alloc_cycle > self.watchdog_timeout):
+            self._trip(cycle,
+                       "no checkValid 0->1 transition within timeout "
+                       "(module makes no progress or stuck-at-0)")
+            return True
         return False
 
     def next_event(self, cycle):
@@ -101,11 +102,10 @@ class SelfChecker:
         completes first, or None while no CHECK is pending."""
         if self.engine.safe_mode:
             return None
-        pending = self.engine.ioq.pending_checks()
-        if not pending:
+        oldest = self.engine.ioq.oldest_pending_check()
+        if oldest is None:
             return None
-        oldest = min(entry.alloc_cycle for entry in pending)
-        due = max(cycle, oldest + self.watchdog_timeout + 1)
+        due = max(cycle, oldest.alloc_cycle + self.watchdog_timeout + 1)
         return -(-due // self.scan_period) * self.scan_period
 
     # ------------------------------------------------------------- tripping

@@ -60,6 +60,10 @@ ATTACK_CLASSES = ("stack-smash", "got-hijack", "smc-patch",
 #: the functional engines through :mod:`repro.security.guestos`.
 FUNCSIM_CLASSES = ("stack-smash", "got-hijack", "smc-patch")
 
+#: The module config tokens the functional engines model (through
+#: :mod:`repro.security.guestos`); the rest need the RSE.
+FUNCSIM_MODULES = ("trr", "mlr")
+
 #: Classes that attack the stack (and so model the 2004 executable stack).
 _STACK_CLASSES = ("stack-smash", "thread-smash")
 
@@ -419,7 +423,7 @@ def run_variant(variant, max_cycles=DEFAULT_MAX_CYCLES, engine="pipeline"):
         if variant.attack_class not in FUNCSIM_CLASSES:
             raise ValueError("attack class %r is threaded; it needs the "
                              "pipeline engine" % variant.attack_class)
-        unsupported = [t for t in tokens if t not in ("trr", "mlr")]
+        unsupported = [t for t in tokens if t not in FUNCSIM_MODULES]
         if unsupported:
             raise ValueError("module config %r needs the pipeline engine "
                              "(RSE modules: %s)"

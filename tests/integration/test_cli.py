@@ -316,11 +316,11 @@ def test_campaign_serve_incomplete_exits_nonzero(tmp_path, capsys):
     assert "incomplete" in capsys.readouterr().out
 
 
-def test_stats_rejects_unrecognised_file(tmp_path):
+def test_stats_rejects_unrecognised_file(tmp_path, capsys):
     bogus = tmp_path / "bogus.txt"
     bogus.write_text("not json at all\n")
-    with pytest.raises(SystemExit):
-        main(["stats", str(bogus)])
+    assert main(["stats", str(bogus)]) == 2
+    assert_one_line_error(capsys, "unrecognized stats file", "bogus.txt")
 
 
 # ------------------------------------------------------------ error boundary
@@ -356,6 +356,21 @@ def test_foreign_campaign_store_is_one_line_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(args + ["--seed", "9"]) == 2
     assert_one_line_error(capsys, "different campaign configuration")
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["run", "--class", "nosuch"], "unknown attack class 'nosuch'"),
+    (["run", "--config", "bogus"], "unknown module config token 'bogus'"),
+    (["run", "--class", "thread-smash", "--engine", "interp"],
+     "'thread-smash' is threaded"),
+    (["run", "--config", "icm", "--engine", "interp"],
+     "module config 'icm' needs --engine pipeline"),
+    (["matrix", "--classes", "nosuch"], "unknown attack class 'nosuch'"),
+    (["matrix", "--configs", "bogus"], "unknown module config token"),
+])
+def test_bad_attack_input_is_one_line_error(capsys, argv, fragment):
+    assert main(["attack"] + argv) == 2
+    assert_one_line_error(capsys, fragment)
 
 
 def test_internal_errors_keep_their_traceback(monkeypatch):

@@ -164,3 +164,26 @@ def test_restore_carries_no_probe_shadows(monkeypatch):
     fresh.kernel.run_slice(300)
     assert probed.snapshot()["rse"]["ioq"]["allocated"] == probed_before
     assert fresh.snapshot()["rse"]["ioq"]["allocated"] > fresh_before
+
+
+def test_restore_keeps_predictor_and_bus_probes():
+    """Restore refills the live predictor and bus in place, so the
+    ``mispredict`` and ``bus`` probes attached before it keep counting:
+    a machine restored onto its own checkpoint counts what an
+    unrestored run counts."""
+    def counts(restore):
+        image, __ = kmeans.program(pattern_count=60, iterations=2)
+        machine = build_machine()
+        machine.kernel.load_process(image)
+        machine.obs.attach("mispredict")
+        machine.obs.attach("bus")
+        assert machine.kernel.run(max_cycles=4_000).reason == "max_cycles"
+        if restore:
+            machine.restore(machine.checkpoint())
+        run_to_halt(machine)
+        metrics = machine.snapshot()["obs"]["metrics"]
+        return (machine.pipeline.cycle,
+                metrics["pipeline.mispredict_events"]["value"],
+                metrics["bus.cpu_wait"]["count"])
+
+    assert counts(restore=True) == counts(restore=False)

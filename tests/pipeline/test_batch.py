@@ -1,20 +1,26 @@
-"""Batch fast-path vs reference loop: cycle-exact equivalence.
+"""Batch vs stepped driver of the one cycle loop: cycle-exact equivalence.
 
-``PipelineConfig(batch=True)`` lets :meth:`Pipeline.run` execute a
-fused copy of the cycle loop and jump over provably-dead cycles, with
-or without the RSE attached.  The contract is *identity*: events,
-cycle counts, architectural state, every stats counter and the whole
-``rse`` snapshot section must equal the one-``step()``-per-cycle
-reference loop.  These tests compare complete fingerprints across the
-Table 4 quick workloads on both cache geometries, the paper's protected
-configurations (framework, ICM, MLR, DDT, AHBM), and every edge that
-interacts with the fast path: the timer, ``mem_check`` faults,
-self-modifying code, CHECK errors and the self-checker's watchdog.
+:meth:`Pipeline.run` drives the cycle loop in one of two ways.  With
+``PipelineConfig(batch=True)`` one call runs the whole budget; with
+``batch=False`` (or a shadowed ``step``) each cycle is one
+:meth:`Pipeline.step` call, which runs the same loop for one cycle.
+They differ only in what a call spanning many cycles may do: jump over
+provably-dead cycles (replaying their fetch stalls and CHECK waits),
+keep the same-block I-fetch memo across cycles, and reuse a page's
+fetch permission.  The contract is *identity*: events, cycle counts,
+architectural state, every stats counter and the whole ``rse``
+snapshot section must be equal.  These tests compare complete
+fingerprints across the Table 4 quick workloads on both cache
+geometries, seeded generated programs, the paper's protected
+configurations (framework, ICM, MLR, DDT, AHBM), and every edge a skip
+or the memo meets: the timer, ``mem_check`` faults, self-modifying
+code, CHECK errors and the self-checker's watchdog.
 """
 
 import pytest
 
 from repro.campaign.runner import build_campaign_machine
+from repro.difftest import generator
 from repro.difftest.oracle import CommitRecorder
 from repro.experiments import fig9, table4
 from repro.isa.assembler import assemble
@@ -547,3 +553,44 @@ main:
     assert prints[True]["savepage_stalls"] == 1
     assert prints[True]["acted"] == [tap.event_at]
     assert_identical(prints)
+
+
+# ------------------------------------------------- generated programs
+
+GENERATED_CACHES = (("fig1", None), ("scaled", table4.scaled_cache_configs()))
+
+
+def test_generated_programs_are_cycle_exact():
+    # Seeded difftest programs (ALU, divides that fault, forwarding,
+    # branches, jal/jr/jalr, CHECKs, self-modifying code) on the bare
+    # core, on the Figure 1 caches and on the scaled il1 whose misses
+    # exercise the I-fetch memo.
+    failed = []
+    for name, caches in GENERATED_CACHES:
+        for seed in range(200):
+            source = generator.generate(seed, "all").source
+            prints = run_pair(source, max_cycles=100_000,
+                              cache_configs=caches)
+            if prints[True] != prints[False]:
+                failed.append((name, seed))
+    assert not failed, failed
+
+
+def test_generated_programs_on_the_framework_are_cycle_exact():
+    # The same through the kernel on an RSE machine, comparing the rse
+    # section too.  Mode "check": the kernel maps text r-x, so the
+    # self-modifying idioms would stop at their first store.
+    failed = []
+    for name, caches in GENERATED_CACHES:
+        for seed in range(100):
+            image, __ = build_workload_image(
+                generator.generate(seed, "check").source, MemoryLayout())
+
+            def run(build):
+                machine = build(with_rse=True, cache_configs=caches)
+                machine.run_program(image, max_cycles=100_000)
+
+            prints = paired(run)
+            if prints[True] != prints[False]:
+                failed.append((name, seed))
+    assert not failed, failed
