@@ -57,7 +57,10 @@ class FuncSimAdapter:
     precomputes an *independent* next-pc from the semantics tables
     (``derived_next``) plus the jump operands, runs the bare step, and
     emits retire/store/jump events only when the instruction actually
-    retired.  ``run`` is overridden with a plain step loop so the hot
+    retired.  A step that starts away from where the last one left the
+    pc was moved by the platform (the kernel switching threads on a
+    :class:`~repro.funcsim.core.FunctionalCore`) and first emits a
+    redirect.  ``run`` is overridden with a plain step loop so the hot
     closure-cache path goes through the instrumented ``step``.  Stores
     are observed through the existing ``trace_mem`` hook, which both
     the reference ``_execute`` path and the predecode closures call —
@@ -91,6 +94,8 @@ class FuncSimAdapter:
         retire_handlers = monitor.handlers("retire")
         store_handlers = monitor.handlers("store")
         jump_handlers = monitor.handlers("jump")
+        redirect_handlers = monitor.handlers("redirect")
+        left_at = [sim.pc]          # the pc the last step left behind
 
         prev_trace = sim.trace_mem
 
@@ -107,6 +112,9 @@ class FuncSimAdapter:
             if sim.halted:
                 return orig_step()
             pc = sim.pc
+            if pc != left_at[0]:
+                for handler in redirect_handlers:
+                    handler(pc)
             instr = self._peek(pc)
             if instr is None:          # fetch/decode fault: nothing retires
                 return orig_step()
@@ -130,6 +138,7 @@ class FuncSimAdapter:
                 derived = (pc + 4) & MASK32
             del pending[:]
             result = orig_step()
+            left_at[0] = sim.pc
             if result is StepResult.FAULT:
                 del pending[:]
                 return result

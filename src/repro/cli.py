@@ -120,67 +120,75 @@ def _read_input(path):
 
 
 def _cmd_run(args):
-    from repro.funcsim import FuncSim
-    from repro.memory.mainmem import MainMemory
     from repro.program.layout import MemoryLayout
     from repro.rse.check import MODULE_ICM
     from repro.rse.modules.icm import build_checker_memory, make_icm_injector
     from repro.system import build_machine
-    from repro.workloads.asmlib import build_workload_image, std_constants
+    from repro.workloads.asmlib import build_workload_image
 
     source = _read_input(args.file)
 
     engine = args.engine or ("predecode" if args.func else "pipeline")
     if args.func and engine == "pipeline":
         raise UsageError("--func contradicts --engine pipeline")
+    image, __ = build_workload_image(source, MemoryLayout())
 
     if engine != "pipeline":
-        from repro.isa.assembler import assemble
+        from repro.funcsim.core import FunctionalCore
+        from repro.kernel import Kernel
+        from repro.memory.mainmem import MainMemory
 
         if args.stats_json:
             raise UsageError("--stats-json needs the full machine "
                              "(use --engine pipeline)")
-        asm = assemble(source, constants=std_constants())
         memory = MainMemory()
-        memory.store_bytes(asm.text_base, asm.text)
-        memory.store_bytes(asm.data_base, asm.data)
-        sim = FuncSim(memory, entry=asm.entry, sp=0x7FFF0000,
-                      predecode_enabled=(engine != "interp"),
-                      jit_enabled=(engine == "jit" and not args.no_jit))
+        core = FunctionalCore(memory, "predecode"
+                              if engine == "jit" and args.no_jit
+                              else engine)
+        kernel = Kernel(core, memory)
+        kernel.load_process(image)
+        sim = core.sim
         adapter = None
         if args.with_assertions:
             from repro.assertions import attach_funcsim
 
             adapter = attach_funcsim(sim)
-        result = sim.run(max_steps=args.max_cycles)
+        result = kernel.run(max_cycles=args.max_cycles)
         violations = []
         if adapter is not None:
             adapter.detach()          # runs the end-of-run sweeps
             violations = adapter.monitor.violations
+        halted = result.reason in ("halt", "all_exited")
+        status = "halted" if halted else result.reason
+        fault = kernel.faults[-1][1:] if kernel.faults else None
+        output = [value for __, value in kernel.output]
         if args.json:
             payload = {"mode": "functional", "engine": engine,
-                       "result": result.value,
+                       "result": status,
                        "instret": sim.instret,
-                       "fault": ("pc=0x%08x %s" % sim.fault
-                                 if sim.fault else None)}
+                       "fault": ("pc=0x%08x %s" % fault
+                                 if fault else None),
+                       "output": output}
             if sim.trace_cache is not None:
                 payload["trace_cache"] = sim.trace_cache.stats()
             if args.with_assertions:
                 payload["assertions"] = adapter.monitor.snapshot()
             emit_json(payload)
-            return 1 if violations else 0
+            return 0 if halted and not violations else 1
         print("functional run (%s): %s after %d instructions"
-              % (engine, result.value, sim.instret))
+              % (engine, status, sim.instret))
         if sim.trace_cache is not None:
             stats = sim.trace_cache.stats()
             print("trace JIT: %d traces live, %d compiled, "
                   "%d invalidated, %d deopt runs"
                   % (stats["traces_live"], stats["compiled"],
                      stats["invalidated"], stats["deopt_runs"]))
-        if sim.fault:
-            print("fault: pc=0x%08x %s" % sim.fault)
+        for value in output:
+            print("guest output: %s" % value)
+        if fault:
+            print("fault: pc=0x%08x %s" % fault)
         _print_violations(violations, args.with_assertions)
-        return 1 if violations else 0
+        return 0 if halted and not violations else 1
 
     from repro.pipeline.config import PipelineConfig
 
@@ -188,7 +196,6 @@ def _cmd_run(args):
                             modules=("icm",) if args.icm else (),
                             pipeline_config=(PipelineConfig(batch=False)
                                              if args.no_jit else None))
-    image, asm = build_workload_image(source, MemoryLayout())
     machine.kernel.load_process(image)
     if args.with_assertions:
         machine.assertions.attach()
@@ -820,22 +827,19 @@ def _cmd_disasm(args):
 
 
 def _cmd_trace(args):
-    from repro.obs.tracer import trace_functional
-    from repro.isa.assembler import assemble
-    from repro.memory.mainmem import MainMemory
-    from repro.workloads.asmlib import std_constants
+    from repro.obs.tracer import trace_process
+    from repro.program.layout import MemoryLayout
+    from repro.workloads.asmlib import build_workload_image
 
     source = _read_input(args.file)
-    asm = assemble(source, constants=std_constants())
-    memory = MainMemory()
-    memory.store_bytes(asm.text_base, asm.text)
-    memory.store_bytes(asm.data_base, asm.data)
-    entries, sim = trace_functional(memory, asm.entry,
-                                    max_steps=args.max_steps)
+    image, __ = build_workload_image(source, MemoryLayout())
+    entries, kernel = trace_process(image, max_steps=args.max_steps)
     for entry in entries:
         print(entry.render())
-    if sim.fault:
-        print("fault: pc=0x%08x %s" % sim.fault)
+    for __, value in kernel.output:
+        print("guest output: %s" % value)
+    for __, pc, cause in kernel.faults:
+        print("fault: pc=0x%08x %s" % (pc, cause))
     return 0
 
 

@@ -8,6 +8,10 @@ speculation, just architectural semantics.  It serves three roles:
 * fast workload validation (the kMeans / vpr surrogates are checked for
   algorithmic correctness here before being timed on the pipeline);
 * substrate for purely functional RSE experiments.
+
+:class:`~repro.funcsim.core.FunctionalCore` puts a :class:`FuncSim`
+under the kernel (:mod:`repro.kernel`) for guest programs that need an
+OS: loading, page permissions, syscalls and threads.
 """
 
 from repro.funcsim.interp import FuncSim, SimFault, StepResult

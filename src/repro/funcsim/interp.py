@@ -53,14 +53,15 @@ class FuncSim:
       by functional DDT experiments.
     * ``fetch_check(pc) -> error | None`` — instruction-fetch permission
       check, consulted whenever a pc is (re)decoded: every step on the
-      reference interpreter, and at predecode-cache refill otherwise.
-      Refill-time checking has ITLB-fill semantics: a pc already cached
-      for the current page version is not re-checked until a store to
-      its page bumps the write version (which also forces a re-decode).
-      Attaching it disables trace-JIT dispatch for the run — traces
-      splice blocks past the refill points the check lives at — exactly
-      like the documented ``trace_mem`` deopt.  A non-None return is an
-      architectural fault with that cause.
+      reference interpreter, at predecode-cache refill otherwise, and
+      before the trace JIT builds or rebuilds a trace at its head.  It
+      must be page-granular (every pc of a page gets the same answer):
+      a trace never leaves its head's page, so the head's check covers
+      every instruction it runs.  Refill-time checking has ITLB-fill
+      semantics: a pc already cached (or traced) for the current page
+      version is not re-checked until a store to its page bumps the
+      write version (which also forces a re-decode).  A non-None
+      return is an architectural fault with that cause.
     """
 
     def __init__(self, memory, entry=0, sp=0, gp=0, syscall_handler=None,
@@ -179,11 +180,10 @@ class FuncSim:
         if self.halted:
             return StepResult.HALTED
         if self._traces is not None:
-            if self.trace_mem is None and self.fetch_check is None:
+            if self.trace_mem is None:
                 return self._run_traced(max_steps)
-            # Per-instruction telemetry or a fetch-permission check is
-            # attached: traces would skip its events / splice past its
-            # refill points, so this run executes closure-at-a-time.
+            # Per-instruction telemetry is attached: traces would skip
+            # its events, so this run executes closure-at-a-time.
             self._traces.deopt_runs += 1
         return self._run_predecode(max_steps)
 
@@ -278,11 +278,11 @@ class FuncSim:
         remaining step budget, fault/halt/syscall/CHECK stop points sync
         pc/instret exactly as the closure loop does, and any condition a
         trace cannot honour (stale page version, serializing
-        instruction, mid-run attach of ``trace_mem``) falls back to the
-        per-instruction closures.  ``probe`` limits trace-cache lookups
-        and heat accounting to control-transfer targets, so traces are
-        anchored at block heads instead of rotating through every pc of
-        a straight-line run.
+        instruction, a head ``fetch_check`` refuses, mid-run attach of
+        ``trace_mem``) falls back to the per-instruction closures.
+        ``probe`` limits trace-cache lookups and heat accounting to
+        control-transfer targets, so traces are anchored at block heads
+        instead of rotating through every pc of a straight-line run.
         """
         trace_cache = self._traces
         tentries_get = trace_cache.entries.get
@@ -293,6 +293,7 @@ class FuncSim:
         entries_get = self._cache.entries.get
         refill = self._cache.refill
         versions_get = self.memory.write_versions.get
+        fetch_check = self.fetch_check
         arith_fault = semantics.ArithmeticFault
         halt_marker = predecode.HALT
         syscall_marker = predecode.SYSCALL
@@ -304,16 +305,21 @@ class FuncSim:
         probe = True
         while budget > 0:
             if probe:
+                # A head the fetch check refuses gets no trace; the
+                # fallback below faults at its refill, as predecode does.
                 tentry = tentries_get(pc)
                 if tentry is None:
                     hits = heat_get(pc, 0) + 1
                     if hits >= heat_threshold:
                         heat.pop(pc, None)
-                        tentry = trace_cache.build(pc)
+                        if fetch_check is None or not fetch_check(pc):
+                            tentry = trace_cache.build(pc)
                     else:
                         heat[pc] = hits
                 elif versions_get(tentry[4], 0) != tentry[0]:
-                    tentry = trace_cache.rebuild(pc)
+                    tentry = (trace_cache.rebuild(pc)
+                              if fetch_check is None or not fetch_check(pc)
+                              else None)
                 if tentry is not None:
                     fn = tentry[1]
                     if fn is not None and tentry[2] <= budget:
@@ -342,6 +348,12 @@ class FuncSim:
             # plus retire logging and re-probe at control transfers.
             entry = entries_get(pc)
             if entry is None or versions_get(pc >> PAGE_SHIFT, 0) != entry[0]:
+                if fetch_check is not None:
+                    err = fetch_check(pc)
+                    if err:
+                        self.pc = pc
+                        self.instret += n
+                        return self._fault(pc, err)
                 try:
                     entry = refill(pc)
                 except (MemoryFault, DecodeError) as exc:

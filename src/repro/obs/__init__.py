@@ -23,6 +23,7 @@ from repro.obs.tracer import (
     TraceEntry,
     attach_commit_tracer,
     trace_functional,
+    trace_process,
 )
 
 __all__ = [
@@ -30,5 +31,5 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "PROBES", "Probe",
     "CycleTracer", "CommitTracer", "TraceEntry",
-    "attach_commit_tracer", "trace_functional",
+    "attach_commit_tracer", "trace_functional", "trace_process",
 ]

@@ -7,8 +7,9 @@ Two levels of tracing live here:
   arbitration, RSE check/error events, kernel scheduling.  Bounded by a
   ``deque(maxlen=...)`` so a long run costs O(capacity) memory; the
   drop count is derivable (``emitted - buffered``) and exported.
-* guest-program tracers — :func:`trace_functional` (architectural
-  instruction trace on the functional simulator) and
+* guest-program tracers — :func:`trace_functional` and
+  :func:`trace_process` (architectural instruction traces on the
+  functional simulator, bare or under the kernel) and
   :class:`CommitTracer` (an RSE observer module recording the pipeline's
   retirement stream).
 """
@@ -16,8 +17,12 @@ Two levels of tracing live here:
 import json
 from collections import deque
 
+from repro.funcsim.core import FunctionalCore
 from repro.funcsim.interp import FuncSim
+from repro.isa.encoding import DecodeError, decode
 from repro.isa.registers import reg_name
+from repro.kernel import Kernel
+from repro.memory.mainmem import MainMemory, MemoryFault
 from repro.rse.module import ModuleMode, RSEModule
 
 DEFAULT_CAPACITY = 65536
@@ -106,35 +111,82 @@ class TraceEntry:
         return line.rstrip()
 
 
-def trace_functional(memory, entry, sp=0x7FFF0000, max_steps=10_000,
-                     syscall_handler=None):
-    """Run a program on the functional simulator, recording every step.
+def _record_steps(sim, entries):
+    """Shadow ``sim.step`` so each step appends one :class:`TraceEntry`.
 
-    Returns ``(entries, sim)``; each entry carries the disassembly and
-    the architectural register writes it performed.
+    ``step`` is predeclared as an instance attribute in
+    :class:`FuncSim`, so the shadow is a plain value assignment.
+    Returns a callable that re-reads the last entry's register writes,
+    for results that land after its step (a kernel's syscall handler).
     """
-    from repro.isa.encoding import DecodeError, decode
-    from repro.memory.mainmem import MemoryFault
+    bare_step = sim.step
+    before = []
 
-    sim = FuncSim(memory, entry=entry, sp=sp,
-                  syscall_handler=syscall_handler)
-    entries = []
-    for index in range(max_steps):
+    def writes():
+        return tuple((reg, value) for reg, value in enumerate(sim.regs)
+                     if value != before[reg])
+
+    def step():
         pc = sim.pc
         try:
-            instr = decode(memory.load_word(pc))
-            text = instr.disassemble()
+            text = decode(sim.memory.load_word(pc)).disassemble()
         except (DecodeError, MemoryFault) as exc:
             text = "<fetch fault: %s>" % exc
-            instr = None
-        before = list(sim.regs)
-        result = sim.step()
-        writes = tuple((reg, sim.regs[reg]) for reg in range(32)
-                       if sim.regs[reg] != before[reg])
-        entries.append(TraceEntry(index, pc, text, writes))
-        if result.value != "ok":
-            break
+        before[:] = sim.regs
+        result = bare_step()
+        entries.append(TraceEntry(len(entries), pc, text, writes()))
+        return result
+
+    def reread_last():
+        entries[-1].reg_writes = writes()
+
+    sim.step = step
+    return reread_last
+
+
+def trace_functional(memory, entry, sp=0x7FFF0000, max_steps=10_000):
+    """Run a bare program (no OS) on the interpreter, recording every step.
+
+    Returns ``(entries, sim)``; each entry carries the disassembly and
+    the architectural register writes it performed.  A ``syscall`` has
+    no handler here: trace a program that needs an OS with
+    :func:`trace_process`.
+    """
+    sim = FuncSim(memory, entry=entry, sp=sp, predecode_enabled=False)
+    entries = []
+    _record_steps(sim, entries)
+    sim.run(max_steps)
     return entries, sim
+
+
+def trace_process(image, max_steps=10_000):
+    """Run *image* as a process under the kernel, recording every step.
+
+    The kernel (:mod:`repro.kernel`) loads the image and serves its
+    syscalls and threads on an ``interp``
+    :class:`~repro.funcsim.core.FunctionalCore`, which records one
+    entry per instruction up to *max_steps*; a syscall's entry shows
+    the registers its handler wrote.  Returns ``(entries, kernel)``.
+    """
+    memory = MainMemory()
+    core = FunctionalCore(memory, "interp")
+    kernel = Kernel(core, memory)
+    kernel.load_process(image)
+    entries = []
+    reread_last = _record_steps(core.sim, entries)
+    handle_syscall = kernel._handle_syscall
+
+    def handle_and_record(event):
+        handle_syscall(event)
+        reread_last()          # core.regs are still the caller's here
+
+    kernel._handle_syscall = handle_and_record
+    # A cycle retires at most one instruction, so a slice budgeted with
+    # the entries still owed never overshoots *max_steps*.
+    while len(entries) < max_steps:
+        if kernel.run(max_steps - len(entries)).reason != "max_cycles":
+            break
+    return entries, kernel
 
 
 class CommitTracer(RSEModule):

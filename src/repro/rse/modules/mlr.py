@@ -22,7 +22,8 @@ I10   OP_MLR_WRITE_PLT    copy PLT into the PLT buffer, rewrite every
 
 All memory traffic goes through the framework's MAU.  The entropy source
 is the clock cycle counter, exactly as in Figure 3(B); tests may inject
-a deterministic source.
+a deterministic source.  :class:`FunctionalMLR` performs the same
+operations synchronously for the functional engines, which have no RSE.
 """
 
 from repro.memory.mainmem import PAGE_SIZE
@@ -34,6 +35,8 @@ from repro.program.layout import (
 )
 from repro.rse.check import (
     MODULE_MLR,
+    OP_DISABLE,
+    OP_ENABLE,
     OP_MLR_COPY_GOT,
     OP_MLR_EXEC_HDR,
     OP_MLR_GOT_NEW,
@@ -258,3 +261,58 @@ class MLR(RSEModule):
         """The cycle the rewritten PLT's store is due, if one is pending."""
         pending = self._pending_store
         return None if pending is None else pending[0]
+
+
+class FunctionalMLR:
+    """The MLR CHECK operations done synchronously, for the functional
+    engines (install :meth:`chk` as a ``FuncSim`` CHECK handler).
+
+    Mirrors :class:`MLR`: the same header parse, entropy derivation, GOT
+    copy and PLT rewrite, with no MAU and no latency.  The entropy comes
+    from *core*'s cycle counter (a
+    :class:`~repro.funcsim.core.FunctionalCore` counts retired
+    instructions plus kernel-charged cycles), so the offsets differ from
+    the pipeline's; the outcomes cannot.
+    """
+
+    def __init__(self, core):
+        self.core = core
+        self.enabled = False
+        # Latched CHECK parameters (Figure 3(B) registers).
+        self.hdr_addr = self.hdr_size = 0
+        self.got_old = self.got_size = self.got_new = 0
+        self.plt_addr = self.plt_size = 0
+
+    def chk(self, sim, instr):
+        if instr.module != MODULE_MLR:
+            return
+        op = instr.op
+        if op in (OP_ENABLE, OP_DISABLE):
+            self.enabled = op == OP_ENABLE
+            return
+        if not self.enabled:
+            return
+        memory = self.core.memory
+        a0, a1 = sim.regs[4], sim.regs[5]
+        if op == OP_MLR_EXEC_HDR:
+            self.hdr_addr, self.hdr_size = a0, a1
+        elif op == OP_MLR_GOT_OLD:
+            self.got_old, self.got_size = a0, a1
+        elif op == OP_MLR_GOT_NEW:
+            self.got_new = a0
+        elif op == OP_MLR_PLT_INFO:
+            self.plt_addr, self.plt_size = a0, a1
+        elif op == OP_MLR_PI_RAND:
+            header = ExecutableHeader.unpack(
+                memory.load_bytes(self.hdr_addr, self.hdr_size or 64))
+            __, results = randomize_bases(header, self.core.cycle,
+                                          cycle_counter_entropy)
+            memory.store_bytes(self.hdr_addr + MLR_RESULT_SHLIB, results)
+        elif op == OP_MLR_COPY_GOT:
+            memory.store_bytes(self.got_new, memory.load_bytes(
+                self.got_old, self.got_size))
+        elif op == OP_MLR_WRITE_PLT:
+            rewritten, __ = rewrite_plt(
+                memory.load_bytes(self.plt_addr, self.plt_size),
+                (self.got_new - self.got_old) & MASK32)
+            memory.store_bytes(self.plt_addr, rewritten)

@@ -10,14 +10,15 @@ provides that attacker:
   layout;
 * :mod:`repro.security.trr`     — the host-side Transparent Runtime
   Randomization baseline (the authors' earlier software system);
-* :mod:`repro.security.guestos` — the minimal guest runtime that runs
-  security workloads on the functional engines with the same fetch
-  protection and CHECK semantics as the kernel/pipeline path;
 * :mod:`repro.security.attackgen` — the seeded generative attack
   corpus (randomized stack smashes, GOT hijacks, self-modifying
   payloads, malicious threads, TOCTOU races) and its campaign model;
 * :mod:`repro.security.coverage` — the module × attack-class
   detection-coverage matrix with Wilson confidence intervals.
+
+Every attack runs under :class:`repro.kernel.Kernel`: on the pipeline
+engine the full machine's, on interp/predecode/jit the same kernel
+over a :class:`~repro.funcsim.core.FunctionalCore`.
 """
 
 from repro.security.trr import trr_randomize_layout

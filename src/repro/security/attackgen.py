@@ -44,11 +44,11 @@ from repro.security.attacks import (
     _MLR_PROLOGUE,
     PWNED_MARKER,
     AttackOutcome,
+    _attack_kernel,
     _classify,
-    _make_stack_executable,
+    _run_attack,
 )
 from repro.security.trr import trr_randomize_layout
-from repro.system import build_machine
 from repro.workloads import vulnsvc
 from repro.workloads.asmlib import build_workload_image
 
@@ -56,12 +56,14 @@ from repro.workloads.asmlib import build_workload_image
 ATTACK_CLASSES = ("stack-smash", "got-hijack", "smc-patch",
                   "thread-smash", "race-got")
 
-#: Classes whose programs are single-threaded and therefore runnable on
-#: the functional engines through :mod:`repro.security.guestos`.
+#: Classes the functional engines run (under the same kernel, see
+#: :func:`repro.security.attacks._attack_kernel`): the single-threaded
+#: ones.  A malicious thread's stray store under TRR is stopped by a
+#: data-access fault, which engines that check only fetch never raise.
 FUNCSIM_CLASSES = ("stack-smash", "got-hijack", "smc-patch")
 
-#: The module config tokens the functional engines model (through
-#: :mod:`repro.security.guestos`); the rest need the RSE.
+#: The module config tokens the functional engines model (TRR is a
+#: layout, the MLR a synchronous CHECK model); the rest need the RSE.
 FUNCSIM_MODULES = ("trr", "mlr")
 
 #: Classes that attack the stack (and so model the 2004 executable stack).
@@ -378,34 +380,30 @@ def generate_variant(attack_class, seed, config="none"):
 
 # -------------------------------------------------------------- execution
 
-def _build_config_machine(variant, tokens):
-    """Machine with the requested RSE modules attached and configured."""
-    module_names = tuple(token for token in tokens
-                         if token in ("icm", "mlr", "ddt", "cfc"))
-    machine = build_machine(with_rse=bool(module_names),
-                            modules=module_names)
-    machine.kernel.load_process(variant.image)
-    if variant.attack_class in _STACK_CLASSES:
-        _make_stack_executable(machine.kernel, variant.layout)
-    asm = variant.asm
-    if "icm" in module_names:
+def _build_config_machine(machine, asm, modules):
+    """Finish a module config's machine once the program is loaded:
+    point the RSE modules that watch the program at its text.
+
+    "mlr" needs nothing here: the variant's defense prologue issues the
+    CHECK sequence itself, exactly like a real MLR-aware loader.  So a
+    functional engine, whose configs hold only trr and mlr, passes no
+    machine.
+    """
+    if "icm" in modules:
         icm = machine.module(MODULE_ICM)
         checker_map = build_checker_memory(machine.memory, asm.text_base,
                                            len(asm.text))
         icm.configure(checker_map)
         machine.rse.enable_module(MODULE_ICM)
         machine.pipeline.check_injector = make_icm_injector(checker_map)
-    if "cfc" in module_names:
+    if "cfc" in modules:
         cfc = machine.module(MODULE_CFC)
         cfc.configure(*build_cfg(machine.memory, asm.text_base,
                                  len(asm.text)))
         machine.rse.enable_module(MODULE_CFC)
-    if "ddt" in module_names:
+    if "ddt" in modules:
         from repro.rse.check import MODULE_DDT
         machine.rse.enable_module(MODULE_DDT)
-    # "mlr" is guest-enabled: the variant's defense prologue issues the
-    # CHECK sequence itself, exactly like a real MLR-aware loader.
-    return machine
 
 
 def run_variant(variant, max_cycles=DEFAULT_MAX_CYCLES, engine="pipeline"):
@@ -413,13 +411,11 @@ def run_variant(variant, max_cycles=DEFAULT_MAX_CYCLES, engine="pipeline"):
 
     ``engine="pipeline"`` is the full machine (required for module
     configurations beyond none/trr/mlr and for the threaded classes);
-    the functional engines run single-threaded variants through
-    :mod:`repro.security.guestos` and must classify identically.
+    the functional engines run single-threaded variants under the same
+    kernel and must classify identically.
     """
     tokens = parse_config(variant.config)
     if engine != "pipeline":
-        from repro.security import guestos
-
         if variant.attack_class not in FUNCSIM_CLASSES:
             raise ValueError("attack class %r is threaded; it needs the "
                              "pipeline engine" % variant.attack_class)
@@ -428,20 +424,19 @@ def run_variant(variant, max_cycles=DEFAULT_MAX_CYCLES, engine="pipeline"):
             raise ValueError("module config %r needs the pipeline engine "
                              "(RSE modules: %s)"
                              % (variant.config, ", ".join(unsupported)))
-        run = guestos.run_image(
-            variant.image, engine, max_steps=max_cycles,
-            exec_stack=variant.attack_class in _STACK_CLASSES)
-        memory = run.sim.memory
-        flag = memory.load_word(variant.asm.symbols["secret_flag"])
-        done = memory.load_word(variant.asm.symbols["service_done"])
-        outcome = _classify(flag, run.reason, done)
-        return AttackRun(variant, outcome, run.reason, 0, run.sim.instret)
+    modules = tuple(token for token in tokens if token != "trr")
+    kernel, machine = _attack_kernel(engine, modules)
 
-    machine = _build_config_machine(variant, tokens)
-    result = machine.kernel.run(max_cycles=max_cycles)
-    flag = machine.memory.load_word(variant.asm.symbols["secret_flag"])
-    done = machine.memory.load_word(variant.asm.symbols["service_done"])
-    detections = len(machine.kernel.detections)
+    def plant(kernel):
+        _build_config_machine(machine, variant.asm, modules)
+
+    stack_layout = (variant.layout
+                    if variant.attack_class in _STACK_CLASSES else None)
+    result = _run_attack(kernel, variant.image, max_cycles, stack_layout,
+                         plant)
+    flag = kernel.memory.load_word(variant.asm.symbols["secret_flag"])
+    done = kernel.memory.load_word(variant.asm.symbols["service_done"])
+    detections = len(kernel.detections)
     if result.reason == "check_error":
         detections = max(detections, 1)
     if "cfc" in tokens:

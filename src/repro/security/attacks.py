@@ -23,11 +23,13 @@ GOT hijack writes to abandoned memory and is foiled outright.
 
 import enum
 
+from repro.funcsim.core import FunctionalCore
 from repro.isa.encoding import encode
 from repro.isa.instructions import SPEC_BY_NAME
-from repro.memory.mainmem import PAGE_SHIFT
+from repro.kernel import Kernel
+from repro.memory.mainmem import PAGE_SHIFT, MainMemory
 from repro.program.layout import MemoryLayout
-from repro.rse.check import MODULE_MLR
+from repro.rse.modules.mlr import FunctionalMLR
 from repro.security.trr import trr_randomize_layout
 from repro.system import build_machine
 from repro.workloads.asmlib import build_workload_image
@@ -231,18 +233,39 @@ def _classify(flag, reason, completed, detections=0):
     return AttackOutcome.UNCLASSIFIED
 
 
-def _run_on_funcsim(image, asm, engine, flag_addr, completed_addr,
-                    max_steps, exec_stack, setup):
-    """Run an attack image on a functional engine via the guest shim."""
-    from repro.security import guestos
+def _attack_kernel(engine, modules=()):
+    """The kernel an attack runs under, and its machine (or None).
 
-    run = guestos.run_image(image, engine, max_steps=max_steps,
-                            exec_stack=exec_stack, setup=setup)
-    flag = run.sim.memory.load_word(flag_addr)
-    completed = (run.sim.memory.load_word(completed_addr)
-                 if completed_addr is not None else 1)
-    outcome = _classify(flag, run.reason, completed)
-    return AttackResult(outcome, run, None, asm)
+    ``engine="pipeline"`` builds the full machine with *modules* on its
+    RSE.  The functional engines (``interp`` / ``predecode`` / ``jit``)
+    run under the same :class:`~repro.kernel.Kernel` through a
+    :class:`~repro.funcsim.core.FunctionalCore`; their only module is
+    the MLR, as :class:`~repro.rse.modules.mlr.FunctionalMLR`.
+    """
+    if engine == "pipeline":
+        machine = build_machine(with_rse=bool(modules), modules=modules)
+        return machine.kernel, machine
+    memory = MainMemory()
+    core = FunctionalCore(memory, engine)
+    if "mlr" in modules:
+        core.sim.chk_handler = FunctionalMLR(core).chk
+    return Kernel(core, memory), None
+
+
+def _run_attack(kernel, image, max_cycles, stack_layout=None, plant=None):
+    """Load *image*, set the attack up and run it; returns the RunResult.
+
+    *stack_layout*, for attacks on the stack, gets the 2004-era
+    executable stack (:func:`_make_stack_executable`); *plant*, if
+    given, is called with the kernel after the load — the slot for the
+    attacker's request payload and for module configuration.
+    """
+    kernel.load_process(image)
+    if stack_layout is not None:
+        _make_stack_executable(kernel, stack_layout)
+    if plant is not None:
+        plant(kernel)
+    return kernel.run(max_cycles=max_cycles)
 
 
 def run_stack_smash(defense="none", seed=1234, max_cycles=3_000_000,
@@ -251,37 +274,28 @@ def run_stack_smash(defense="none", seed=1234, max_cycles=3_000_000,
 
     defenses: ``"none"`` (fixed layout), ``"trr"`` (software layout
     randomization at load), ``"mlr"`` (hardware module randomization).
-    engines: ``"pipeline"`` (kernel + detailed model, the default) or
-    any of the functional engines (``interp`` / ``predecode`` /
-    ``jit``) through :mod:`repro.security.guestos` — the outcome is a
-    property of the program and must not depend on this choice.
+    engines: ``"pipeline"`` (the full machine, the default) or any of
+    the functional engines (``interp`` / ``predecode`` / ``jit``) under
+    the same kernel (:func:`_attack_kernel`) — the outcome is a property
+    of the program and must not depend on this choice.
     """
     assumed = MemoryLayout()          # what the attacker believes
     if defense == "trr":
         layout = trr_randomize_layout(assumed, seed=seed)
     else:
         layout = MemoryLayout()
-    with_mlr = defense == "mlr"
     image, asm = vulnerable_service_program(layout, defense=defense)
     flag_addr = asm.symbols["secret_flag"]
     payload = build_stack_smash_payload(flag_addr, assumed_layout=assumed)
 
-    def plant(memory, guest=None):
-        memory.store_bytes(asm.symbols["request"], payload)
-        memory.store_word(asm.symbols["request_len"], len(payload))
+    def plant(kernel):
+        kernel.memory.store_bytes(asm.symbols["request"], payload)
+        kernel.memory.store_word(asm.symbols["request_len"], len(payload))
 
-    if engine != "pipeline":
-        return _run_on_funcsim(image, asm, engine, flag_addr, None,
-                               max_cycles, True, plant)
-
-    machine = build_machine(with_rse=with_mlr,
-                            modules=("mlr",) if with_mlr else ())
-    machine.kernel.load_process(image)
-    _make_stack_executable(machine.kernel, layout)
-    plant(machine.memory)
-
-    result = machine.kernel.run(max_cycles=max_cycles)
-    flag = machine.memory.load_word(flag_addr)
+    kernel, machine = _attack_kernel(
+        engine, ("mlr",) if defense == "mlr" else ())
+    result = _run_attack(kernel, image, max_cycles, layout, plant)
+    flag = kernel.memory.load_word(flag_addr)
     outcome = _classify(flag, result.reason, 1)
     return AttackResult(outcome, result, machine, asm)
 
@@ -369,27 +383,18 @@ def run_got_hijack(defense="none", max_cycles=3_000_000, engine="pipeline"):
     source = _GOT_HIJACK_TEMPLATE.format(defense_prologue=prologue,
                                          marker=PWNED_MARKER)
     image, asm = build_workload_image(source, layout)
-    flag_addr = asm.symbols["secret_flag"]
-    done_addr = asm.symbols["log_done"]
 
-    def plant(memory, guest=None):
+    def plant(kernel):
         # The attacker overwrites the *well-known* (static) GOT slot
         # with the address of attacker_fn.
-        memory.store_word(asm.symbols["write_addr"], asm.symbols["got"])
-        memory.store_word(asm.symbols["write_value"],
-                          asm.symbols["attacker_fn"])
+        kernel.memory.store_word(asm.symbols["write_addr"],
+                                 asm.symbols["got"])
+        kernel.memory.store_word(asm.symbols["write_value"],
+                                 asm.symbols["attacker_fn"])
 
-    if engine != "pipeline":
-        return _run_on_funcsim(image, asm, engine, flag_addr, done_addr,
-                               max_cycles, False, plant)
-
-    machine = build_machine(with_rse=with_mlr,
-                            modules=("mlr",) if with_mlr else ())
-    machine.kernel.load_process(image)
-    plant(machine.memory)
-
-    result = machine.kernel.run(max_cycles=max_cycles)
-    flag = machine.memory.load_word(flag_addr)
-    logged = machine.memory.load_word(done_addr)
+    kernel, machine = _attack_kernel(engine, ("mlr",) if with_mlr else ())
+    result = _run_attack(kernel, image, max_cycles, plant=plant)
+    flag = kernel.memory.load_word(asm.symbols["secret_flag"])
+    logged = kernel.memory.load_word(asm.symbols["log_done"])
     outcome = _classify(flag, result.reason, logged)
     return AttackResult(outcome, result, machine, asm)
