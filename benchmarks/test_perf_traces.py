@@ -3,8 +3,9 @@
 Measures steady-state throughput of the superblock trace JIT
 (``repro.isa.traces``) against the predecode baseline on the Table 4
 workloads, and the pipeline's batch fast-path against the
-one-``step()``-per-cycle reference loop on kMeans, writing the records
-to ``benchmarks/results/BENCH_traces.json``.
+one-``step()``-per-cycle reference loop on kMeans (driven through a
+shadowed ``step``, as :meth:`Pipeline.run` takes it), writing the
+records to ``benchmarks/results/BENCH_traces.json``.
 
 Unlike ``test_perf_interp.py`` these ARE thresholded: each ratio
 compares the same process against itself, so it survives a noisy
@@ -34,7 +35,7 @@ from repro.isa.assembler import assemble
 from repro.memory.mainmem import MainMemory
 from repro.memory.bus import BASELINE_TIMING
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.pipeline import Pipeline, PipelineConfig
+from repro.pipeline import Pipeline
 
 QUICK = os.environ.get("PERF_TRACES_QUICK") == "1"
 SOURCES = table4.workload_sources(quick=QUICK)
@@ -95,13 +96,17 @@ def funcsim_rate(workload, jit, rounds=2):
 
 
 def pipeline_rate(workload, batch, rounds=2):
-    """Best cycles/sec over *rounds* fresh pipeline runs of *workload*."""
+    """Best cycles/sec over *rounds* fresh pipeline runs of *workload*;
+    without *batch* a shadowed ``step`` makes ``run`` take one
+    ``step()`` per cycle."""
     best = 0.0
     cycles = 0
     for __ in range(rounds):
         asm, mem = loaded_memory(SOURCES[workload])
-        pipeline = Pipeline(mem, MemoryHierarchy(BASELINE_TIMING),
-                            config=PipelineConfig(batch=batch))
+        pipeline = Pipeline(mem, MemoryHierarchy(BASELINE_TIMING))
+        if not batch:
+            step = pipeline.step
+            pipeline.step = lambda: step()
         pipeline.reset_at(asm.entry)
         pipeline.regs[29] = 0x7FFF0000
         start = time.perf_counter()

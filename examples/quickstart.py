@@ -22,7 +22,7 @@ from repro.isa.assembler import assemble
 from repro.isa.encoding import flip_bit
 from repro.pipeline.core import EventKind
 from repro.rse.check import MODULE_ICM
-from repro.rse.modules.icm import build_checker_memory, make_icm_injector
+from repro.rse.modules.icm import arm_icm
 from repro.system import build_machine
 
 PROGRAM = """
@@ -42,15 +42,10 @@ def build():
     asm = assemble(PROGRAM)
     machine.memory.store_bytes(asm.text_base, asm.text)
 
-    icm = machine.module(MODULE_ICM)
-    checker_map = build_checker_memory(machine.memory, asm.text_base,
-                                       len(asm.text))
-    icm.configure(checker_map)
-    machine.rse.enable_module(MODULE_ICM)
-    machine.pipeline.check_injector = make_icm_injector(checker_map)
+    arm_icm(machine, asm.text_base, len(asm.text))
     machine.pipeline.reset_at(asm.entry)
     machine.pipeline.regs[29] = 0x7FFF0000
-    return machine, asm, icm
+    return machine, asm, machine.module(MODULE_ICM)
 
 
 def main():

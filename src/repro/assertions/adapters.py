@@ -23,6 +23,7 @@ from repro.isa.encoding import DecodeError, decode
 from repro.isa.instructions import InstrClass
 from repro.memory.mainmem import PAGE_SHIFT, MemoryFault
 from repro.pipeline.core import S_WAIT
+from repro.rse.engine import NullTap
 
 MASK32 = 0xFFFFFFFF
 
@@ -212,49 +213,6 @@ def attach_funcsim(sim, properties=None, metrics=None, monitor=None):
 
 # --------------------------------------------------------------- pipeline
 
-class _NullTap:
-    """A do-nothing RSE stand-in for bare pipelines.
-
-    Installing it lets the adapter shadow the dispatch/commit attachment
-    points on machines built without the framework; every hook answers
-    exactly as ``rse=None`` behaves (gate passes, no stalls, no
-    barriers), so it is architecturally invisible.
-    """
-
-    def on_dispatch(self, uop, cycle):
-        pass
-
-    def on_operands(self, uop, cycle, values):
-        pass
-
-    def on_execute(self, uop, cycle):
-        pass
-
-    def on_mem_load(self, uop, cycle, value):
-        pass
-
-    def on_commit(self, uop, cycle):
-        pass
-
-    def on_squash(self, uops, cycle):
-        pass
-
-    def step(self, cycle):
-        return False          # never any work: the cycle loop may skip
-
-    def quiescent(self, cycle):
-        return None           # no timed work
-
-    def ioq_gate(self, uop, cycle):
-        return None
-
-    def pre_commit_store(self, uop, cycle):
-        return 0
-
-    def check_blocks_loads(self, instr):
-        return False
-
-
 class PipelineAdapter:
     """Feed a monitor from the out-of-order core's commit stream.
 
@@ -285,7 +243,7 @@ class PipelineAdapter:
         gate_handlers = monitor.handlers("ioq_gate")
 
         if pipeline.rse is None:
-            shadows.shadow(pipeline, "rse", _NullTap())
+            shadows.shadow(pipeline, "rse", NullTap())
             self._owns_tap = True
         rse = pipeline.rse
         memory = pipeline.memory

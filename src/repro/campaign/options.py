@@ -2,8 +2,8 @@
 
 A campaign's records are fully determined by its
 :class:`~repro.campaign.runner.CampaignSpec`; everything about worker
-processes, sharding, checkpoint forking, the batch fast-path and result
-storage is an execution detail that must never leak into the spec
+processes, sharding, checkpoint forking and result storage is an
+execution detail that must never leak into the spec
 fingerprint — the same spec run serially, sharded across workers, or
 resumed from a half-written store produces identical records.
 
@@ -28,8 +28,6 @@ class ExecutionOptions:
             unless ``shards`` says otherwise); 1 runs it in-process.
         fork: share trigger prefixes via machine checkpoints instead of
             re-simulating the warmup per injection (pure-arm models).
-        batch: False runs the pipeline one step() per cycle
-            (``--no-jit``).
         shards: >0 routes execution through the sharded campaign
             service (:mod:`repro.campaign.service`): the injection
             space splits into that many seed-range shards with
@@ -41,7 +39,6 @@ class ExecutionOptions:
 
     workers: int = 1
     fork: bool = False
-    batch: bool = True
     shards: int = 0
     store: str = None
 

@@ -39,10 +39,8 @@ from repro.campaign.space import sample_injections
 from repro.campaign.store import ResultStore
 from repro.isa.assembler import assemble
 from repro.isa.encoding import DecodeError, decode
-from repro.pipeline.config import PipelineConfig
 from repro.pipeline.core import EventKind
-from repro.rse.check import MODULE_ICM
-from repro.rse.modules.icm import build_checker_memory, make_icm_injector
+from repro.rse.modules.icm import arm_icm, build_checker_memory
 from repro.system import build_machine
 
 STACK_TOP = 0x7FFF0000
@@ -139,12 +137,8 @@ class CampaignContext:
     per-injection loop.
     """
 
-    def __init__(self, spec, batch=True, golden=None):
+    def __init__(self, spec, golden=None):
         self.spec = spec
-        # Execution detail like ``fork``: batch=False runs the
-        # pipeline one step() per cycle.  Records are identical either
-        # way, so it stays out of the fingerprint.
-        self.batch = batch
         self.model = get_model(spec.model, **spec.model_options)
         if not getattr(self.model, "needs_workload", True):
             # Generative models (the attack corpus) synthesise a guest
@@ -200,8 +194,7 @@ class CampaignContext:
         return pcs
 
     def _golden_run(self):
-        machine, __ = build_campaign_machine(self.asm, protected=False,
-                                             batch=self.batch)
+        machine, __ = build_campaign_machine(self.asm, protected=False)
         event = machine.pipeline.run(max_cycles=self.spec.max_cycles)
         if event.kind is not EventKind.HALT:
             raise RuntimeError("golden run did not halt: %r" % event)
@@ -210,22 +203,15 @@ class CampaignContext:
         return golden, machine.pipeline.cycle
 
 
-def build_campaign_machine(asm, protected, assertions=False, batch=True):
+def build_campaign_machine(asm, protected, assertions=False):
     """Fresh machine loaded with the (pre-assembled) workload image."""
     machine = build_machine(with_rse=protected,
-                            modules=("icm",) if protected else (),
-                            pipeline_config=(None if batch
-                                             else PipelineConfig(batch=False)))
+                            modules=("icm",) if protected else ())
     machine.memory.store_bytes(asm.text_base, asm.text)
     machine.memory.store_bytes(asm.data_base, asm.data)
     checker_map = {}
     if protected:
-        icm = machine.module(MODULE_ICM)
-        checker_map = build_checker_memory(machine.memory, asm.text_base,
-                                           len(asm.text))
-        icm.configure(checker_map)
-        machine.rse.enable_module(MODULE_ICM)
-        machine.pipeline.check_injector = make_icm_injector(checker_map)
+        checker_map = arm_icm(machine, asm.text_base, len(asm.text))
     machine.pipeline.reset_at(asm.entry)
     machine.pipeline.regs[29] = STACK_TOP
     if assertions:
@@ -305,8 +291,7 @@ def execute_injection(ctx, injection):
         if getattr(ctx.model, "owns_execution", False):
             return ctx.model.execute(ctx, injection)
         machine, __ = build_campaign_machine(ctx.asm, ctx.spec.protected,
-                                             assertions=ctx.spec.assertions,
-                                             batch=ctx.batch)
+                                             assertions=ctx.spec.assertions)
         return strike_injection(ctx, machine, injection)
     except Exception as exc:                         # crash-isolate the run
         return crashed_record(injection, repr(exc))
@@ -370,11 +355,9 @@ class ForkEngine:
         # not be the one paying that.
         from repro import checkpoint as checkpoint_layer
 
-        sacrifice, __ = build_campaign_machine(ctx.asm, ctx.spec.protected,
-                                               batch=ctx.batch)
+        sacrifice, __ = build_campaign_machine(ctx.asm, ctx.spec.protected)
         checkpoint_layer.warm(sacrifice)
-        self.machine, __ = build_campaign_machine(ctx.asm, ctx.spec.protected,
-                                                  batch=ctx.batch)
+        self.machine, __ = build_campaign_machine(ctx.asm, ctx.spec.protected)
         if image is None:
             self.base = self.machine.checkpoint()
         else:
@@ -522,7 +505,7 @@ def run_campaign(spec, options=None, progress=None):
         spec: the :class:`CampaignSpec` defining the campaign — the
             only input that affects the records.
         options: an :class:`~repro.campaign.options.ExecutionOptions`
-            describing how to run (workers, fork, batch, shards, store).
+            describing how to run (workers, fork, shards, store).
             ``options.workers > 1`` or ``options.shards > 0`` routes
             execution through the sharded campaign service, with
             ``shards or workers`` shards; otherwise the campaign runs
@@ -549,7 +532,7 @@ def run_campaign(spec, options=None, progress=None):
                 progress(spec.injections, spec.injections)
             return CampaignRun(spec, prior, options)
 
-    ctx = CampaignContext(spec, batch=options.batch)
+    ctx = CampaignContext(spec)
     injections = sample_injections(ctx.model, ctx, spec.injections, spec.seed)
     if prior:
         done = {record["id"] for record in prior}
@@ -596,11 +579,11 @@ def resume_spec(store_path):
     return CampaignSpec.from_dict(header["spec"])
 
 
-def replay(spec, run_id, batch=True):
+def replay(spec, run_id):
     """Re-execute one injection by id; returns its fresh record."""
     if not 0 <= run_id < spec.injections:
         raise ValueError("run id %d outside campaign of %d injections"
                          % (run_id, spec.injections))
-    ctx = CampaignContext(spec, batch=batch)
+    ctx = CampaignContext(spec)
     injections = sample_injections(ctx.model, ctx, spec.injections, spec.seed)
     return execute_injection(ctx, injections[run_id])

@@ -132,7 +132,7 @@ class _KillSwitch:
 
 # --------------------------------------------------------------- warmed image
 
-def build_campaign_image(spec, batch=True):
+def build_campaign_image(spec):
     """Warm a machine for *spec* and bundle it as a CampaignImage.
 
     Runs the campaign's one-time work — assembly, the golden run, the
@@ -141,7 +141,7 @@ def build_campaign_image(spec, batch=True):
     workers skip the golden run too, and the spec fingerprint so a
     worker can refuse an image warmed for a different campaign.
     """
-    ctx = CampaignContext(spec, batch=batch)
+    ctx = CampaignContext(spec)
     if getattr(ctx.model, "owns_execution", False):
         # Generative models build a fresh guest program per injection:
         # there is no shared machine to warm, so the image is just the
@@ -151,7 +151,7 @@ def build_campaign_image(spec, batch=True):
                              {"cycle": 0,
                               "golden": {"regs": {},
                                          "cycles": ctx.golden_cycles}})
-    machine, __ = build_campaign_machine(ctx.asm, spec.protected, batch=batch)
+    machine, __ = build_campaign_machine(ctx.asm, spec.protected)
     checkpoint = machine.checkpoint()
     meta = {"cycle": checkpoint.cycle,
             "golden": {"regs": {str(reg): value
@@ -212,12 +212,11 @@ def _process_shard(ctx, engine, shard, path, kill=None):
         store.close()
 
 
-def _service_worker(spec_dict, image_bytes, task_queue, store_root, batch,
-                    fork):
+def _service_worker(spec_dict, image_bytes, task_queue, store_root, fork):
     """Worker loop: steal shards until the queue stays empty."""
     spec = CampaignSpec.from_dict(spec_dict)
     image = CampaignImage.from_bytes(image_bytes)
-    ctx = CampaignContext(spec, batch=batch, golden=image.meta["golden"])
+    ctx = CampaignContext(spec, golden=image.meta["golden"])
     engine = _build_engine(ctx, image, fork)
     kill = _KillSwitch()
     while True:
@@ -239,7 +238,7 @@ def _run_worker_round(spec, options, todo, image_bytes, store_root):
     count = max(1, min(options.workers, len(todo)))
     workers = [mp.Process(target=_service_worker,
                           args=(spec.to_dict(), image_bytes, task_queue,
-                                store_root, options.batch, options.fork),
+                                store_root, options.fork),
                           daemon=True)
                for __ in range(count)]
     for worker in workers:
@@ -342,7 +341,7 @@ def run_service(spec, options, progress=None):
         store_root = os.path.join(tempdir, "campaign.jsonl")
     shards = plan_shards(total, options.shards or options.workers)
     try:
-        image = build_campaign_image(spec, batch=options.batch)
+        image = build_campaign_image(spec)
         image_bytes = image.to_bytes()
 
         def report():
@@ -363,8 +362,7 @@ def run_service(spec, options, progress=None):
                 # finish (repeated kills, a broken pool host) runs here,
                 # in-process, where nothing can be stolen out from under
                 # it.
-                ctx = CampaignContext(spec, batch=options.batch,
-                                      golden=image.meta["golden"])
+                ctx = CampaignContext(spec, golden=image.meta["golden"])
                 engine = _build_engine(ctx, image, options.fork)
                 for shard in todo:
                     _process_shard(ctx, engine, shard,

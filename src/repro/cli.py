@@ -6,8 +6,9 @@ Commands
 ``run FILE``
     Assemble and execute an assembly file on the full machine (kernel +
     out-of-order pipeline), printing the exit reason and pipeline/cache
-    statistics.  ``--func`` uses the functional simulator instead;
-    ``--icm`` attaches the RSE with the ICM checking all control flow.
+    statistics.  ``--engine interp|predecode|jit`` runs the functional
+    simulator under the same kernel instead; ``--icm`` (pipeline only)
+    attaches the RSE with the ICM checking all control flow.
 
 ``experiment {table4,table5,fig9,ablations,attack-matrix}``
     Run an experiment harness and print its paper-style table
@@ -122,15 +123,12 @@ def _read_input(path):
 def _cmd_run(args):
     from repro.program.layout import MemoryLayout
     from repro.rse.check import MODULE_ICM
-    from repro.rse.modules.icm import build_checker_memory, make_icm_injector
+    from repro.rse.modules.icm import arm_icm
     from repro.system import build_machine
     from repro.workloads.asmlib import build_workload_image
 
     source = _read_input(args.file)
-
-    engine = args.engine or ("predecode" if args.func else "pipeline")
-    if args.func and engine == "pipeline":
-        raise UsageError("--func contradicts --engine pipeline")
+    engine = args.engine
     image, __ = build_workload_image(source, MemoryLayout())
 
     if engine != "pipeline":
@@ -138,13 +136,13 @@ def _cmd_run(args):
         from repro.kernel import Kernel
         from repro.memory.mainmem import MainMemory
 
-        if args.stats_json:
-            raise UsageError("--stats-json needs the full machine "
-                             "(use --engine pipeline)")
+        for flag, given in (("--stats-json", args.stats_json),
+                            ("--icm", args.icm)):
+            if given:
+                raise UsageError("%s needs the full machine "
+                                 "(use --engine pipeline)" % flag)
         memory = MainMemory()
-        core = FunctionalCore(memory, "predecode"
-                              if engine == "jit" and args.no_jit
-                              else engine)
+        core = FunctionalCore(memory, engine)
         kernel = Kernel(core, memory)
         kernel.load_process(image)
         sim = core.sim
@@ -190,23 +188,14 @@ def _cmd_run(args):
         _print_violations(violations, args.with_assertions)
         return 0 if halted and not violations else 1
 
-    from repro.pipeline.config import PipelineConfig
-
     machine = build_machine(with_rse=args.icm,
-                            modules=("icm",) if args.icm else (),
-                            pipeline_config=(PipelineConfig(batch=False)
-                                             if args.no_jit else None))
+                            modules=("icm",) if args.icm else ())
     machine.kernel.load_process(image)
     if args.with_assertions:
         machine.assertions.attach()
     if args.icm:
-        icm = machine.module(MODULE_ICM)
         text = image.segment(".text")
-        checker_map = build_checker_memory(machine.memory, text.base,
-                                           len(text.data))
-        icm.configure(checker_map)
-        machine.rse.enable_module(MODULE_ICM)
-        machine.pipeline.check_injector = make_icm_injector(checker_map)
+        arm_icm(machine, text.base, len(text.data))
     result = machine.kernel.run(max_cycles=args.max_cycles)
     snapshot = result.snapshot
     violations = []
@@ -216,10 +205,13 @@ def _cmd_run(args):
     if args.stats_json:
         with open(args.stats_json, "w") as handle:
             emit_json(snapshot, stream=handle)
+    faults = machine.kernel.faults
+    fault = faults[-1][1:] if faults else None
     if args.json:
         payload = {"mode": "machine", "engine": "pipeline",
-                   "batch": not args.no_jit, "reason": result.reason,
+                   "reason": result.reason,
                    "cycles": result.cycles,
+                   "fault": "pc=0x%08x %s" % fault if fault else None,
                    "output": [value for __, value in machine.kernel.output],
                    "snapshot": snapshot}
         if args.with_assertions:
@@ -240,6 +232,8 @@ def _cmd_run(args):
           % (100 * mem["il1"]["miss_rate"], 100 * mem["dl1"]["miss_rate"]))
     for kind, value in machine.kernel.output:
         print("guest output: %s" % value)
+    if fault:
+        print("fault: pc=0x%08x %s" % fault)
     if args.icm:
         icm = machine.module(MODULE_ICM)
         print("ICM: %d checks, %d mismatches, %.1f%% cache hit rate"
@@ -446,8 +440,7 @@ def _campaign_options(args):
     """The one place CLI flags become an ExecutionOptions."""
     from repro.campaign import ExecutionOptions
 
-    return ExecutionOptions(workers=args.workers,
-                            fork=args.fork, batch=args.batch,
+    return ExecutionOptions(workers=args.workers, fork=args.fork,
                             shards=args.shards, store=args.store)
 
 
@@ -482,7 +475,7 @@ def _cmd_campaign(args):
             stored = ResultStore(args.store).record_for(args.replay)
             if stored is not None and not args.json:
                 print("stored record: %s" % stored)
-        record = replay(spec, args.replay, batch=args.batch)
+        record = replay(spec, args.replay)
         if args.json:
             emit_json({"replayed": record, "stored": stored})
             return 0
@@ -1036,21 +1029,15 @@ def main(argv=None):
 
     run_parser = sub.add_parser("run", help="assemble and run a program")
     run_parser.add_argument("file")
-    run_parser.add_argument("--engine", default=None,
+    run_parser.add_argument("--engine", default="pipeline",
                             choices=["interp", "predecode", "jit",
                                      "pipeline"],
                             help="execution engine (default: pipeline; "
                                  "the others use the functional "
                                  "simulator)")
-    run_parser.add_argument("--func", action="store_true",
-                            help="use the functional simulator "
-                                 "(alias for --engine predecode)")
-    run_parser.add_argument("--no-jit", action="store_true",
-                            help="escape hatch: per-instruction "
-                                 "closures, and one pipeline cycle per "
-                                 "step() call (no dead-cycle skips)")
     run_parser.add_argument("--icm", action="store_true",
-                            help="attach the RSE with the ICM enabled")
+                            help="attach the RSE with the ICM enabled "
+                                 "(pipeline engine only)")
     run_parser.add_argument("--max-cycles", type=int, default=50_000_000)
     run_parser.add_argument("--stats-json", default=None, metavar="PATH",
                             help="write the Machine.snapshot() document "
@@ -1106,12 +1093,6 @@ def main(argv=None):
                                  help="always re-simulate the warmup prefix "
                                       "(the default)")
     campaign_parser.set_defaults(fork=False)
-    campaign_parser.add_argument("--no-jit", dest="batch",
-                                 action="store_false",
-                                 help="escape hatch: run every injection "
-                                      "one pipeline cycle per step() "
-                                      "call (records are identical)")
-    campaign_parser.set_defaults(batch=True)
     campaign_parser.add_argument("--unprotected", action="store_true",
                                  help="run without the RSE/ICM (baseline)")
     campaign_parser.add_argument("--compare", action="store_true",

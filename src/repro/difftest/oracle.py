@@ -46,6 +46,7 @@ from repro.memory.bus import BASELINE_TIMING
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline import Pipeline, PipelineConfig
 from repro.pipeline.core import EventKind
+from repro.rse.engine import NullTap
 
 STACK_TOP = 0x7FFF0000
 ENGINES = ("interp", "predecode", "pipeline")
@@ -56,7 +57,7 @@ DEFAULT_MAX_STEPS = 400_000
 CYCLES_PER_STEP = 16
 
 
-class CommitRecorder:
+class CommitRecorder(NullTap):
     """A no-op RSE whose only job is recording the pipeline commit stream."""
 
     def __init__(self):
@@ -64,38 +65,6 @@ class CommitRecorder:
 
     def on_commit(self, uop, cycle):
         self.stream.append(uop.pc)
-
-    # The pipeline consults these hooks when an RSE is attached; return
-    # the "proceed" answer for each so behaviour matches rse=None.
-    def on_dispatch(self, uop, cycle):
-        pass
-
-    def on_operands(self, uop, cycle, values):
-        pass
-
-    def on_execute(self, uop, cycle):
-        pass
-
-    def on_mem_load(self, uop, cycle, value):
-        pass
-
-    def on_squash(self, uops, cycle):
-        pass
-
-    def step(self, cycle):
-        return False          # never any work: the cycle loop may skip
-
-    def quiescent(self, cycle):
-        return None           # no timed work
-
-    def ioq_gate(self, uop, cycle):
-        return None
-
-    def pre_commit_store(self, uop, cycle):
-        return 0
-
-    def check_blocks_loads(self, instr):
-        return False
 
 
 class EngineRun:

@@ -15,9 +15,9 @@ from repro.analysis.tables import format_table
 from repro.kernel.kernel import KernelConfig
 from repro.memory.bus import BASELINE_TIMING, FRAMEWORK_TIMING
 from repro.program.layout import MemoryLayout
-from repro.rse.check import MODULE_DDT, MODULE_ICM
+from repro.rse.check import MODULE_DDT
 from repro.rse.modules.ddt import DDT
-from repro.rse.modules.icm import ICM, build_checker_memory, make_icm_injector
+from repro.rse.modules.icm import ICM, arm_icm
 from repro.system import build_machine
 from repro.workloads.asmlib import build_workload_image
 
@@ -101,15 +101,11 @@ def run_icm_cache_sweep(sizes=(32, 64, 128, 256, 512), quick=False,
     rows = {}
     for size in sizes:
         machine = build_machine(with_rse=True)
-        icm = machine.rse.attach(ICM(cache_entries=size))
+        machine.rse.attach(ICM(cache_entries=size))
         image, __ = build_workload_image(source, MemoryLayout())
         machine.kernel.load_process(image)
         text = image.segment(".text")
-        checker_map = build_checker_memory(machine.memory, text.base,
-                                           len(text.data))
-        icm.configure(checker_map)
-        machine.rse.enable_module(MODULE_ICM)
-        machine.pipeline.check_injector = make_icm_injector(checker_map)
+        arm_icm(machine, text.base, len(text.data))
         result = machine.kernel.run(max_cycles=60_000_000)
         assert result.reason == "halt", result
         doc = result.snapshot
@@ -223,15 +219,7 @@ def run_icm_coverage(quick=False):
     unprotected baseline.
     """
     from repro.experiments.table4 import scaled_cache_configs
-    from repro.rse.modules.icm import (
-        ICM,
-        build_checker_memory,
-        cover_all,
-        cover_control,
-        cover_memory,
-        make_icm_injector,
-    )
-    from repro.rse.check import MODULE_ICM
+    from repro.rse.modules.icm import cover_all, cover_control, cover_memory
     from repro.workloads import kmeans
 
     source = kmeans.source(pattern_count=40, clusters=4, iterations=1) \
@@ -247,14 +235,9 @@ def run_icm_coverage(quick=False):
         machine.kernel.load_process(image)
         checks = 0
         if predicate is not None:
-            icm = machine.rse.attach(ICM())
+            machine.rse.attach(ICM())
             text = image.segment(".text")
-            checker_map = build_checker_memory(machine.memory, text.base,
-                                               len(text.data),
-                                               predicate=predicate)
-            icm.configure(checker_map)
-            machine.rse.enable_module(MODULE_ICM)
-            machine.pipeline.check_injector = make_icm_injector(checker_map)
+            arm_icm(machine, text.base, len(text.data), predicate=predicate)
         result = machine.kernel.run(max_cycles=100_000_000)
         assert result.reason == "halt", result
         doc = result.snapshot
@@ -288,23 +271,15 @@ def run_icm_footprint(site_counts=(96, 192, 320, 512, 768), sweeps=12):
     interesting question is how big a static branch footprint the chosen
     256 entries can absorb.
     """
-    from repro.rse.check import MODULE_ICM
-    from repro.rse.modules.icm import ICM, build_checker_memory, \
-        make_icm_injector
-
     results = {}
     for sites in site_counts:
         source = _icm_stress_source(sites, sweeps)
         machine = build_machine(with_rse=True)
-        icm = machine.rse.attach(ICM(cache_entries=256))
+        machine.rse.attach(ICM(cache_entries=256))
         image, __ = build_workload_image(source, MemoryLayout())
         machine.kernel.load_process(image)
         text = image.segment(".text")
-        checker_map = build_checker_memory(machine.memory, text.base,
-                                           len(text.data))
-        icm.configure(checker_map)
-        machine.rse.enable_module(MODULE_ICM)
-        machine.pipeline.check_injector = make_icm_injector(checker_map)
+        arm_icm(machine, text.base, len(text.data))
         result = machine.kernel.run(max_cycles=100_000_000)
         assert result.reason == "halt", result
         doc = result.snapshot

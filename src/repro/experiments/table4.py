@@ -19,8 +19,7 @@ from repro.analysis.stats import RunRecord, overhead_pct
 from repro.analysis.tables import format_table
 from repro.memory.hierarchy import CacheConfig
 from repro.program.layout import MemoryLayout
-from repro.rse.check import MODULE_ICM
-from repro.rse.modules.icm import build_checker_memory, make_icm_injector
+from repro.rse.modules.icm import arm_icm
 from repro.system import build_machine
 from repro.workloads import kmeans, vpr_place, vpr_route
 from repro.workloads.asmlib import build_workload_image, \
@@ -104,13 +103,8 @@ def run_framework_icm(source, max_cycles=40_000_000):
     machine = build_machine(with_rse=True, modules=("icm",),
                             cache_configs=scaled_cache_configs())
     image, asm = _load_bare(machine, source)
-    icm = machine.module(MODULE_ICM)
     text = image.segment(".text")
-    checker_map = build_checker_memory(machine.memory, text.base,
-                                       len(text.data))
-    icm.configure(checker_map)
-    machine.rse.enable_module(MODULE_ICM)
-    machine.pipeline.check_injector = make_icm_injector(checker_map)
+    arm_icm(machine, text.base, len(text.data))
     result = machine.kernel.run(max_cycles=max_cycles)
     assert result.reason == "halt", result
     record = RunRecord.from_machine("framework+icm", machine)

@@ -11,8 +11,9 @@ jit engines exactly as it does for the pipeline.
 
 Time is one cycle per retired instruction plus whatever the kernel
 charges through ``advance_cycles``.  Only instruction fetch is checked
-against ``mem_check`` (through ``FuncSim.fetch_check``): the functional
-engines have no data-access hook.
+against ``mem_check`` (through ``FuncSim.fetch_check``), once per page
+per :meth:`FunctionalCore.run`, as the pipeline probes it: the
+functional engines have no data-access hook.
 """
 
 from repro.funcsim.interp import FuncSim, StepResult

@@ -28,8 +28,6 @@ class SimFault(Exception):
         self.cause = cause
 
 
-
-
 class FuncSim:
     """In-order functional simulator over a shared :class:`MainMemory`.
 
@@ -37,9 +35,13 @@ class FuncSim:
     (:mod:`repro.isa.predecode`): each pc decodes and compiles once into
     a bound closure, revalidated against the memory's per-page write
     versions so stores into cached text (self-modifying code, injected
-    faults) are always honoured.  ``predecode_enabled=False`` selects the
-    original fetch/decode/dispatch interpreter — the reference the
-    differential tests compare the cache against.
+    faults) are always honoured.  One loop, :meth:`_dispatch`, calls
+    the closures: it serves :meth:`run` and, one instruction at a
+    time, :meth:`step`, and with ``jit_enabled`` it also enters the
+    traces of :mod:`repro.isa.traces` (never from :meth:`step`).
+    ``predecode_enabled=False`` selects the original
+    fetch/decode/dispatch interpreter, :meth:`_execute`, the reference
+    the differential tests compare the closures against.
 
     Hooks:
 
@@ -50,18 +52,18 @@ class FuncSim:
       functional RSE model can observe them; default is a no-op (the
       pipeline treats CHECKs as NOPs everywhere except commit).
     * ``trace_mem(sim, instr, addr, is_store)`` — observation hook used
-      by functional DDT experiments.
+      by functional DDT experiments.  While it is set no trace runs,
+      and attaching it from a handler mid-run turns traces off for the
+      rest of that run.
     * ``fetch_check(pc) -> error | None`` — instruction-fetch permission
-      check, consulted whenever a pc is (re)decoded: every step on the
-      reference interpreter, at predecode-cache refill otherwise, and
-      before the trace JIT builds or rebuilds a trace at its head.  It
-      must be page-granular (every pc of a page gets the same answer):
-      a trace never leaves its head's page, so the head's check covers
-      every instruction it runs.  Refill-time checking has ITLB-fill
-      semantics: a pc already cached (or traced) for the current page
-      version is not re-checked until a store to its page bumps the
-      write version (which also forces a re-decode).  A non-None
-      return is an architectural fault with that cause.
+      check, under the contract of the pipeline's ``mem_check``: it
+      must be page-granular (every pc of a page gets the same answer)
+      and may change its answers only between :meth:`run` or
+      :meth:`step` calls.  Each call asks it once per page it fetches
+      from, trace heads included, and a yes holds for the rest of the
+      call; a trace never leaves its head's page, so the head's answer
+      covers every instruction it runs.  A non-None return is an
+      architectural fault with that cause.
     """
 
     def __init__(self, memory, entry=0, sp=0, gp=0, syscall_handler=None,
@@ -88,7 +90,7 @@ class FuncSim:
         self.jit_enabled = bool(jit_enabled) and predecode_enabled
         self._traces = traces.traces_for(memory) if self.jit_enabled \
             else None
-        # Optional list the JIT run loop appends each retired pc to;
+        # Optional list the dispatch loop appends each retired pc to;
         # mirrors the retired-pc stream a step() loop would observe (the
         # difftest oracle compares engines on exactly this stream).
         self.retire_log = None
@@ -113,61 +115,18 @@ class FuncSim:
         """Execute one instruction; returns a :class:`StepResult`."""
         if self.halted:
             return StepResult.HALTED
+        if self._cache is not None:
+            return self._dispatch(1, False)
         pc = self.pc
-        cache = self._cache
-        if cache is None:
-            if self.fetch_check is not None:
-                err = self.fetch_check(pc)
-                if err:
-                    return self._fault(pc, err)
-            try:
-                word = self.memory.load_word(pc)
-                instr = decode(word)
-            except (MemoryFault, DecodeError) as exc:
-                return self._fault(pc, str(exc))
-            return self._execute(instr, pc)
+        if self.fetch_check is not None:
+            err = self.fetch_check(pc)
+            if err:
+                return self._fault(pc, err)
         try:
-            entry = cache.entries.get(pc)
-            if (entry is None or
-                    self.memory.write_versions.get(pc >> PAGE_SHIFT, 0)
-                    != entry[0]):
-                if self.fetch_check is not None:
-                    err = self.fetch_check(pc)
-                    if err:
-                        return self._fault(pc, err)
-                entry = cache.refill(pc)
+            instr = decode(self.memory.load_word(pc))
         except (MemoryFault, DecodeError) as exc:
             return self._fault(pc, str(exc))
-        try:
-            nxt = entry[1](self)
-        except (MemoryFault, semantics.ArithmeticFault) as exc:
-            return self._fault(pc, str(exc))
-        if nxt >= 0:
-            self.pc = nxt
-            self.instret += 1
-            return StepResult.OK
-        if nxt == predecode.HALT:
-            self.instret += 1
-            return StepResult.HALTED
-        if nxt == predecode.SYSCALL:
-            self.pc = (pc + 4) & 0xFFFFFFFF
-            self.instret += 1
-            if self.syscall_handler is None:
-                raise SimFault(pc, "syscall with no handler")
-            try:
-                keep_running = self.syscall_handler(self)
-            except (MemoryFault, semantics.ArithmeticFault) as exc:
-                return self._fault(pc, str(exc))
-            return StepResult.OK if keep_running else StepResult.SYSCALL
-        # CHECK: hook runs with self.pc still at the chk instruction.
-        if self.chk_handler is not None:
-            try:
-                self.chk_handler(self, entry[3])
-            except (MemoryFault, semantics.ArithmeticFault) as exc:
-                return self._fault(pc, str(exc))
-        self.pc = (pc + 4) & 0xFFFFFFFF
-        self.instret += 1
-        return StepResult.OK
+        return self._execute(instr, pc)
 
     def run(self, max_steps=10_000_000):
         """Run until halt, fault, or *max_steps*; returns the stop reason."""
@@ -179,277 +138,162 @@ class FuncSim:
             return StepResult.OK
         if self.halted:
             return StepResult.HALTED
-        if self._traces is not None:
-            if self.trace_mem is None:
-                return self._run_traced(max_steps)
+        return self._dispatch(max_steps, self._traces is not None)
+
+    def _dispatch(self, max_steps, traced):
+        """The closure-dispatch loop: run at most *max_steps* instructions.
+
+        The per-instruction work is one page compare, one dict probe,
+        one page-version compare, one closure call and an int compare.
+        ``pc`` and the remaining ``budget`` live in locals; ``pc`` and
+        ``instret`` are written back to the simulator only at stop
+        points (halt, syscall, CHECK, fault, budget spent), none of
+        which can observe them stale.  ``fetch_check`` is asked at the
+        first fetch from each page (the class docstring's contract).
+
+        With *traced*, control-transfer targets are looked up in the
+        trace cache (heat accounting and trace builds happen there
+        too, so traces anchor at block heads), and a trace is entered
+        only when its whole minimum retirement fits the remaining
+        budget.  ``retire_log``, when set, gets every retired pc, from
+        traces through their logging variants.  A ``trace_mem`` set at
+        entry, or attached by a handler, keeps traces off.
+        """
+        trace_cache = self._traces
+        if traced and self.trace_mem is not None:
             # Per-instruction telemetry is attached: traces would skip
             # its events, so this run executes closure-at-a-time.
-            self._traces.deopt_runs += 1
-        return self._run_predecode(max_steps)
-
-    def _run_predecode(self, max_steps):
-        """Closure-at-a-time hot loop (predecode cache, no traces)."""
-        # Hot path.  The per-step work is one dict probe, one page-version
-        # compare, one closure call and an int compare; ``pc`` and the
-        # retired-count delta ``n`` live in locals and are written back to
-        # the simulator only at stop points (halt/syscall/chk/fault/exit),
-        # none of which can observe them stale.
+            trace_cache.deopt_runs += 1
+            traced = False
+        if traced:
+            tentries_get = trace_cache.entries.get
+            heat = trace_cache.heat
+            heat_get = heat.get
+            regs = self.regs
         entries_get = self._cache.entries.get
         refill = self._cache.refill
         versions_get = self.memory.write_versions.get
         fetch_check = self.fetch_check
-        arith_fault = semantics.ArithmeticFault
-        halt_marker = predecode.HALT
-        syscall_marker = predecode.SYSCALL
+        fetchable = set()          # pages fetch_check let this call fetch
+        checked_page = -1          # the page of the last fetch
+        rlog = self.retire_log
         pc = self.pc
-        n = 0
-        for __ in range(max_steps):
-            entry = entries_get(pc)
-            if entry is None or versions_get(pc >> PAGE_SHIFT, 0) != entry[0]:
-                if fetch_check is not None:
+        budget = synced = max_steps     # synced: budget at the last sync
+        probe = traced
+        while budget > 0:
+            page = pc >> PAGE_SHIFT
+            if page != checked_page:
+                if fetch_check is not None and page not in fetchable:
                     err = fetch_check(pc)
                     if err:
                         self.pc = pc
-                        self.instret += n
+                        self.instret += synced - budget
                         return self._fault(pc, err)
-                try:
-                    entry = refill(pc)
-                except (MemoryFault, DecodeError) as exc:
-                    self.pc = pc
-                    self.instret += n
-                    return self._fault(pc, str(exc))
-            try:
-                nxt = entry[1](self)
-            except (MemoryFault, arith_fault) as exc:
-                self.pc = pc
-                self.instret += n
-                return self._fault(pc, str(exc))
-            if nxt >= 0:
-                pc = nxt
-                n += 1
-                continue
-            if nxt == halt_marker:
-                self.pc = pc
-                self.instret += n + 1
-                return StepResult.HALTED
-            if nxt == syscall_marker:
-                syscall_pc = pc
-                self.pc = pc = (pc + 4) & 0xFFFFFFFF
-                self.instret += n + 1
-                n = 0
-                handler = self.syscall_handler
-                if handler is None:
-                    raise SimFault(syscall_pc, "syscall with no handler")
-                try:
-                    keep_running = handler(self)
-                except (MemoryFault, arith_fault) as exc:
-                    return self._fault(syscall_pc, str(exc))
-                if not keep_running:
-                    return StepResult.SYSCALL
-                pc = self.pc          # the handler may redirect control
-                if self.halted:
-                    return StepResult.HALTED
-                continue
-            # CHECK: hook sees self.pc at the chk instruction itself.
-            self.pc = pc
-            self.instret += n
-            n = 0
-            if self.chk_handler is not None:
-                try:
-                    self.chk_handler(self, entry[3])
-                except (MemoryFault, arith_fault) as exc:
-                    return self._fault(pc, str(exc))
-                if self.halted:
-                    self.pc = (pc + 4) & 0xFFFFFFFF
-                    self.instret += 1
-                    return StepResult.HALTED
-            pc = (pc + 4) & 0xFFFFFFFF
-            self.pc = pc
-            self.instret += 1
-        self.pc = pc
-        self.instret += n
-        return StepResult.OK
-
-    def _run_traced(self, max_steps):
-        """Trace-dispatching hot loop (``jit_enabled``).
-
-        Architecturally identical to :meth:`_run_predecode`: traces are
-        only entered when their whole minimum retirement fits the
-        remaining step budget, fault/halt/syscall/CHECK stop points sync
-        pc/instret exactly as the closure loop does, and any condition a
-        trace cannot honour (stale page version, serializing
-        instruction, a head ``fetch_check`` refuses, mid-run attach of
-        ``trace_mem``) falls back to the per-instruction closures.
-        ``probe`` limits trace-cache lookups and heat accounting to
-        control-transfer targets, so traces are anchored at block heads
-        instead of rotating through every pc of a straight-line run.
-        """
-        trace_cache = self._traces
-        tentries_get = trace_cache.entries.get
-        heat = trace_cache.heat
-        heat_get = heat.get
-        heat_threshold = traces.HEAT_THRESHOLD
-        trace_fault = traces.TraceFault
-        entries_get = self._cache.entries.get
-        refill = self._cache.refill
-        versions_get = self.memory.write_versions.get
-        fetch_check = self.fetch_check
-        arith_fault = semantics.ArithmeticFault
-        halt_marker = predecode.HALT
-        syscall_marker = predecode.SYSCALL
-        regs = self.regs
-        rlog = self.retire_log
-        pc = self.pc
-        budget = max_steps
-        n = 0
-        probe = True
-        while budget > 0:
+                    fetchable.add(page)
+                checked_page = page
             if probe:
-                # A head the fetch check refuses gets no trace; the
-                # fallback below faults at its refill, as predecode does.
                 tentry = tentries_get(pc)
                 if tentry is None:
                     hits = heat_get(pc, 0) + 1
-                    if hits >= heat_threshold:
+                    if hits >= traces.HEAT_THRESHOLD:
                         heat.pop(pc, None)
-                        if fetch_check is None or not fetch_check(pc):
-                            tentry = trace_cache.build(pc)
+                        tentry = trace_cache.build(pc)
                     else:
                         heat[pc] = hits
                 elif versions_get(tentry[4], 0) != tentry[0]:
-                    tentry = (trace_cache.rebuild(pc)
-                              if fetch_check is None or not fetch_check(pc)
-                              else None)
-                if tentry is not None:
+                    tentry = trace_cache.rebuild(pc)
+                if (tentry is not None and tentry[1] is not None
+                        and tentry[2] <= budget):
                     fn = tentry[1]
-                    if fn is not None and tentry[2] <= budget:
-                        if rlog is not None:
-                            # The logging variant appends each retired
-                            # pc itself (compiled lazily per trace).
-                            fn = tentry[5]
-                            if fn is None:
-                                tentry = trace_cache.ensure_logging(pc)
-                                fn = tentry[5]
-                        if fn is not None:
-                            try:
-                                if rlog is None:
-                                    new_pc, retired = fn(regs, budget)
-                                else:
-                                    new_pc, retired = fn(regs, budget, rlog)
-                            except trace_fault as tf:
-                                self.pc = tf.pc
-                                self.instret += n + tf.retired
-                                return self._fault(tf.pc, str(tf.exc))
-                            budget -= retired
-                            n += retired
-                            pc = new_pc
-                            continue
-            # Per-instruction fallback: exactly the _run_predecode body,
-            # plus retire logging and re-probe at control transfers.
+                    if rlog is not None:
+                        # The logging variant appends each retired pc
+                        # itself (compiled lazily per trace).
+                        fn = tentry[5] or trace_cache.ensure_logging(pc)[5]
+                    if fn is not None:
+                        try:
+                            if rlog is None:
+                                new_pc, retired = fn(regs, budget)
+                            else:
+                                new_pc, retired = fn(regs, budget, rlog)
+                        except traces.TraceFault as tf:
+                            self.pc = tf.pc
+                            self.instret += synced - budget + tf.retired
+                            return self._fault(tf.pc, str(tf.exc))
+                        budget -= retired
+                        pc = new_pc
+                        continue
             entry = entries_get(pc)
-            if entry is None or versions_get(pc >> PAGE_SHIFT, 0) != entry[0]:
-                if fetch_check is not None:
-                    err = fetch_check(pc)
-                    if err:
-                        self.pc = pc
-                        self.instret += n
-                        return self._fault(pc, err)
+            if entry is None or versions_get(page, 0) != entry[0]:
                 try:
                     entry = refill(pc)
                 except (MemoryFault, DecodeError) as exc:
                     self.pc = pc
-                    self.instret += n
+                    self.instret += synced - budget
                     return self._fault(pc, str(exc))
             try:
                 nxt = entry[1](self)
-            except (MemoryFault, arith_fault) as exc:
+            except (MemoryFault, semantics.ArithmeticFault) as exc:
                 self.pc = pc
-                self.instret += n
+                self.instret += synced - budget
                 return self._fault(pc, str(exc))
             if nxt >= 0:
                 if rlog is not None:
                     rlog.append(pc)
-                n += 1
                 budget -= 1
-                probe = nxt != ((pc + 4) & 0xFFFFFFFF)
+                if traced:
+                    probe = nxt != ((pc + 4) & 0xFFFFFFFF)
                 pc = nxt
                 continue
-            if nxt == halt_marker:
+            if nxt == predecode.HALT:
                 if rlog is not None:
                     rlog.append(pc)
                 self.pc = pc
-                self.instret += n + 1
+                self.instret += synced - budget + 1
                 return StepResult.HALTED
-            if nxt == syscall_marker:
-                syscall_pc = pc
+            if nxt == predecode.SYSCALL:
+                # The syscall retires before its handler runs.
                 if rlog is not None:
                     rlog.append(pc)
-                self.pc = pc = (pc + 4) & 0xFFFFFFFF
-                self.instret += n + 1
-                n = 0
                 budget -= 1
+                self.pc = (pc + 4) & 0xFFFFFFFF
+                self.instret += synced - budget
+                synced = budget
                 handler = self.syscall_handler
                 if handler is None:
-                    raise SimFault(syscall_pc, "syscall with no handler")
+                    raise SimFault(pc, "syscall with no handler")
                 try:
                     keep_running = handler(self)
-                except (MemoryFault, arith_fault) as exc:
-                    return self._fault(syscall_pc, str(exc))
+                except (MemoryFault, semantics.ArithmeticFault) as exc:
+                    return self._fault(pc, str(exc))
                 if not keep_running:
                     return StepResult.SYSCALL
+                if self.halted:
+                    return StepResult.HALTED
                 pc = self.pc          # the handler may redirect control
+            else:
+                # CHECK: the hook sees self.pc at the chk instruction,
+                # which retires after it.
+                self.pc = pc
+                self.instret += synced - budget
+                if self.chk_handler is not None:
+                    try:
+                        self.chk_handler(self, entry[3])
+                    except (MemoryFault, semantics.ArithmeticFault) as exc:
+                        return self._fault(pc, str(exc))
+                if rlog is not None:
+                    rlog.append(pc)
+                budget -= 1
+                synced = budget
+                pc = self.pc = (pc + 4) & 0xFFFFFFFF
+                self.instret += 1
                 if self.halted:
                     return StepResult.HALTED
-                if self.trace_mem is not None:          # attached mid-run
-                    trace_cache.deopt_runs += 1
-                    return self._deopt_tail(budget)
-                probe = True
-                continue
-            # CHECK: hook sees self.pc at the chk instruction itself.
-            self.pc = pc
-            self.instret += n
-            n = 0
-            if self.chk_handler is not None:
-                try:
-                    self.chk_handler(self, entry[3])
-                except (MemoryFault, arith_fault) as exc:
-                    return self._fault(pc, str(exc))
-                if self.halted:
-                    if rlog is not None:
-                        rlog.append(pc)
-                    self.pc = (pc + 4) & 0xFFFFFFFF
-                    self.instret += 1
-                    return StepResult.HALTED
-            if rlog is not None:
-                rlog.append(pc)
-            pc = (pc + 4) & 0xFFFFFFFF
-            self.pc = pc
-            self.instret += 1
-            budget -= 1
-            if self.trace_mem is not None:          # attached mid-run
+            if traced and self.trace_mem is not None:   # attached mid-run
                 trace_cache.deopt_runs += 1
-                return self._deopt_tail(budget)
-            probe = True
+                traced = False
+            probe = traced
         self.pc = pc
-        self.instret += n
-        return StepResult.OK
-
-    def _deopt_tail(self, remaining):
-        """Finish a JIT run per-instruction after a mid-run deopt."""
-        if remaining <= 0:
-            return StepResult.OK
-        if self.retire_log is None:
-            return self._run_predecode(remaining)
-        rlog = self.retire_log
-        for __ in range(remaining):
-            pc = self.pc
-            result = self.step()
-            if result is StepResult.OK:
-                rlog.append(pc)
-                continue
-            if result is StepResult.HALTED:
-                rlog.append(pc)
-            return result
+        self.instret += synced - budget
         return StepResult.OK
 
     # -------------------------------------------------------------- execute

@@ -31,7 +31,7 @@ Invalidation rides the existing per-page write-version protocol:
   resumes per-instruction, re-decoding what memory now holds.
 
 Compiled-function protocol (the contract with
-:meth:`repro.funcsim.FuncSim._run_traced`):
+:meth:`repro.funcsim.FuncSim._dispatch`):
 
 * ``fn(regs, budget) -> (next_pc, retired)`` executes against the
   register file list and the bound memory.  ``retired`` instructions

@@ -21,7 +21,6 @@ from repro.obs.tracer import (
     CommitTracer,
     CycleTracer,
     TraceEntry,
-    attach_commit_tracer,
     trace_functional,
     trace_process,
 )
@@ -31,5 +30,5 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "PROBES", "Probe",
     "CycleTracer", "CommitTracer", "TraceEntry",
-    "attach_commit_tracer", "trace_functional", "trace_process",
+    "trace_functional", "trace_process",
 ]

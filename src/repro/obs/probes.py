@@ -208,9 +208,8 @@ class SchedProbe(Probe):
 class CommitTraceProbe(Probe):
     """Retirement trace: attaches the :class:`CommitTracer` RSE module.
 
-    ``machine.obs.attach("commit")`` is the supported spelling of the
-    historical ``attach_commit_tracer(machine)``; the tracer module is
-    exposed as the probe's ``tracer`` attribute.
+    ``machine.obs.attach("commit", limit=...)`` returns the probe; the
+    tracer module is its ``tracer`` attribute.
     """
 
     name = "commit"

@@ -210,17 +210,3 @@ class CommitTracer(RSEModule):
     def render(self, last=None):
         entries = self.entries if last is None else self.entries[-last:]
         return "\n".join(entry.render() for entry in entries)
-
-
-def attach_commit_tracer(machine, limit=100_000):
-    """Attach (and enable) a :class:`CommitTracer` to a machine's RSE.
-
-    Prefer ``machine.obs.attach("commit", limit=...)``, which routes
-    through the probe registry; this helper remains the underlying
-    mechanism (and the historical API).
-    """
-    if machine.rse is None:
-        raise ValueError("commit tracing needs a machine with the RSE")
-    tracer = machine.rse.attach(CommitTracer(limit))
-    machine.rse.enable_module(CommitTracer.MODULE_ID)
-    return tracer

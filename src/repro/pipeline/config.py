@@ -27,8 +27,7 @@ class PipelineConfig:
                  bimodal_entries=2048,
                  btb_entries=512,
                  predictor="bimodal",
-                 predecode=True,
-                 batch=True):
+                 predecode=True):
         self.fetch_width = fetch_width
         self.dispatch_width = dispatch_width
         self.issue_width = issue_width
@@ -49,11 +48,6 @@ class PipelineConfig:
         #: decoded stream is bit-identical either way; False keeps the
         #: direct decode path for differential testing).
         self.predecode = predecode
-        #: Let :meth:`Pipeline.run` run its whole budget in one call of
-        #: the cycle loop, which skips provably-dead cycles in one jump,
-        #: with or without the RSE (perf only — cycle counts, stats and
-        #: events are identical; False runs one step() per cycle).
-        self.batch = batch
 
     def copy(self, **overrides):
         """Return a new config with *overrides* applied."""

@@ -206,8 +206,9 @@ class Pipeline:
       may change its answers, or be replaced, only between
       :meth:`run` calls: the cycle loop probes instruction fetch once
       per page per call and reuses a yes for the rest of the call
-      (a whole :meth:`run` with ``config.batch`` on, one cycle per
-      :meth:`step` otherwise).
+      (a whole :meth:`run`, or one cycle when a shadowed :meth:`step`
+      drives it).  The functional engines ask ``FuncSim.fetch_check``
+      under the same contract.
     """
 
     def __init__(self, memory, hierarchy, config=None, rse=None):
@@ -291,15 +292,14 @@ class Pipeline:
         """Simulate until an event occurs; returns the :class:`PipelineEvent`.
 
         Returns a ``MAX_CYCLES`` event exactly *max_cycles* cycles later
-        when no other event comes first.  With ``config.batch`` on and
-        :meth:`step` not shadowed, one :meth:`_cycles` call runs the
-        whole budget and jumps over provably-dead cycles; otherwise
-        each cycle is one :meth:`step` call, so anything that shadows
-        ``step`` (a test observing every cycle) misses none.
+        when no other event comes first.  One :meth:`_cycles` call runs
+        the whole budget and jumps over provably-dead cycles.  Only
+        when :meth:`step` is shadowed is each cycle one ``step()`` call,
+        so anything that shadows it (a test observing every cycle, or
+        driving the loop one cycle per call as a reference) misses none.
         """
         limit = _NEVER if max_cycles is None else self.cycle + max_cycles
-        if (self.config.batch
-                and getattr(self.step, "__func__", None) is Pipeline.step):
+        if getattr(self.step, "__func__", None) is Pipeline.step:
             event = self._cycles(limit)
         else:
             event = self.step()

@@ -507,3 +507,48 @@ class RSE:
         for module in self.modules.values():
             module.reset_stats()
 
+
+class NullTap:
+    """A do-nothing stand-in in the pipeline's RSE slot.
+
+    Every attachment point the cycle loop calls answers as ``rse=None``
+    behaves: the IOQ gate passes, stores never stall, CHECKs never block
+    loads, and there is no work and no timed work (so the loop skips
+    dead cycles), which makes it architecturally invisible.  Subclasses
+    override only what they observe: the difftest ``CommitRecorder``
+    records the commit stream, and the assertion adapter installs one
+    in a bare pipeline to shadow its ``on_commit``.
+    """
+
+    def on_dispatch(self, uop, cycle):
+        pass
+
+    def on_operands(self, uop, cycle, values):
+        pass
+
+    def on_execute(self, uop, cycle):
+        pass
+
+    def on_mem_load(self, uop, cycle, value):
+        pass
+
+    def on_commit(self, uop, cycle):
+        pass
+
+    def on_squash(self, uops, cycle):
+        pass
+
+    def step(self, cycle):
+        return False
+
+    def quiescent(self, cycle):
+        return None
+
+    def ioq_gate(self, uop, cycle):
+        return None
+
+    def pre_commit_store(self, uop, cycle):
+        return 0
+
+    def check_blocks_loads(self, instr):
+        return False

@@ -11,7 +11,12 @@ Plus one module of our own, demonstrating the framework's versatility:
   (the Wilken & Kong technique the paper's Section 2 generalises).
 """
 
-from repro.rse.modules.icm import ICM, build_checker_memory, make_icm_injector
+from repro.rse.modules.icm import (
+    ICM,
+    arm_icm,
+    build_checker_memory,
+    make_icm_injector,
+)
 from repro.rse.modules.mlr import MLR
 from repro.rse.modules.ddt import DDT
 from repro.rse.modules.ahbm import AHBM
@@ -19,6 +24,7 @@ from repro.rse.modules.cfc import CFC, MODULE_CFC, build_cfg
 
 __all__ = [
     "ICM",
+    "arm_icm",
     "build_checker_memory",
     "make_icm_injector",
     "MLR",

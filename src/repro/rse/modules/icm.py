@@ -10,7 +10,9 @@ Implementation points reproduced from the paper:
 
 * the program is statically parsed and all checked instructions are
   stored **contiguously** in a separate chunk of memory (the
-  *CheckerMemory*) — :func:`build_checker_memory`;
+  *CheckerMemory*) — :func:`build_checker_memory`, which
+  :func:`arm_icm` pairs with the ICM's configuration and the CHECK
+  injector;
 * a dedicated cache (*Icm_Cache*, default 256 entries) inside the ICM
   reduces CheckerMemory traffic; LRU replacement with a replacement
   group of 8 entries — contiguous placement makes a single fetch bring
@@ -123,6 +125,22 @@ def make_icm_injector(checker_map):
         return None
 
     return injector
+
+
+def arm_icm(machine, text_base, text_length, predicate=None):
+    """Point *machine*'s attached ICM at the loaded text; returns the map.
+
+    Builds the CheckerMemory for ``[text_base, text_base +
+    text_length)`` (*predicate* as in :func:`build_checker_memory`),
+    configures and enables the ICM, and installs the CHECK injector on
+    the pipeline, in that order.
+    """
+    checker_map = build_checker_memory(machine.memory, text_base,
+                                       text_length, predicate=predicate)
+    machine.module(MODULE_ICM).configure(checker_map)
+    machine.rse.enable_module(MODULE_ICM)
+    machine.pipeline.check_injector = make_icm_injector(checker_map)
+    return checker_map
 
 
 class _InflightCheck:

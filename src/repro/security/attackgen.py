@@ -37,9 +37,8 @@ from repro.campaign.models import FaultModel, Outcome, register
 from repro.isa.encoding import encode
 from repro.isa.instructions import SPEC_BY_NAME
 from repro.program.layout import MemoryLayout
-from repro.rse.check import MODULE_ICM
 from repro.rse.modules.cfc import CFC, MODULE_CFC, build_cfg
-from repro.rse.modules.icm import build_checker_memory, make_icm_injector
+from repro.rse.modules.icm import arm_icm
 from repro.security.attacks import (
     _MLR_PROLOGUE,
     PWNED_MARKER,
@@ -390,12 +389,7 @@ def _build_config_machine(machine, asm, modules):
     machine.
     """
     if "icm" in modules:
-        icm = machine.module(MODULE_ICM)
-        checker_map = build_checker_memory(machine.memory, asm.text_base,
-                                           len(asm.text))
-        icm.configure(checker_map)
-        machine.rse.enable_module(MODULE_ICM)
-        machine.pipeline.check_injector = make_icm_injector(checker_map)
+        arm_icm(machine, asm.text_base, len(asm.text))
     if "cfc" in modules:
         cfc = machine.module(MODULE_CFC)
         cfc.configure(*build_cfg(machine.memory, asm.text_base,

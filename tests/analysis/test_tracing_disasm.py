@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.tracer import attach_commit_tracer, trace_functional
+from repro.obs.tracer import trace_functional
 from repro.isa.assembler import assemble
 from repro.isa.disasm import disassemble_image, disassemble_segment
 from repro.memory.mainmem import MainMemory
@@ -80,7 +80,7 @@ def test_functional_trace_stops_on_fault():
 
 def test_commit_tracer_records_retirement_stream():
     machine = build_machine(with_rse=True)
-    tracer = attach_commit_tracer(machine)
+    tracer = machine.obs.attach("commit").tracer
     asm = assemble(SOURCE)
     machine.memory.store_bytes(asm.text_base, asm.text)
     machine.pipeline.reset_at(asm.entry)
@@ -98,12 +98,12 @@ def test_commit_tracer_records_retirement_stream():
 def test_commit_tracer_requires_rse():
     machine = build_machine()
     with pytest.raises(ValueError):
-        attach_commit_tracer(machine)
+        machine.obs.attach("commit")
 
 
 def test_commit_tracer_limit():
     machine = build_machine(with_rse=True)
-    tracer = attach_commit_tracer(machine, limit=3)
+    tracer = machine.obs.attach("commit", limit=3).tracer
     asm = assemble(SOURCE)
     machine.memory.store_bytes(asm.text_base, asm.text)
     machine.pipeline.reset_at(asm.entry)

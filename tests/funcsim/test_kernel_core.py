@@ -2,9 +2,12 @@
 
 One kernel serves every engine: the same program prints the same guest
 output on the pipeline and on interp, predecode and jit; the trace JIT
-keeps compiling traces with the kernel's fetch check attached; and a
-fetch the check refuses faults at the same pc and instret whichever
-functional engine runs it.
+keeps compiling traces with the kernel's fetch check attached; a fetch
+the check refuses faults at the same pc and instret whichever
+functional engine runs it; and after ``mprotect`` takes execute
+permission away from code that already ran, all four engines stop at
+the same pc after the same count, because each asks the permission
+once per page per run, trace heads included.
 """
 
 import json
@@ -21,8 +24,12 @@ from repro.security.attacks import (
     build_stack_smash_payload,
     vulnerable_service_program,
 )
+from repro.system import build_machine
+from repro.workloads.asmlib import build_workload_image
 
 SYSCALLS = pathlib.Path(__file__).with_name("syscalls.s")
+MPROTECT = pathlib.Path(__file__).with_name("mprotect.s")
+MPROTECT_TRACED = pathlib.Path(__file__).with_name("mprotect_traced.s")
 ENGINES = ("pipeline", "interp", "predecode", "jit")
 
 
@@ -135,3 +142,39 @@ def test_refused_fetch_faults_alike_on_every_functional_engine():
     assert len(set(stops.values())) == 1, stops
     pc, __, cause = stops["jit"]
     assert cause == "x-access violation at 0x%08x (page is rw)" % pc
+
+
+def _revoked(engine, program):
+    """Run *program* on *engine* under the kernel until it faults."""
+    image, asm = build_workload_image(program.read_text(), MemoryLayout())
+    if engine == "pipeline":
+        machine = build_machine()
+        kernel, core = machine.kernel, None
+    else:
+        memory = MainMemory()
+        core = FunctionalCore(memory, engine)
+        kernel = Kernel(core, memory)
+    kernel.load_process(image)
+    assert kernel.run(max_cycles=100_000).reason == "fault"
+    (__, pc, cause), = kernel.faults
+    retired = (machine.pipeline.stats.instret if core is None
+               else core.sim.instret)
+    return (pc, retired, cause), asm, core
+
+
+@pytest.mark.parametrize("program", [MPROTECT, MPROTECT_TRACED],
+                         ids=["plain", "traced"])
+def test_revoked_exec_faults_alike_on_every_engine(program):
+    stops = {}
+    for engine in ENGINES:          # jit last: *core* is the jit's
+        stops[engine], asm, core = _revoked(engine, program)
+    assert len(set(stops.values())) == 1, stops
+    pc, retired, cause = stops["pipeline"]
+    assert cause == "x-access violation at 0x%08x (page is rw)" % pc
+    if program is MPROTECT:
+        assert (pc, retired) == (0x00400034, 25)
+    else:
+        # The fault lands on the head of a trace the jit compiled while
+        # the page was still executable.
+        assert pc == asm.symbols["loop"]
+        assert core.sim.trace_cache.entries[pc][1] is not None

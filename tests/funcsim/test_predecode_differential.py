@@ -17,6 +17,7 @@ from repro.isa.encoding import encode, flip_bit
 from repro.isa.instructions import SPEC_BY_NAME
 from repro.memory.mainmem import MainMemory
 from repro.pipeline import PipelineConfig
+from repro.rse.engine import NullTap
 from tests.helpers import load_assembly, make_pipeline
 
 WORKLOADS = table4.workload_sources(quick=True)
@@ -137,41 +138,14 @@ def test_corrupting_already_executed_text_changes_execution():
 
 # --------------------------------------------------------------- pipeline
 
-class RecordingRSE:
+class RecordingRSE(NullTap):
     """Minimal pipeline-attachment stub that records the commit trace."""
 
     def __init__(self):
         self.commits = []
 
-    def on_dispatch(self, uop, cycle):
-        pass
-
-    def on_operands(self, uop, cycle, values):
-        pass
-
-    def on_execute(self, uop, cycle):
-        pass
-
-    def on_mem_load(self, uop, cycle, value):
-        pass
-
-    def ioq_gate(self, uop, cycle):
-        return False
-
-    def pre_commit_store(self, uop, cycle):
-        return False
-
-    def check_blocks_loads(self, instr):
-        return False
-
     def on_commit(self, uop, cycle):
         self.commits.append((cycle, uop.pc, uop.instr.name))
-
-    def on_squash(self, uops, cycle):
-        pass
-
-    def step(self, cycle):
-        pass
 
 
 @pytest.mark.parametrize("workload", ["vpr-route"])

@@ -23,9 +23,8 @@ from repro.checkpoint import (CampaignImage, CheckpointError, IMAGE_MAGIC,
                               WIRE_VERSION, _HEADER, _seal)
 from repro.experiments.table4 import workload_sources
 from repro.program.layout import MemoryLayout
-from repro.rse.check import MODULE_ICM
 from repro.rse.ioq import NON_CHECK_ENTRY
-from repro.rse.modules.icm import build_checker_memory, make_icm_injector
+from repro.rse.modules.icm import arm_icm
 from repro.system import build_machine
 from repro.workloads.asmlib import build_workload_image
 
@@ -39,13 +38,8 @@ def build_workload_machine(source, protected=True):
     image, __ = build_workload_image(source, MemoryLayout())
     machine.kernel.load_process(image)
     if protected:
-        icm = machine.module(MODULE_ICM)
         text = image.segment(".text")
-        checker_map = build_checker_memory(machine.memory, text.base,
-                                           len(text.data))
-        icm.configure(checker_map)
-        machine.rse.enable_module(MODULE_ICM)
-        machine.pipeline.check_injector = make_icm_injector(checker_map)
+        arm_icm(machine, text.base, len(text.data))
     return machine
 
 

@@ -37,14 +37,6 @@ def test_run_program(tmp_path, capsys):
     assert "guest output: 99" in out
 
 
-def test_run_functional(tmp_path, capsys):
-    source = tmp_path / "prog.s"
-    source.write_text("main: li $t0, 1\n halt\n")
-    assert main(["run", "--func", str(source)]) == 0
-    out = capsys.readouterr().out
-    assert "functional run (predecode): halted" in out
-
-
 @pytest.mark.parametrize("engine", ["interp", "predecode", "jit"])
 def test_run_engine_selector(tmp_path, capsys, engine):
     source = tmp_path / "prog.s"
@@ -71,27 +63,6 @@ def test_run_engine_jit_json_reports_trace_cache(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["engine"] == "jit"
     assert payload["trace_cache"]["compiled"] >= 1
-
-
-def test_run_no_jit_disables_traces(tmp_path, capsys):
-    source = tmp_path / "prog.s"
-    source.write_text(LOOP_SOURCE)
-    assert main(["run", "--engine", "jit", "--no-jit", "--json",
-                 str(source)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert "trace_cache" not in payload
-
-
-def test_run_pipeline_no_jit_matches_batch(tmp_path, capsys):
-    source = tmp_path / "prog.s"
-    source.write_text(LOOP_SOURCE)
-    assert main(["run", "--json", str(source)]) == 0
-    batched = json.loads(capsys.readouterr().out)
-    assert main(["run", "--no-jit", "--json", str(source)]) == 0
-    stepped = json.loads(capsys.readouterr().out)
-    assert stepped["batch"] is False and batched["batch"] is True
-    assert stepped["cycles"] == batched["cycles"]
-    assert stepped["snapshot"] == batched["snapshot"]
 
 
 def test_run_with_icm(tmp_path, capsys):
@@ -227,7 +198,7 @@ def test_run_json_carries_snapshot(tmp_path, capsys):
 def test_run_functional_rejects_stats_json(tmp_path, capsys):
     source = tmp_path / "prog.s"
     source.write_text("main: li $t0, 1\n halt\n")
-    assert main(["run", "--func", str(source),
+    assert main(["run", "--engine", "predecode", str(source),
                  "--stats-json", str(tmp_path / "x.json")]) == 2
 
 
@@ -339,6 +310,16 @@ def test_missing_input_file_is_one_line_error(tmp_path, capsys):
     assert_one_line_error(capsys, "missing.s")
     assert main(["stats", missing]) == 2
     assert_one_line_error(capsys, "missing.s")
+
+
+@pytest.mark.parametrize("engine", ["interp", "predecode", "jit"])
+def test_icm_on_a_functional_engine_is_one_line_error(tmp_path, capsys,
+                                                       engine):
+    # The ICM lives in the RSE, which only the pipeline has.
+    source = tmp_path / "prog.s"
+    source.write_text(LOOP_SOURCE)
+    assert main(["run", "--engine", engine, "--icm", str(source)]) == 2
+    assert_one_line_error(capsys, "--icm needs the full machine")
 
 
 def test_malformed_program_is_one_line_error(tmp_path, capsys):

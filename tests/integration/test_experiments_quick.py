@@ -84,17 +84,10 @@ def test_icm_checking_is_architecturally_transparent():
         image, asm = build_workload_image(source, MemoryLayout())
         machine.kernel.load_process(image)
         if with_icm:
-            from repro.rse.check import MODULE_ICM
-            from repro.rse.modules.icm import build_checker_memory, \
-                make_icm_injector
+            from repro.rse.modules.icm import arm_icm
 
-            icm = machine.module(MODULE_ICM)
             text = image.segment(".text")
-            checker_map = build_checker_memory(machine.memory, text.base,
-                                               len(text.data))
-            icm.configure(checker_map)
-            machine.rse.enable_module(MODULE_ICM)
-            machine.pipeline.check_injector = make_icm_injector(checker_map)
+            arm_icm(machine, text.base, len(text.data))
         result = machine.kernel.run(max_cycles=40_000_000)
         assert result.reason == "halt"
         outputs.append(machine.memory.load_bytes(asm.symbols["assign"],

@@ -1,13 +1,13 @@
 """Batch vs stepped driver of the one cycle loop: cycle-exact equivalence.
 
-:meth:`Pipeline.run` drives the cycle loop in one of two ways.  With
-``PipelineConfig(batch=True)`` one call runs the whole budget; with
-``batch=False`` (or a shadowed ``step``) each cycle is one
-:meth:`Pipeline.step` call, which runs the same loop for one cycle.
-They differ only in what a call spanning many cycles may do: jump over
-provably-dead cycles (replaying their fetch stalls and CHECK waits),
-keep the same-block I-fetch memo across cycles, and reuse a page's
-fetch permission.  The contract is *identity*: events, cycle counts,
+:meth:`Pipeline.run` drives the cycle loop in one of two ways.  One
+call runs the whole budget, unless ``step`` is shadowed: then each
+cycle is one :meth:`Pipeline.step` call, which runs the same loop for
+one cycle.  :func:`drive_stepped` shadows it to get that reference.
+The drivers differ only in what a call spanning many cycles may do:
+jump over provably-dead cycles (replaying their fetch stalls and CHECK
+waits), keep the same-block I-fetch memo across cycles, and reuse a
+page's fetch permission.  The contract is *identity*: events, cycle counts,
 architectural state, every stats counter and the whole ``rse``
 snapshot section must be equal.  These tests compare complete
 fingerprints across the Table 4 quick workloads on both cache
@@ -25,11 +25,10 @@ from repro.difftest.oracle import CommitRecorder
 from repro.experiments import fig9, table4
 from repro.isa.assembler import assemble
 from repro.isa.encoding import flip_bit
-from repro.pipeline import PipelineConfig
 from repro.pipeline.core import EventKind
 from repro.rse.check import MODULE_AHBM, MODULE_ICM, asm_constants
 from repro.rse.module import ModuleMode, RSEModule
-from repro.rse.modules.icm import build_checker_memory, make_icm_injector
+from repro.rse.modules.icm import arm_icm
 from repro.program.layout import MemoryLayout
 from repro.system import build_machine
 from repro.workloads import gotplt
@@ -37,6 +36,13 @@ from repro.workloads.asmlib import build_workload_image
 
 from helpers import STACK_TOP, load_assembly, make_pipeline
 from probe_module import TEST_MODULE_ID
+
+
+def drive_stepped(pipeline):
+    """Shadow ``pipeline.step`` so that :meth:`Pipeline.run` takes one
+    ``step()`` per cycle: the stepped driver the batch one must match."""
+    step = pipeline.step
+    pipeline.step = lambda: step()
 
 
 def fingerprint(pipeline, event):
@@ -52,9 +58,9 @@ def run_pair(source, max_cycles=2_000_000, prep=None, constants=None,
     prints = {}
     for batch in (False, True):
         asm, mem = load_assembly(source, constants=constants)
-        pipeline = make_pipeline(mem, asm.entry,
-                                 config=PipelineConfig(batch=batch),
-                                 cache_configs=cache_configs)
+        pipeline = make_pipeline(mem, asm.entry, cache_configs=cache_configs)
+        if not batch:
+            drive_stepped(pipeline)
         if prep is not None:
             prep(pipeline)
         event = pipeline.run(max_cycles=max_cycles)
@@ -135,7 +141,9 @@ loop:
 """
     prints = {}
     for batch in (False, True):
-        machine = build_machine(pipeline_config=PipelineConfig(batch=batch))
+        machine = build_machine()
+        if not batch:
+            drive_stepped(machine.pipeline)
         image, asm = build_workload_image(source, MemoryLayout())
         machine.kernel.load_process(image)
         assert machine.kernel.run(max_cycles=333).reason == "max_cycles"
@@ -183,21 +191,13 @@ def test_rse_and_check_injector_are_identical():
     asm = assemble(source)
     prints = {}
     for batch in (False, True):
-        machine, __ = build_campaign_machine(asm, protected=True,
-                                             batch=batch)
+        machine, __ = build_campaign_machine(asm, protected=True)
+        if not batch:
+            drive_stepped(machine.pipeline)
         event = machine.pipeline.run(max_cycles=50_000_000)
         prints[batch] = fingerprint(machine.pipeline, event)
     assert prints[True]["kind"] == "halt"
     assert_identical(prints)
-
-
-def test_batch_false_forces_step_loop():
-    source = "main:\n li $t0, 3\n halt\n"
-    asm, mem = load_assembly(source)
-    pipeline = make_pipeline(mem, asm.entry,
-                             config=PipelineConfig(batch=False))
-    event = pipeline.run(max_cycles=1_000)
-    assert event.kind is EventKind.HALT
 
 
 def test_shadowed_step_deopts_to_reference_loop():
@@ -205,8 +205,7 @@ def test_shadowed_step_deopts_to_reference_loop():
     # run() may not take the fused path around it.
     source = "main:\n li $t0, 3\n halt\n"
     asm, mem = load_assembly(source)
-    pipeline = make_pipeline(mem, asm.entry,
-                             config=PipelineConfig(batch=True))
+    pipeline = make_pipeline(mem, asm.entry)
     seen = []
     original = pipeline.step
 
@@ -262,8 +261,9 @@ def paired(run, probes=()):
         built = []
 
         def build(**options):
-            machine = build_machine(
-                pipeline_config=PipelineConfig(batch=batch), **options)
+            machine = build_machine(**options)
+            if not batch:
+                drive_stepped(machine.pipeline)
             for name in probes:
                 machine.obs.attach(name)
             built.append((machine, record_events(machine.pipeline)))
@@ -280,11 +280,7 @@ def load(machine, source, constants=None, icm=False):
     machine.memory.store_bytes(asm.text_base, asm.text)
     machine.memory.store_bytes(asm.data_base, asm.data)
     if icm:
-        checker_map = build_checker_memory(machine.memory, asm.text_base,
-                                           len(asm.text))
-        machine.module(MODULE_ICM).configure(checker_map)
-        machine.rse.enable_module(MODULE_ICM)
-        machine.pipeline.check_injector = make_icm_injector(checker_map)
+        arm_icm(machine, asm.text_base, len(asm.text))
     machine.pipeline.reset_at(asm.entry)
     machine.pipeline.regs[29] = STACK_TOP
 
@@ -483,10 +479,11 @@ def test_run_stops_exactly_at_its_budget(config):
         machine = build_machine(
             with_rse=config != "bare",
             modules=("icm",) if config == "icm" else (),
-            pipeline_config=PipelineConfig(batch=batch),
             cache_configs=table4.scaled_cache_configs())
         load(machine, source, icm=config == "icm")
         pipeline = machine.pipeline
+        if not batch:
+            drive_stepped(pipeline)
         stamps = []          # the RSE's clock wherever a slice stopped
         while True:
             start = pipeline.cycle
@@ -545,8 +542,9 @@ main:
     for batch in (False, True):
         asm, mem = load_assembly(source)
         tap = FreezingRecorder()
-        pipeline = make_pipeline(mem, asm.entry,
-                                 config=PipelineConfig(batch=batch), rse=tap)
+        pipeline = make_pipeline(mem, asm.entry, rse=tap)
+        if not batch:
+            drive_stepped(pipeline)
         event = pipeline.run(max_cycles=10_000)
         prints[batch] = dict(fingerprint(pipeline, event), acted=tap.acted,
                              stream=tap.stream)

@@ -13,9 +13,9 @@ import pytest
 from repro.experiments import fig9
 from repro.isa.assembler import assemble
 from repro.pipeline.core import EventKind
-from repro.rse.check import MODULE_AHBM, MODULE_DDT, MODULE_ICM, asm_constants
+from repro.rse.check import MODULE_AHBM, MODULE_DDT, asm_constants
 from repro.rse.modules.cfc import CFC, MODULE_CFC, build_cfg
-from repro.rse.modules.icm import build_checker_memory, make_icm_injector
+from repro.rse.modules.icm import arm_icm
 from repro.system import build_machine
 from repro.workloads import gotplt, server
 
@@ -95,11 +95,7 @@ def load(machine, source=MIXED, target=ABSENT):
 
 
 def enable_icm(machine, asm):
-    checker_map = build_checker_memory(machine.memory, asm.text_base,
-                                       len(asm.text))
-    machine.module(MODULE_ICM).configure(checker_map)
-    machine.rse.enable_module(MODULE_ICM)
-    machine.pipeline.check_injector = make_icm_injector(checker_map)
+    arm_icm(machine, asm.text_base, len(asm.text))
 
 
 def run_to_halt(machine):
