@@ -16,6 +16,8 @@ what a bare one does.  The hub shadows ``machine.checkpoint`` and
 the MAU-quiesce and page-version properties consume.
 """
 
+import weakref
+
 from repro.assertions.adapters import PipelineAdapter, ShadowSet
 from repro.assertions.monitor import AssertionMonitor
 
@@ -43,10 +45,15 @@ class AssertionHub:
     """Attach/detach assertion monitoring on one :class:`Machine`."""
 
     def __init__(self, machine):
-        self.machine = machine
+        # Weak, like Observability.machine: the machine owns its hub.
+        self._machine = weakref.ref(machine)
         self.monitor = None          # survives detach: snapshot keeps results
         self._adapter = None
         self._machine_shadows = None
+
+    @property
+    def machine(self):
+        return self._machine()
 
     # -------------------------------------------------------------- attach
 

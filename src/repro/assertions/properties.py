@@ -42,6 +42,9 @@ belong to the self-checking watchdog, so a checker seeing a stuck-at
 override on an entry stands down rather than double-reporting.
 """
 
+import weakref
+
+from repro.isa import predecode
 from repro.memory.mainmem import PAGE_SHIFT, PAGE_SIZE
 
 MASK32 = 0xFFFFFFFF
@@ -102,7 +105,8 @@ class PropertyChecker:
     engines = ALL_ENGINES
 
     def __init__(self, monitor):
-        self.monitor = monitor
+        # The monitor owns its checkers and their handlers: weak back.
+        self.monitor = weakref.proxy(monitor)
 
     def violate(self, detail, pc=None, operands=None):
         self.monitor.violation(self.id, detail, pc=pc, operands=operands)
@@ -378,7 +382,7 @@ class PredecodeCoherence(PropertyChecker):
         self._sweep(memory)
 
     def _sweep(self, memory):
-        cache = getattr(memory, "predecode_cache", None)
+        cache = predecode.cache_of(memory)
         if cache is None:
             return
         versions = memory.write_versions

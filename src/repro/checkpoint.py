@@ -72,7 +72,7 @@ can cross a process (or host) boundary — the lever the sharded campaign
 service (:mod:`repro.campaign.service`) uses to simulate a warmup
 prefix once and ship the warmed image to every worker:
 
-* a fixed **checked header** (magic, format version 3, and the length
+* a fixed **checked header** (magic, format version 4, and the length
   and CRC32 of the pickled body) so a reader rejects foreign, stale,
   truncated or bit-flipped images *before* unpickling anything; a body
   or state that still fails to unpickle is a :class:`CheckpointError`
@@ -114,9 +114,9 @@ __all__ = ["CampaignImage", "CheckpointError", "MachineCheckpoint",
 #: were not built for, and any body whose length or checksum is off,
 #: before unpickling anything.
 WIRE_MAGIC = b"RPCP"
-#: Version 3: non-CHECK IOQ entries travel as a reference to the shared
-#: entry, and the RSE engine counts its queued blocking CHECKs.
-WIRE_VERSION = 3
+#: Version 4: a cache's state holds only its resident sets, keyed by
+#: set index (version 3 had a list of every set).
+WIRE_VERSION = 4
 IMAGE_MAGIC = b"RPCI"
 IMAGE_VERSION = 2
 _HEADER = struct.Struct("<4sHII")
@@ -133,7 +133,7 @@ _PIPELINE_SKIP = frozenset((
     "_predecode",
 ))
 _ENGINE_SKIP = frozenset((
-    "memory", "hierarchy", "kernel", "queues", "ioq", "mau", "selfcheck",
+    "memory", "hierarchy", "queues", "ioq", "mau", "selfcheck",
     "modules", "_fetch_readers", "_execute_readers", "_mem_load_readers",
     "_commit_readers", "_squash_readers", "_store_readers", "_steppers",
 ))
@@ -420,14 +420,20 @@ def _fields(obj, skip=frozenset()):
 
 
 def _graft(obj, fields, refill=()):
-    """Set *fields* on *obj*; the components named in *refill* (ones a
-    probe may instrument) take their clone's fields in place instead of
-    being replaced, so wrappers attached to them keep counting."""
+    """Set *fields* on *obj*; the fields named in *refill* take their
+    clone's contents in place instead of being replaced: a component a
+    probe may instrument, so wrappers attached to it keep counting, or a
+    dict a closure reads (the kernel's page permissions, which the
+    core's ``mem_check`` probe holds)."""
     for key, value in fields.items():
-        if key in refill:
-            _graft(getattr(obj, key), _fields(value))
-        else:
+        if key not in refill:
             setattr(obj, key, value)
+        elif type(value) is dict:
+            live = getattr(obj, key)
+            live.clear()
+            live.update(value)
+        else:
+            _graft(getattr(obj, key), _fields(value))
 
 
 def _pins(machine):
@@ -493,10 +499,14 @@ def restore(machine, checkpoint):
     """Rewind *machine* to *checkpoint* (reusable; returns *machine*).
 
     Works for live checkpoints (captured in this process) and wire
-    checkpoints (:meth:`MachineCheckpoint.from_bytes`) alike; a wire
-    checkpoint's pin references resolve to *machine*'s own singletons,
-    which requires the target to have the same component shape as the
-    capture machine.
+    checkpoints (:meth:`MachineCheckpoint.from_bytes`) alike.  Either
+    way each pinned singleton of the capture machine maps to *machine*'s
+    own singleton at the same ordinal — a wire checkpoint's pin
+    references through :class:`_PinRef`, a live one's captured pins
+    through the deepcopy memo — which requires the target to have the
+    same component shape as the capture machine.  So a live checkpoint
+    restored onto another machine grafts in that machine's modules,
+    never a clone of the donor's.
     """
     global _ACTIVE_PINS
 
@@ -508,9 +518,10 @@ def restore(machine, checkpoint):
             "the same configuration (RSE, modules, predecode)"
             % (checkpoint.pin_count, len(pins)))
     machine.memory.restore_state(checkpoint.pages, checkpoint.versions)
-    # Re-copy the stored state with the same pins so the checkpoint
+    # Re-copy the stored state with the target's pins so the checkpoint
     # survives this restore untouched and can be restored again.
-    memo = {id(pin): pin for pin in pins}
+    captured = checkpoint._pins if checkpoint._pins is not None else pins
+    memo = {id(old): pin for old, pin in zip(captured, pins)}
     _ACTIVE_PINS = pins
     try:
         state = copy.deepcopy(checkpoint._state, memo)
@@ -518,7 +529,7 @@ def restore(machine, checkpoint):
         _ACTIVE_PINS = None
     _graft(machine.pipeline, state["pipeline"], refill=("predictor",))
     _graft(machine.hierarchy, state["hierarchy"], refill=("bus",))
-    _graft(machine.kernel, state["kernel"])
+    _graft(machine.kernel, state["kernel"], refill=("page_perms",))
     rse = machine.rse
     if rse is not None:
         if "rse" not in state:

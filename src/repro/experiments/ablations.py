@@ -12,7 +12,7 @@
 
 from repro.analysis.stats import RunRecord, overhead_pct
 from repro.analysis.tables import format_table
-from repro.kernel.kernel import KernelConfig
+from repro.kernel.kernel import KernelConfig, weak_method
 from repro.memory.bus import BASELINE_TIMING, FRAMEWORK_TIMING
 from repro.program.layout import MemoryLayout
 from repro.rse.check import MODULE_DDT
@@ -187,7 +187,7 @@ def run_ddt_lag():
             with_rse=True,
             kernel_config=KernelConfig(quantum_cycles=100_000))
         ddt = machine.rse.attach(DDT(model_lag=model_lag))
-        ddt.save_page_handler = machine.kernel.checkpoint_page
+        ddt.save_page_handler = weak_method(machine.kernel.checkpoint_page)
         machine.rse.enable_module(MODULE_DDT)
         image, __ = build_workload_image(_lag_source(), MemoryLayout())
         machine.kernel.load_process(image)

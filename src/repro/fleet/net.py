@@ -14,6 +14,7 @@ node during its downtime are delivered to the spare.
 """
 
 import heapq
+import weakref
 
 from repro.kernel.syscalls import (NODE_ID_LIMIT, NSEND_OK,
                                    NSEND_UNREACHABLE)
@@ -78,7 +79,9 @@ class NetworkInterface:
     """One node's view of the device: an ordered receive queue."""
 
     def __init__(self, device, node_id):
-        self.device = device
+        # The device owns its interfaces (and, through the kernels it
+        # wires, their machines): the way back is weak.
+        self.device = weakref.proxy(device)
         self.node_id = node_id
         #: Min-heap of (deliver_cycle, seq, src, payload).  ``seq`` is a
         #: device-global monotonic counter: same-cycle deliveries pop in

@@ -47,6 +47,8 @@ Closure protocol (the contract with :class:`repro.funcsim.FuncSim`):
   reads.
 """
 
+import weakref
+
 from repro.isa.encoding import decode
 from repro.isa.instructions import InstrClass
 from repro.isa.semantics import (
@@ -267,7 +269,7 @@ class PredecodeCache:
     #: which case the whole cache is dropped and rebuilt on demand.
     MAX_ENTRIES = 1 << 16
 
-    __slots__ = ("memory", "entries")
+    __slots__ = ("memory", "entries", "__weakref__")
 
     def __init__(self, memory):
         self.memory = memory
@@ -301,15 +303,23 @@ class PredecodeCache:
         return entry
 
 
+def cache_of(memory):
+    """The live shared :class:`PredecodeCache` of *memory*, or None."""
+    ref = getattr(memory, "predecode_cache", None)
+    return None if ref is None else ref()
+
+
 def cache_for(memory):
     """The shared :class:`PredecodeCache` for *memory* (created on demand).
 
-    Attached to the memory object itself so every engine executing from
-    the same memory — the functional simulator and the pipeline of one
-    machine, say — shares one cache and one invalidation protocol.
+    Registered on the memory object itself so every engine executing
+    from the same memory — the functional simulator and the pipeline of
+    one machine, say — shares one cache and one invalidation protocol.
+    The registration is a weak reference, since the cache and its
+    closures hold the memory: the cache lives while an engine holds it.
     """
-    cache = getattr(memory, "predecode_cache", None)
+    cache = cache_of(memory)
     if cache is None:
         cache = PredecodeCache(memory)
-        memory.predecode_cache = cache
+        memory.predecode_cache = weakref.ref(cache)
     return cache

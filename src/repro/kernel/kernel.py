@@ -8,6 +8,8 @@ pipeline, matching Table 3's argument that CHECK instructions never
 straddle a context switch.
 """
 
+import weakref
+
 from repro.kernel.checkpoints import CheckpointStore, RecoveryImpossible
 from repro.kernel.scheduler import RoundRobinScheduler
 from repro.kernel.syscalls import (
@@ -45,6 +47,44 @@ MASK32 = 0xFFFFFFFF
 #: in flight.  Far beyond any reachable cycle; replaced by the actual
 #: delivery cycle the moment a datagram is queued (``net_refresh``).
 NET_WAIT = 1 << 62
+
+
+def weak_method(method):
+    """*method* as a callable that holds its object weakly.
+
+    Components a machine owns call back into their owner (a DDT's
+    SavePage handler into the kernel, the kernel's snapshot provider
+    into the machine); wiring them through this closes no reference
+    cycle, so a dropped machine is freed by reference counting.
+    """
+    ref = weakref.WeakMethod(method)
+
+    def call(*args):
+        return ref()(*args)
+    return call
+
+
+def permission_probe(page_perms):
+    """The ``mem_check`` probe a core asks before an access.
+
+    It reads only *page_perms*, which the kernel owns and keeps as one
+    dict for its whole life (restore refills it in place), so the core
+    holding the probe holds no reference back to the kernel.  An empty
+    map means no process is loaded, and nothing is enforced.
+    """
+    get = page_perms.get
+
+    def mem_check(addr, size, kind):
+        perms = get(addr >> PAGE_SHIFT)
+        if perms is None:
+            if not page_perms:
+                return None       # no process: nothing to enforce (bare runs)
+            return "access to unmapped address 0x%08x" % addr
+        if kind not in perms:
+            return "%s-access violation at 0x%08x (page is %s)" % (
+                kind, addr, perms)
+        return None
+    return mem_check
 
 
 class ProcessExit(Exception):
@@ -165,12 +205,11 @@ class Kernel:
         #: Set by Machine: zero-arg callable returning the machine-wide
         #: snapshot document, attached to every RunResult.
         self.snapshot_provider = None
-        pipeline.mem_check = self._mem_check
+        pipeline.mem_check = permission_probe(self.page_perms)
         if rse is not None:
-            rse.kernel = self
             ddt = rse.modules.get(MODULE_DDT)
             if ddt is not None:
-                ddt.save_page_handler = self.checkpoint_page
+                ddt.save_page_handler = weak_method(self.checkpoint_page)
 
     # ------------------------------------------------------------- processes
 
@@ -488,7 +527,7 @@ class Kernel:
         self.current = None
         if self.recovery is not None:
             try:
-                report = self.recovery.recover(thread.tid,
+                report = self.recovery.recover(self, thread.tid,
                                                self.pipeline.cycle)
             except RecoveryImpossible:
                 for other in self.alive_threads():
@@ -658,15 +697,3 @@ class Kernel:
             ahbm = self.rse.modules.get(MODULE_AHBM)
             if ahbm is not None:
                 ahbm.beat(self.os_heartbeat_id, self.pipeline.cycle)
-
-    def _mem_check(self, addr, size, kind):
-        if self.loaded is None:
-            return None          # no process: nothing to enforce (bare runs)
-        page = addr >> PAGE_SHIFT
-        perms = self.page_perms.get(page)
-        if perms is None:
-            return "access to unmapped address 0x%08x" % addr
-        if kind not in perms:
-            return "%s-access violation at 0x%08x (page is %s)" % (
-                kind, addr, perms)
-        return None

@@ -55,6 +55,12 @@ class Cache:
     Sets are dicts ``tag -> dirty_flag`` whose insertion order is the LRU
     order (Python dicts preserve insertion order; re-inserting on access
     moves a tag to MRU position).  This gives true-LRU with O(1) hits.
+
+    ``_sets`` maps a set index to its set and holds only sets that have
+    held a block: a never-touched set is empty, so creating it on its
+    first miss changes no hit, victim or counter.  Building a cache, and
+    copying or pickling one, costs what its run touched rather than its
+    geometry (the Figure 1 caches have 3,584 sets between them).
     """
 
     def __init__(self, name, size_bytes, assoc, block_bytes):
@@ -69,27 +75,26 @@ class Cache:
             raise ValueError("number of sets must be a power of two")
         self._block_shift = block_bytes.bit_length() - 1
         self._set_mask = self.num_sets - 1
-        self._sets = [dict() for __ in range(self.num_sets)]
+        self._sets = {}                  # set index -> resident set
         self.stats = CacheStats()
 
     def __deepcopy__(self, memo):
         """Hand-rolled clone: the generic machinery walks every resident
         tag of every set, which makes checkpoint capture/restore
-        (:mod:`repro.checkpoint`) pay thousands of deepcopy dispatches
-        per cache.  Set contents are int->bool, so a plain dict copy per
-        set is already a deep copy.  Fields move via getattr/setattr —
-        touching ``__dict__`` would materialise it and cost the original
-        (and the clone) CPython's inline-values attribute fast path on
-        the per-access hot loop."""
-        cls = type(self)
-        names = cls.__dict__.get("_COPY_FIELDS")
-        if names is None:
-            names = cls._COPY_FIELDS = tuple(self.__dict__)
-        clone = object.__new__(cls)
+        (:mod:`repro.checkpoint`) pay a deepcopy dispatch per tag.  Set
+        contents are int->bool, so a plain dict copy per resident set is
+        already a deep copy.  Field names come from
+        :func:`repro.checkpoint.state_fields` (cached per class, probe
+        shadows left out) and move via getattr/setattr: touching
+        ``__dict__`` would materialise it and cost the original (and
+        the clone) CPython's inline-values attribute fast path on the
+        per-access hot loop."""
+        clone = object.__new__(type(self))
         memo[id(self)] = clone
-        for name in names:
+        for name in state_fields(self):
             setattr(clone, name, getattr(self, name))
-        clone._sets = [dict(block_set) for block_set in self._sets]
+        clone._sets = {index: dict(block_set)
+                       for index, block_set in self._sets.items()}
         stats = CacheStats()
         for field in CacheStats.__slots__:
             setattr(stats, field, getattr(self.stats, field))
@@ -106,7 +111,10 @@ class Cache:
         charge a writeback transfer.
         """
         block = addr >> self._block_shift
-        cache_set = self._sets[block & self._set_mask]
+        try:
+            cache_set = self._sets[block & self._set_mask]
+        except KeyError:                      # first touch: an empty set
+            cache_set = self._sets[block & self._set_mask] = {}
         stats = self.stats
         stats.accesses += 1
         if block in cache_set:
@@ -135,14 +143,14 @@ class Cache:
         Does not touch LRU state or statistics.
         """
         block = addr >> self._block_shift
-        return block in self._sets[block & self._set_mask]
+        return block in self._sets.get(block & self._set_mask, ())
 
     def flush(self):
         """Invalidate every block; returns the number of dirty lines dropped."""
         dirty_lines = 0
-        for cache_set in self._sets:
+        for cache_set in self._sets.values():
             dirty_lines += sum(1 for dirty in cache_set.values() if dirty)
-            cache_set.clear()
+        self._sets.clear()
         return dirty_lines
 
     def block_addr(self, addr):

@@ -75,6 +75,29 @@ class MainMemory:
             return bytes(PAGE_SIZE)
         return bytes(page)
 
+    def zero_range(self, addr, length):
+        """Make ``[addr, addr + length)`` read as zeros without
+        materialising a page.
+
+        A page never touched already reads as zero and stays absent, at
+        version 0.  A page that exists has the overlapping bytes cleared
+        and its write version bumped once, so a predecode entry cached
+        from it cannot revalidate.  The loader maps stack and heap this
+        way: a fresh process costs what it touches, not its stack size.
+        """
+        pages = self._pages
+        versions = self.write_versions
+        end = addr + length
+        while addr < end:
+            index = addr >> PAGE_SHIFT
+            stop = min(end, (index + 1) << PAGE_SHIFT)
+            page = pages.get(index)
+            if page is not None:
+                offset = addr & PAGE_MASK
+                page[offset:offset + stop - addr] = bytes(stop - addr)
+                versions[index] = versions.get(index, 0) + 1
+            addr = stop
+
     def restore_page(self, page_index, payload):
         """Overwrite page *page_index* with *payload* (must be PAGE_SIZE long)."""
         if len(payload) != PAGE_SIZE:

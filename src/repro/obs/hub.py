@@ -18,6 +18,8 @@ that makes detached probes literally free), ``obs.detach()`` removes
 every trace of them.
 """
 
+import weakref
+
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probes import PROBES
 from repro.obs.tracer import CycleTracer
@@ -31,13 +33,20 @@ class Observability:
     """Per-machine telemetry hub (sections + metrics + tracer + probes)."""
 
     def __init__(self, machine=None, trace_capacity=None):
-        self.machine = machine
+        # The machine owns its hub, so the way back is weak: a dropped
+        # machine is freed by reference counting, not the cycle collector.
+        self._machine = None if machine is None else weakref.ref(machine)
         self.metrics = MetricsRegistry()
         self.tracer = (CycleTracer(trace_capacity) if trace_capacity
                        else CycleTracer())
         self._sections = {}          # name -> snapshot provider, in order
         self._probes = {}            # name -> attached Probe instance
         self._probe_kwargs = {}      # name -> kwargs it was attached with
+
+    @property
+    def machine(self):
+        """The machine this hub reports on (None when unbound)."""
+        return None if self._machine is None else self._machine()
 
     # ------------------------------------------------------------ sections
 

@@ -5,7 +5,9 @@ Section 4.1, where "the randomization task is split between the program
 loader and the MLR module"):
 
 * copy segments into main memory;
-* zero and map the stack, compute the initial stack pointer;
+* map the stack and the first heap page (they read as zeros; only pages
+  a reused memory already holds are cleared), compute the initial stack
+  pointer;
 * assemble the *special header* at the layout's header staging area so
   guest code (or the MLR module) can find it;
 * produce the page-permission map the kernel enforces (the PLT rewrite
@@ -85,12 +87,12 @@ class Loader:
 
         # Stack: zeroed, rw, grows down from stack_top.
         stack_base = layout.stack_base
-        self.memory.store_bytes(stack_base, b"\x00" * layout.stack_bytes)
+        self.memory.zero_range(stack_base, layout.stack_bytes)
         for page in _pages_spanning(stack_base, layout.stack_bytes):
             page_perms[page] = "rw"
 
         # Heap: map one initial page; the sbrk syscall extends it.
-        self.memory.store_bytes(layout.heap_base, b"\x00" * PAGE_SIZE)
+        self.memory.zero_range(layout.heap_base, PAGE_SIZE)
         page_perms[layout.heap_base >> PAGE_SHIFT] = "rw"
 
         # Special header staging area (rw so guest loader code can build

@@ -44,22 +44,26 @@ class RecoveryReport:
 
 
 class RecoveryManager:
-    """System-software recovery driver over DDT + checkpoint state."""
+    """System-software recovery driver over DDT + checkpoint state.
 
-    def __init__(self, kernel, ddt):
-        self.kernel = kernel
+    The kernel holds its manager (``kernel.recovery``, which every
+    checkpoint captures) and passes itself to :meth:`recover`; the
+    manager keeps no reference back, so the pair forms no cycle.
+    """
+
+    def __init__(self, ddt):
         self.ddt = ddt
 
-    def recover(self, faulty_tid, cycle):
-        """Run recovery for a crash of *faulty_tid*; returns a report.
+    def recover(self, kernel, faulty_tid, cycle):
+        """Run recovery of *kernel*'s thread *faulty_tid*; returns a report.
 
         Raises :class:`RecoveryImpossible` when required snapshots were
         garbage-collected, in which case the kernel must kill the whole
         process.
         """
         kill_set = {faulty_tid} | self.ddt.dependents_of(faulty_tid)
-        checkpoints = self.kernel.checkpoints
-        memory = self.kernel.memory
+        checkpoints = kernel.checkpoints
+        memory = kernel.memory
 
         # Determine the rollback set *before* mutating anything, so a
         # RecoveryImpossible leaves memory untouched for the kill-all path.
@@ -73,11 +77,11 @@ class RecoveryManager:
             memory.restore_page(snapshot.page, snapshot.data)
 
         for tid in kill_set:
-            thread = self.kernel.threads.get(tid)
+            thread = kernel.threads.get(tid)
             if thread is not None and thread.alive:
-                self.kernel.terminate_thread(tid, by_recovery=True)
+                kernel.terminate_thread(tid, by_recovery=True)
             self.ddt.forget_thread(tid)
 
-        survivors = {t.tid for t in self.kernel.alive_threads()}
+        survivors = {t.tid for t in kernel.alive_threads()}
         return RecoveryReport(faulty_tid, kill_set,
                               [s.page for s in to_restore], survivors, cycle)

@@ -68,7 +68,6 @@ class RSE:
         self.current_tid = 0
         self.cycle = 0
         self.checks_seen = 0
-        self.kernel = None            # set by the kernel for exception paths
         # Blocking CHECKs are delivered to each module strictly in program
         # order (the hardware module scans Fetch_Out in order); a CHECK
         # whose a0/a1 payload has not yet issued holds younger same-module

@@ -20,6 +20,7 @@ self-checking experiments:
 """
 
 import enum
+import weakref
 
 
 class ModuleMode(enum.Enum):
@@ -49,8 +50,12 @@ class RSEModule:
     # ----------------------------------------------------------- lifecycle
 
     def attached(self, engine):
-        """Called once when the module is plugged into the framework."""
-        self.engine = engine
+        """Called once when the module is plugged into the framework.
+
+        The engine owns its modules, so the module's way back is a weak
+        proxy: a dropped machine is freed by reference counting.
+        """
+        self.engine = weakref.proxy(engine)
 
     def on_enable(self):
         """Hook: module was enabled via a CHECK instruction."""

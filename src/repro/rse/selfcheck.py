@@ -23,6 +23,7 @@ this interface: the application simply loses protection.  It is covered
 by the fault-injection tests, which verify the absence of false trips.
 """
 
+import weakref
 from collections import deque
 
 
@@ -45,7 +46,7 @@ class SelfChecker:
 
     def __init__(self, engine, watchdog_timeout=500, error_threshold=8,
                  stuck1_threshold=4, scan_period=16):
-        self.engine = engine
+        self.engine = weakref.proxy(engine)     # the engine owns this
         self.watchdog_timeout = watchdog_timeout
         self.error_threshold = error_threshold
         self.stuck1_threshold = stuck1_threshold

@@ -27,6 +27,7 @@ from repro.funcsim.core import FunctionalCore
 from repro.isa.encoding import encode
 from repro.isa.instructions import SPEC_BY_NAME
 from repro.kernel import Kernel
+from repro.kernel.kernel import weak_method
 from repro.memory.mainmem import PAGE_SHIFT, MainMemory
 from repro.program.layout import MemoryLayout
 from repro.rse.modules.mlr import FunctionalMLR
@@ -204,7 +205,8 @@ def _make_stack_executable(kernel, layout):
     last = (layout.stack_top - 1) >> PAGE_SHIFT
     for page in range(first, last + 1):
         kernel.page_perms[page] = "rwx"
-    original_map = kernel._map_range
+    # The wrapper lives on the kernel, so it holds the kernel weakly.
+    original_map = weak_method(kernel._map_range)
 
     def map_exec(addr, length, perms):
         original_map(addr, length, "rwx" if perms == "rw" else perms)

@@ -7,7 +7,7 @@ benchmarks build machines through :func:`build_machine`.
 """
 
 from repro.assertions.hub import AssertionHub
-from repro.kernel.kernel import Kernel, KernelConfig
+from repro.kernel.kernel import Kernel, KernelConfig, weak_method
 from repro.memory.bus import BASELINE_TIMING, FRAMEWORK_TIMING
 from repro.obs import Observability
 from repro.memory.hierarchy import MemoryHierarchy, default_cache_configs
@@ -46,7 +46,7 @@ class Machine:
         # schema is stable whether or not monitoring ever ran).
         self.assertions = AssertionHub(self)
         self.obs.register("assertions", self.assertions.snapshot)
-        kernel.snapshot_provider = self.snapshot
+        kernel.snapshot_provider = weak_method(self.snapshot)
 
     # Convenience accessors -------------------------------------------------
 
@@ -92,7 +92,7 @@ class Machine:
     def enable_ddt_recovery(self):
         """Attach the recovery manager (requires an attached DDT module)."""
         ddt = self.rse.modules[MODULE_DDT]
-        self.kernel.recovery = RecoveryManager(self.kernel, ddt)
+        self.kernel.recovery = RecoveryManager(ddt)
         return self.kernel.recovery
 
     def run_program(self, image, max_cycles=50_000_000):

@@ -174,6 +174,22 @@ def test_wire_rejects_stale_version():
     version1 = struct.pack("<4sH", WIRE_MAGIC, 1) + body
     with pytest.raises(CheckpointError, match="version 1"):
         MachineCheckpoint.from_bytes(version1)
+    # Version 3 listed every cache set; its images are refused intact.
+    assert WIRE_VERSION == 4
+    with pytest.raises(CheckpointError, match="version 3"):
+        MachineCheckpoint.from_bytes(_seal(WIRE_MAGIC, 3, bytes(body)))
+
+
+def test_wire_state_carries_only_resident_cache_sets():
+    machine = build_workload_machine(
+        workload_sources(quick=True)["kmeans"])
+    machine.kernel.run(max_cycles=3_000)
+    wire = MachineCheckpoint.from_bytes(machine.checkpoint().to_bytes())
+    for name in ("il1", "dl1", "il2", "dl2"):
+        live = getattr(machine.hierarchy, name)
+        shipped = wire._state["hierarchy"][name]
+        assert 0 < len(live._sets) < live.num_sets
+        assert shipped._sets == live._sets
 
 
 def test_wire_rejects_foreign_and_truncated_payloads():

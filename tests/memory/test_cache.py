@@ -1,5 +1,7 @@
 """Cache model: hits, misses, LRU, writebacks, stats."""
 
+import copy
+
 import pytest
 
 from repro.memory.cache import Cache
@@ -86,3 +88,41 @@ def test_geometry_validation():
 def test_block_addr():
     cache = Cache("t", 1024, 1, 32)
     assert cache.block_addr(0x12345) == 0x12340
+
+
+def test_new_cache_materialises_no_set():
+    cache = Cache("t", 128 * 1024, 2, 32)          # 2,048 sets
+    assert cache._sets == {}
+    assert not cache.probe(0x4000)                 # a probe creates none
+    assert cache._sets == {}
+    cache.access(0x4000)
+    cache.access(0x4000 + 64 * 1024, is_write=True)    # same set, 2-way
+    assert list(cache._sets) == [(0x4000 >> 5) & 2047]
+
+
+def test_deepcopy_holds_only_resident_sets():
+    cache = Cache("t", 8 * 1024, 1, 32)            # 256 sets
+    for addr in (0x0, 0x20, 0x2000 + 0x20, 0x1F00):
+        cache.access(addr, is_write=addr == 0x20)
+    clone = copy.deepcopy(cache)
+    assert sorted(clone._sets) == sorted(cache._sets) == [0, 1, 248]
+    assert clone._sets == cache._sets
+    assert all(clone._sets[index] is not cache._sets[index]
+               for index in cache._sets)
+    assert clone.stats.snapshot() == cache.stats.snapshot()
+    # The copy runs on alone: its hits, victims and writebacks are the
+    # original's, and the original does not move.
+    assert clone.access(0x2000 + 0x20) == (True, None)
+    assert clone.access(0x20) == (False, None)
+    assert clone.access(0x2000 + 0x20) == (False, None)
+    assert cache.probe(0x2000 + 0x20) and not cache.probe(0x40)
+    assert len(cache._sets) == 3
+
+
+def test_flush_drops_every_set():
+    cache = Cache("t", 1024, 2, 32)
+    cache.access(0x0, is_write=True)
+    cache.access(0x40)
+    assert cache.flush() == 1
+    assert cache._sets == {}
+    assert cache.access(0x0) == (False, None)

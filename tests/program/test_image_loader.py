@@ -3,7 +3,7 @@
 import pytest
 
 from repro.isa.assembler import assemble
-from repro.memory.mainmem import PAGE_SHIFT, MainMemory
+from repro.memory.mainmem import PAGE_SHIFT, PAGE_SIZE, MainMemory
 from repro.program.image import (
     HEADER_BYTES,
     ExecutableHeader,
@@ -103,6 +103,51 @@ def test_loader_places_segments_and_perms():
     staged = memory.load_bytes(layout.header_base, HEADER_BYTES)
     parsed = ExecutableHeader.unpack(staged)
     assert parsed.code_start == layout.text_base
+
+
+def _zero_mapped_pages(layout):
+    """The stack pages and the first heap page: mapped, never written."""
+    first = layout.stack_base >> PAGE_SHIFT
+    last = (layout.stack_top - 1) >> PAGE_SHIFT
+    return list(range(first, last + 1)) + [layout.heap_base >> PAGE_SHIFT]
+
+
+def test_loader_maps_stack_and_heap_without_materialising_them():
+    image, __, layout = _image()
+    memory = MainMemory()
+    loaded = Loader(memory).load(image)
+    pages = _zero_mapped_pages(layout)
+    assert len(pages) == layout.stack_bytes // PAGE_SIZE + 1
+    assert all(loaded.page_perms[page] == "rw" for page in pages)
+    assert not set(pages) & set(memory.page_numbers())
+    assert all(page not in memory.write_versions for page in pages)
+    assert all(memory.snapshot_page(page) == bytes(PAGE_SIZE)
+               for page in pages)
+
+
+def test_reload_clears_a_dirtied_stack_and_bumps_its_versions():
+    image, __, layout = _image()
+    memory = MainMemory()
+    Loader(memory).load(image)
+    dirtied = [layout.stack_top - 4, layout.stack_top - PAGE_SIZE - 8,
+               layout.heap_base + 12]
+    for addr in dirtied:
+        memory.store_word(addr, 0xDEADBEEF)
+    memory.store_bytes(layout.stack_base - 4, b"\x11" * 8)   # straddles
+    before = dict(memory.write_versions)
+
+    Loader(memory).load(image)
+    for addr in dirtied:
+        page = addr >> PAGE_SHIFT
+        assert memory.load_word(addr) == 0
+        assert memory.write_versions[page] > before[page]
+    # A store across the stack's lower edge: only its stack half clears.
+    assert memory.load_bytes(layout.stack_base - 4, 8) == b"\x11" * 4 \
+        + bytes(4)
+    touched = {addr >> PAGE_SHIFT for addr in dirtied}
+    touched.add(layout.stack_base >> PAGE_SHIFT)
+    untouched = set(_zero_mapped_pages(layout)) - touched
+    assert not untouched & set(memory.page_numbers())
 
 
 def test_loader_initial_sp_aligned_below_stack_top():

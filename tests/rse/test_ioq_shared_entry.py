@@ -148,3 +148,12 @@ def test_checkpoints_map_the_shared_entry_back_to_itself():
         for entry in restored:
             if entry is not NON_CHECK_ENTRY:
                 assert entry not in entries          # CHECK entries copy
+        # Queued MAU requests complete on the target's own modules, never
+        # on a clone of the donor's.
+        mau = target.rse.mau
+        requests = list(mau._queue) + [mau._active]
+        modules = [request.module for request in requests
+                   if request is not None and request.module is not None]
+        assert modules
+        assert all(module is target.rse.modules[module.MODULE_ID]
+                   for module in modules)
