@@ -12,13 +12,14 @@
 
 from repro.analysis.stats import RunRecord, overhead_pct
 from repro.analysis.tables import format_table
-from repro.kernel.kernel import KernelConfig, weak_method
+from repro.kernel.kernel import KernelConfig
 from repro.memory.bus import BASELINE_TIMING, FRAMEWORK_TIMING
 from repro.program.layout import MemoryLayout
 from repro.rse.check import MODULE_DDT
 from repro.rse.modules.ddt import DDT
 from repro.rse.modules.icm import ICM, arm_icm
 from repro.system import build_machine
+from repro.weak import weak_method
 from repro.workloads.asmlib import build_workload_image
 
 

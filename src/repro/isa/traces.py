@@ -55,6 +55,8 @@ dispatcher in :class:`~repro.funcsim.FuncSim` only runs traces while no
 per-instruction closures, which carry every observation hook.
 """
 
+import weakref
+
 from repro.isa.encoding import DecodeError
 from repro.isa.instructions import InstrClass
 from repro.isa.predecode import cache_for
@@ -660,7 +662,8 @@ class TraceCache:
     """
 
     __slots__ = ("memory", "predecode", "entries", "heat", "rebuilds",
-                 "compiled", "invalidated", "notraces", "deopt_runs")
+                 "compiled", "invalidated", "notraces", "deopt_runs",
+                 "__weakref__")
 
     def __init__(self, memory):
         self.memory = memory
@@ -820,9 +823,12 @@ def traces_for(memory):
     table and one invalidation protocol, and whole-machine checkpoint
     (which never walks memory attributes) cannot capture stale traces:
     restore's monotonic version bumps make them unreachable instead.
+    The registration is a weak reference, since the cache and its
+    traces hold the memory: the cache lives while an engine holds it.
     """
-    cache = getattr(memory, "trace_cache", None)
+    ref = getattr(memory, "trace_cache", None)
+    cache = None if ref is None else ref()
     if cache is None:
         cache = TraceCache(memory)
-        memory.trace_cache = cache
+        memory.trace_cache = weakref.ref(cache)
     return cache

@@ -8,8 +8,6 @@ pipeline, matching Table 3's argument that CHECK instructions never
 straddle a context switch.
 """
 
-import weakref
-
 from repro.kernel.checkpoints import CheckpointStore, RecoveryImpossible
 from repro.kernel.scheduler import RoundRobinScheduler
 from repro.kernel.syscalls import (
@@ -40,6 +38,7 @@ from repro.memory.mainmem import PAGE_SHIFT, PAGE_SIZE
 from repro.pipeline.core import EventKind
 from repro.program.loader import Loader
 from repro.rse.check import MODULE_DDT
+from repro.weak import weak_method
 
 MASK32 = 0xFFFFFFFF
 
@@ -47,21 +46,6 @@ MASK32 = 0xFFFFFFFF
 #: in flight.  Far beyond any reachable cycle; replaced by the actual
 #: delivery cycle the moment a datagram is queued (``net_refresh``).
 NET_WAIT = 1 << 62
-
-
-def weak_method(method):
-    """*method* as a callable that holds its object weakly.
-
-    Components a machine owns call back into their owner (a DDT's
-    SavePage handler into the kernel, the kernel's snapshot provider
-    into the machine); wiring them through this closes no reference
-    cycle, so a dropped machine is freed by reference counting.
-    """
-    ref = weakref.WeakMethod(method)
-
-    def call(*args):
-        return ref()(*args)
-    return call
 
 
 def permission_probe(page_perms):

@@ -26,6 +26,8 @@ a deterministic source.  :class:`FunctionalMLR` performs the same
 operations synchronously for the functional engines, which have no RSE.
 """
 
+import weakref
+
 from repro.memory.mainmem import PAGE_SIZE
 from repro.program.image import ExecutableHeader, PLT_ENTRY_BYTES, rewrite_plt
 from repro.program.layout import (
@@ -276,7 +278,8 @@ class FunctionalMLR:
     """
 
     def __init__(self, core):
-        self.core = core
+        # The core's sim holds this module's chk: hold the core weakly.
+        self.core = weakref.proxy(core)
         self.enabled = False
         # Latched CHECK parameters (Figure 3(B) registers).
         self.hdr_addr = self.hdr_size = 0

@@ -27,12 +27,12 @@ from repro.funcsim.core import FunctionalCore
 from repro.isa.encoding import encode
 from repro.isa.instructions import SPEC_BY_NAME
 from repro.kernel import Kernel
-from repro.kernel.kernel import weak_method
 from repro.memory.mainmem import PAGE_SHIFT, MainMemory
 from repro.program.layout import MemoryLayout
 from repro.rse.modules.mlr import FunctionalMLR
 from repro.security.trr import trr_randomize_layout
 from repro.system import build_machine
+from repro.weak import weak_method
 from repro.workloads.asmlib import build_workload_image
 
 #: Value the shellcode / attacker function writes when the hijack works.

@@ -7,7 +7,7 @@ benchmarks build machines through :func:`build_machine`.
 """
 
 from repro.assertions.hub import AssertionHub
-from repro.kernel.kernel import Kernel, KernelConfig, weak_method
+from repro.kernel.kernel import Kernel, KernelConfig
 from repro.memory.bus import BASELINE_TIMING, FRAMEWORK_TIMING
 from repro.obs import Observability
 from repro.memory.hierarchy import MemoryHierarchy, default_cache_configs
@@ -22,6 +22,7 @@ from repro.rse.modules.cfc import CFC
 from repro.rse.modules.ddt import DDT
 from repro.rse.modules.icm import ICM
 from repro.rse.modules.mlr import MLR
+from repro.weak import weak_method
 
 
 class Machine:

@@ -23,7 +23,6 @@ from repro.checkpoint import (CampaignImage, CheckpointError, IMAGE_MAGIC,
                               WIRE_VERSION, _HEADER, _seal)
 from repro.experiments.table4 import workload_sources
 from repro.program.layout import MemoryLayout
-from repro.rse.ioq import NON_CHECK_ENTRY
 from repro.rse.modules.icm import arm_icm
 from repro.system import build_machine
 from repro.workloads.asmlib import build_workload_image
@@ -106,20 +105,19 @@ def _assert_uops_resolve_into_rob(machine):
             assert producer is None or by_seq.get(producer.seq) is producer
     for producer in machine.pipeline.rename.values():
         assert by_seq.get(producer.seq) is producer
+    # The IOQ holds exactly the in-flight CHECKs, each with its uop.
     entries = machine.rse.ioq.entries()
-    assert entries
-    checks = 0
+    checks = [uop for uop in rob if uop.instr.is_check]
+    assert checks
+    assert [entry.seq for entry in entries] == [uop.seq for uop in checks]
     for uop in rob:
         entry = machine.rse.ioq.get(uop.seq)
         if uop.instr.is_check:
-            assert entry is not NON_CHECK_ENTRY and entry.uop is uop
-            checks += 1
+            assert entry.uop is uop
         else:
-            assert entry is NON_CHECK_ENTRY
-    assert checks
+            assert entry is None
     for entry in entries:
-        if entry is not NON_CHECK_ENTRY:
-            assert by_seq.get(entry.seq) is entry.uop
+        assert by_seq.get(entry.seq) is entry.uop
     items = list(machine.rse.queues.fetch_out._items)
     assert items
     for __, (seq, uop) in items:
@@ -174,10 +172,12 @@ def test_wire_rejects_stale_version():
     version1 = struct.pack("<4sH", WIRE_MAGIC, 1) + body
     with pytest.raises(CheckpointError, match="version 1"):
         MachineCheckpoint.from_bytes(version1)
-    # Version 3 listed every cache set; its images are refused intact.
-    assert WIRE_VERSION == 4
-    with pytest.raises(CheckpointError, match="version 3"):
-        MachineCheckpoint.from_bytes(_seal(WIRE_MAGIC, 3, bytes(body)))
+    # Version 3 listed every cache set and version 4 held an IOQ entry
+    # for every in-flight instruction; their images are refused intact.
+    assert WIRE_VERSION == 5
+    for old in (3, 4):
+        with pytest.raises(CheckpointError, match="version %d" % old):
+            MachineCheckpoint.from_bytes(_seal(WIRE_MAGIC, old, bytes(body)))
 
 
 def test_wire_state_carries_only_resident_cache_sets():

@@ -1,12 +1,14 @@
-"""A dropped machine, fleet or campaign is freed by reference counting.
+"""A dropped machine, fleet, campaign or functional engine is freed by
+reference counting.
 
 Every back-reference inside a machine is weak or absent (DESIGN.md,
 "Machine lifetime"), so dropping the last outside reference frees the
 machine at once: its memory with every page, its caches with every
-set, its pipeline, kernel and RSE.  These tests run each case with the
-cyclic collector off, drop it, and check that every machine built
-along the way is already gone and that a collection then finds no
-``repro`` object.
+set, its pipeline, kernel and RSE.  The same holds for a functional
+engine (``FuncSim``) run under the kernel.  These tests run each case
+with the cyclic collector off, drop it, and check that every machine
+and engine built along the way is already gone and that a collection
+then finds no ``repro`` object.
 """
 
 import gc
@@ -18,6 +20,7 @@ from repro import system
 from repro.campaign.options import ExecutionOptions
 from repro.campaign.runner import DEMO_WORKLOAD, CampaignSpec, run_campaign
 from repro.experiments import table4
+from repro.funcsim.interp import FuncSim
 from repro.fleet.run import FleetSpec, run_fleet
 from repro.program.layout import MemoryLayout
 from repro.rse.modules.icm import arm_icm
@@ -77,9 +80,10 @@ def _run_fork_campaign():
     return run
 
 
-def _run_variant(config):
-    run = run_variant(generate_variant("stack-smash", 5, config))
-    assert run.machine is not None
+def _run_variant(config, engine="pipeline"):
+    run = run_variant(generate_variant("stack-smash", 5, config),
+                      engine=engine)
+    assert (run.machine is not None) == (engine == "pipeline")
     return run
 
 
@@ -91,6 +95,8 @@ CASES = {
     "fork-campaign": _run_fork_campaign,
     "variant-cfc": lambda: _run_variant("cfc"),
     "variant-mlr+icm": lambda: _run_variant("mlr+icm"),
+    "variant-mlr-interp": lambda: _run_variant("mlr", "interp"),
+    "variant-mlr-jit": lambda: _run_variant("mlr", "jit"),
 }
 
 
@@ -105,6 +111,13 @@ def test_dropped_case_is_freed_without_the_cycle_collector(case,
         built.extend(weakref.ref(part) for part in _components(machine))
 
     monkeypatch.setattr(system.Machine, "__init__", recording_init)
+    sim_init = FuncSim.__init__
+
+    def recording_sim_init(sim, *args, **kwargs):
+        sim_init(sim, *args, **kwargs)
+        built.extend(weakref.ref(part) for part in (sim, sim.memory))
+
+    monkeypatch.setattr(FuncSim, "__init__", recording_sim_init)
     gc.collect()
     gc.disable()
     try:

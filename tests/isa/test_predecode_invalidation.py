@@ -42,11 +42,13 @@ def run_fresh(mem, asm):
 
 
 def prime_cache(mem, asm):
-    """Execute once so the addi at the entry pc is cached, return its pc."""
-    run_fresh(mem, asm)
+    """Execute once so the addi at the entry pc is cached; return its pc
+    and the simulator, whose reference keeps the shared cache alive (the
+    memory registers it weakly)."""
+    sim = run_fresh(mem, asm)
     pc = asm.entry
     assert pc in cache_for(mem).entries
-    return pc
+    return pc, sim
 
 
 def addi_word(imm):
@@ -104,13 +106,14 @@ MUTATORS = [mutate_store_word, mutate_store_half, mutate_store_byte,
                          ids=[m.__name__ for m in MUTATORS])
 def test_mutation_path_invalidates_cached_text(mutate):
     asm, mem = build()
-    pc = prime_cache(mem, asm)
+    pc, primer = prime_cache(mem, asm)
     cached_imm = cache_for(mem).entries[pc][3].imm
     assert cached_imm == 1
     expected = mutate(mem, pc)
     # A fresh simulator over the same memory shares the same cache; the
     # stale entry must be dropped and the new immediate must execute.
     sim = run_fresh(mem, asm)
+    assert sim._cache is primer._cache
     assert sim.regs[16] == expected
     assert cache_for(mem).entries[pc][3].imm == expected
 
@@ -119,7 +122,7 @@ def test_mutation_path_invalidates_cached_text(mutate):
                          ids=[m.__name__ for m in MUTATORS])
 def test_mutation_path_bumps_write_version(mutate):
     asm, mem = build()
-    pc = prime_cache(mem, asm)
+    pc, __ = prime_cache(mem, asm)
     page = pc >> PAGE_SHIFT
     before = mem.write_versions.get(page, 0)
     mutate(mem, pc)

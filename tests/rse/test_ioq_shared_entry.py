@@ -1,21 +1,20 @@
-"""The IOQ's shared '10' entry for non-CHECK instructions.
+"""The IOQ holds exactly the in-flight CHECKs.
 
-Only CHECK entries ever change or reach the commit gate, so every other
-in-flight instruction holds :data:`repro.rse.ioq.NON_CHECK_ENTRY`.
-Occupancy and lookups must read as with one entry per instruction, the
-shared entry must refuse writes, and checkpoints — live and wire — must
-hand back the very same object.
+Only CHECK entries ever change or reach the commit gate; every other
+instruction's entry would be the constant '10', so it has none.  The
+snapshot's occupancy still counts one entry per instruction in flight,
+the ROB, and checkpoints — live and wire — must restore each CHECK
+entry together with its uop.
 """
-
-import copy
-import pickle
 
 import pytest
 
 from repro.checkpoint import MachineCheckpoint
 from repro.experiments import table4
-from repro.pipeline.core import EventKind
-from repro.rse.ioq import NON_CHECK_ENTRY, IOQEntry
+from repro.isa.encoding import decode
+from repro.pipeline.core import EventKind, Uop
+from repro.rse.ioq import IOQ
+from repro.rse.modules.icm import make_icm_injector
 from repro.system import build_machine
 from repro.workloads import gotplt
 
@@ -70,13 +69,16 @@ def run_config(config, build, check):
 def ioq_matches_rob(machine):
     rob = machine.pipeline.rob
     ioq = machine.rse.ioq
-    assert len(ioq) == len(rob)
+    assert machine.rse.occupancy() == len(rob)
+    assert machine.snapshot()["rse"]["ioq"]["occupancy"] == len(rob)
+    assert [entry.seq for entry in ioq.entries()] == \
+        [uop.seq for uop in rob if uop.instr.is_check]
     for uop in rob:
         entry = ioq.get(uop.seq)
         if uop.instr.is_check:
-            assert entry is not NON_CHECK_ENTRY and entry.uop is uop
+            assert entry.uop is uop
         else:
-            assert entry is NON_CHECK_ENTRY
+            assert entry is None
 
 
 @pytest.mark.parametrize("config", ["framework", "icm", "mlr"])
@@ -91,21 +93,17 @@ def test_occupancy_is_the_dispatched_rob(config):
     assert len(boundaries) > 100 and max(boundaries) > 4
 
 
-def test_shared_entry_is_the_constant_10():
-    assert NON_CHECK_ENTRY.effective_check_valid == 1
-    assert NON_CHECK_ENTRY.effective_check == 0
-    for name in ("check_valid", "check", "stuck_check_valid",
-                 "stuck_check", "payload", "seq"):
-        with pytest.raises(AttributeError):
-            setattr(NON_CHECK_ENTRY, name, 0)
-    with pytest.raises(AttributeError):
-        NON_CHECK_ENTRY.complete(True, 5)
-    assert NON_CHECK_ENTRY.check_valid == 1 and NON_CHECK_ENTRY.check == 0
-    assert copy.copy(NON_CHECK_ENTRY) is NON_CHECK_ENTRY
-    assert copy.deepcopy(NON_CHECK_ENTRY) is NON_CHECK_ENTRY
-    assert pickle.loads(pickle.dumps(NON_CHECK_ENTRY)) is NON_CHECK_ENTRY
-    # A CHECK still gets an entry of its own, allocated as '00'.
-    assert isinstance(IOQEntry(1, None, 0, True), IOQEntry)
+def test_only_a_check_gets_an_entry():
+    ioq = IOQ()
+    check = Uop(5, 0x400000, make_icm_injector({0x400004: 0})(0x400004, None))
+    other = Uop(6, 0x400004, decode(0))
+    entry = ioq.allocate(check, 7)
+    assert ioq.get(check.seq) is entry and entry.uop is check
+    assert (entry.check_valid, entry.check, entry.alloc_cycle) == (0, 0, 7)
+    assert ioq.get(other.seq) is None
+    assert ioq.oldest_pending_check() is entry
+    ioq.free(check.seq)
+    assert len(ioq) == 0 and ioq.get(check.seq) is None
 
 
 class _Stop(Exception):
@@ -115,7 +113,8 @@ class _Stop(Exception):
 
 
 def _mid_run_icm_machine():
-    """An ICM machine stopped with CHECK and non-CHECK entries in flight."""
+    """An ICM machine stopped with CHECKs and other instructions in
+    flight."""
     def check(machine):
         rob = machine.pipeline.rob
         if len(rob) >= 8 and any(uop.instr.is_check for uop in rob[1:]):
@@ -129,11 +128,10 @@ def _mid_run_icm_machine():
     pytest.fail("the ICM run never held a mixed window")
 
 
-def test_checkpoints_map_the_shared_entry_back_to_itself():
+def test_checkpoints_restore_check_entries_with_their_uops():
     donor = _mid_run_icm_machine()
     entries = donor.rse.ioq.entries()
-    assert NON_CHECK_ENTRY in entries
-    assert any(entry is not NON_CHECK_ENTRY for entry in entries)
+    assert entries and len(entries) < len(donor.pipeline.rob)
     checkpoint = donor.checkpoint()
     wire = MachineCheckpoint.from_bytes(checkpoint.to_bytes())
 
@@ -143,11 +141,10 @@ def test_checkpoints_map_the_shared_entry_back_to_itself():
         target.restore(image)
         ioq_matches_rob(target)
         restored = target.rse.ioq.entries()
-        assert ([entry is NON_CHECK_ENTRY for entry in restored]
-                == [entry is NON_CHECK_ENTRY for entry in entries])
+        assert [entry.seq for entry in restored] == \
+            [entry.seq for entry in entries]
         for entry in restored:
-            if entry is not NON_CHECK_ENTRY:
-                assert entry not in entries          # CHECK entries copy
+            assert entry not in entries          # CHECK entries copy
         # Queued MAU requests complete on the target's own modules, never
         # on a clone of the donor's.
         mau = target.rse.mau
