@@ -147,7 +147,7 @@ def test_ioq_frees_entries():
     machine, __ = build_probe_machine(BLOCKING_CHECK)
     machine.pipeline.run(max_cycles=10_000)
     assert len(machine.rse.ioq) == 0
-    assert machine.rse.ioq.allocated_total >= 4
+    assert machine.rse.snapshot()["ioq"]["allocated"] >= 4
 
 
 def test_mau_moves_data_and_counts():
