@@ -7,10 +7,9 @@ with literally zero residual dispatch cost.  Unlike obs probes, an
 adapter's :class:`ShadowSet` also remembers what it displaced, so
 shadows *chain* over an already-instrumented method (e.g. an obs RSE
 probe) and detach puts back exactly what was there.  A checkpoint never
-captures a shadow: :func:`repro.checkpoint.state_fields` leaves out
-instance attributes that shadow a class method, and the one other
-shadow, a bare pipeline's ``rse`` tap, is wiring the checkpoint layer
-skips.
+captures a shadow: it takes only the fields each component's class
+declares in ``STATE``, and neither a shadowed method nor a bare
+pipeline's ``rse`` tap is one.
 
 The funcsim adapter deliberately does NOT shadow — see
 :class:`FuncSimAdapter` for why the interpreter's instance dict must

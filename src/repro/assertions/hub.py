@@ -8,12 +8,12 @@ per-property counters into the obs metrics registry
 (``assertions.<id>``), and contributes an ``assertions`` section to
 ``Machine.snapshot()`` carrying the violation records.
 
-Checkpoint interplay: the checkpoint layer never captures a shadow
-(:func:`repro.checkpoint.state_fields` leaves out instance attributes
-that shadow a class method), so a monitored machine captures exactly
-what a bare one does.  The hub shadows ``machine.checkpoint`` and
-``machine.restore`` only to emit the ``checkpoint``/``restore`` events
-the MAU-quiesce and page-version properties consume.
+Checkpoint interplay: the checkpoint layer never captures a shadow (it
+takes only the fields each component's class declares in ``STATE``), so
+a monitored machine captures exactly what a bare one does.  The hub
+shadows ``machine.checkpoint`` and ``machine.restore`` only to emit the
+``checkpoint``/``restore`` events the MAU-quiesce and page-version
+properties consume.
 """
 
 import weakref

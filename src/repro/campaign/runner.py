@@ -348,15 +348,6 @@ class ForkEngine:
 
     def __init__(self, ctx, image=None):
         self.ctx = ctx
-        # Warm the checkpoint layer's field-name cache on a throwaway
-        # machine: the first capture of each class de-optimises that
-        # instance's attribute access (CPython materialises __dict__),
-        # and the trunk machine simulates every strike tail — it must
-        # not be the one paying that.
-        from repro import checkpoint as checkpoint_layer
-
-        sacrifice, __ = build_campaign_machine(ctx.asm, ctx.spec.protected)
-        checkpoint_layer.warm(sacrifice)
         self.machine, __ = build_campaign_machine(ctx.asm, ctx.spec.protected)
         if image is None:
             self.base = self.machine.checkpoint()

@@ -41,6 +41,29 @@ def parse_line(line):
     return payload if isinstance(payload, dict) else None
 
 
+def repair_tail(path):
+    """Terminate a torn final line of *path* before appending after a crash.
+
+    A killed run can leave a partial record as the last line; appending
+    straight after it would fuse the fragment and the new record into
+    one corrupt line.  Writing the missing newline first turns the
+    fragment into a lone unparsable line that readers skip
+    (:func:`parse_line`), and the record that follows stays intact.
+    """
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(0, os.SEEK_END)
+            if handle.tell() == 0:
+                return
+            handle.seek(-1, os.SEEK_END)
+            torn = handle.read(1) != b"\n"
+    except OSError:
+        return
+    if torn:
+        with open(path, "ab") as handle:
+            handle.write(b"\n")
+
+
 class ResultStore:
     """Append-one-record-per-injection JSONL store."""
 
@@ -71,31 +94,9 @@ class ResultStore:
     def append(self, record):
         """Append one run record; flushed immediately for crash safety."""
         if self._handle is None:
-            self._repair_tail()
+            repair_tail(self.path)
             self._handle = open(self.path, "a")
         self._write(dict(record, kind="run"))
-
-    def _repair_tail(self):
-        """Terminate a torn final line before appending after a crash.
-
-        A killed campaign can leave a partial record as the last line;
-        appending straight after it would fuse the fragment and the new
-        record into one corrupt line.  Writing the missing newline first
-        turns the fragment into a lone unparsable line that
-        :meth:`load` skips, and the record that follows stays intact.
-        """
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                if handle.tell() == 0:
-                    return
-                handle.seek(-1, os.SEEK_END)
-                torn = handle.read(1) != b"\n"
-        except OSError:
-            return
-        if torn:
-            with open(self.path, "ab") as handle:
-                handle.write(b"\n")
 
     def _write(self, payload):
         self._handle.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -30,17 +30,23 @@ the predecode interplay: cached decode closures revalidate by version
 equality, so entries for untouched pages stay hot across a restore
 while entries for rewound pages can never falsely revalidate.
 
-**Everything else is captured by component, through one shared
-``deepcopy``.**  The machine's singletons — memory, hierarchy, pipeline,
-RSE engine, MAU, IOQ, input queues, self-checker, modules, kernel — are
-*pinned* in the deepcopy memo, so the capture copies their mutable
-fields while every cross-reference (an in-flight uop shared between the
-ROB, the rename map and an IOQ entry; a thread shared between the
-kernel and the scheduler) resolves to one consistent clone.  Restore
-deep-copies the stored state again (so the checkpoint stays pristine)
-and grafts the fields back onto the live objects — external references
-to the machine's components, and to its branch predictor and bus,
-remain valid across a restore.
+**Everything else is captured by component, as each class declares
+it.**  Capture walks one ``(key, component)`` list — pipeline,
+hierarchy, kernel, and with the RSE its engine, MAU, IOQ, self-checker,
+input queues and modules — and takes from each only the fields its
+class names in ``STATE``.  Wiring, config, callbacks and probe shadows
+are not named, so they are never captured and a restore leaves the
+target's own in place.  The components are *pinned* in one shared
+deepcopy memo, so every cross-reference in the copied state (an
+in-flight uop shared between the ROB, the rename map and an IOQ entry;
+a thread shared between the kernel and the scheduler; a module named by
+a queued MAU request) resolves to one consistent clone or to the
+component itself.  Restore deep-copies the stored state again (so the
+checkpoint stays pristine) and sets the fields back on the live
+components; the fields a class names in ``REFILL`` (the predictor, the
+bus and caches, the kernel's page permissions) are refilled in place,
+so references to them — probes, the core's permission check — remain
+valid across a restore.
 
 **Only what can change is copied.**  Decoded instructions
 (:class:`~repro.isa.instructions.Instr`) are immutable values whose
@@ -55,7 +61,7 @@ tables directly.
 ``(module, tag)`` continuation instead of a Python closure, so a machine
 with transfers in flight — an ICM fill, a DDT dump, any step of the
 MLR's load-time sequence — captures and restores like any other state:
-the module is a pinned singleton and the tag deep-copies with the rest.
+the module is a pinned component and the tag deep-copies with the rest.
 
 The captured boundary is a plain cycle boundary — callers who want the
 paper's "drained commit boundary" (architectural state only, empty
@@ -72,7 +78,7 @@ can cross a process (or host) boundary — the lever the sharded campaign
 service (:mod:`repro.campaign.service`) uses to simulate a warmup
 prefix once and ship the warmed image to every worker:
 
-* a fixed **checked header** (magic, format version 5, and the length
+* a fixed **checked header** (magic, format version 6, and the length
   and CRC32 of the pickled body) so a reader rejects foreign, stale,
   truncated or bit-flipped images *before* unpickling anything; a body
   or state that still fails to unpickle is a :class:`CheckpointError`
@@ -80,16 +86,17 @@ prefix once and ship the warmed image to every worker:
 * the **page store is deduplicated** by content — identical pages (the
   zero page under a sparse heap, replicated data segments) serialize
   once, and the page table references blobs by ordinal;
-* component state is pickled with the machine's pinned singletons
+* component state is pickled with the machine's pinned components
   replaced by **pin references** (:class:`_PinRef` ordinal
   placeholders).  The swap happens in the pickler's
   ``reducer_override``, which CPython consults only for objects that
   are not of a builtin type, and unpickling yields the placeholders
   directly.  On restore into a machine of the same shape, each
-  placeholder resolves to that machine's own singleton — the
+  placeholder resolves to that machine's own component — the
   deserialized state grafts onto the target machine exactly like a
   live restore.  Restoring into a machine of a different shape
-  (protected vs bare) is a loud :class:`CheckpointError`, not silent
+  (protected vs bare, another module set) is a loud
+  :class:`CheckpointError` raised before anything changes, not silent
   corruption.
 
 A :class:`CampaignImage` bundles one serialized checkpoint with the
@@ -114,11 +121,13 @@ __all__ = ["CampaignImage", "CheckpointError", "MachineCheckpoint",
 #: were not built for, and any body whose length or checksum is off,
 #: before unpickling anything.
 WIRE_MAGIC = b"RPCP"
+#: Version 6: a component's state holds only the fields its class
+#: declares, and the pins are exactly the walked components.
 #: Version 5: the IOQ holds only its in-flight CHECKs and no allocation
 #: count (version 4 mapped every in-flight instruction, non-CHECKs to a
 #: shared '10' entry).
 #: Version 4 gave a cache's state only its resident sets.
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 IMAGE_MAGIC = b"RPCI"
 IMAGE_VERSION = 2
 _HEADER = struct.Struct("<4sHII")
@@ -128,42 +137,17 @@ class CheckpointError(RuntimeError):
     """A checkpoint image cannot be read, or restored onto this machine."""
 
 
-#: Per-component fields that are wiring or derived caches, not mutable
-#: machine state: left untouched by restore.
-_PIPELINE_SKIP = frozenset((
-    "memory", "hierarchy", "config", "rse", "check_injector", "mem_check",
-    "_predecode",
-))
-_ENGINE_SKIP = frozenset((
-    "memory", "hierarchy", "queues", "ioq", "mau", "selfcheck",
-    "modules", "_fetch_readers", "_execute_readers", "_mem_load_readers",
-    "_commit_readers", "_squash_readers", "_store_readers", "_steppers",
-    "_module_reads", "_pipeline",
-))
-_MAU_SKIP = frozenset(("memory", "hierarchy"))
-_QUEUE_SKIP = frozenset(("name", "depth"))
-_SELFCHECK_SKIP = frozenset(("engine",))
-_MODULE_SKIP = frozenset(("engine", "name", "save_page_handler"))
-_KERNEL_SKIP = frozenset((
-    # "netif" is fleet wiring, not machine state: a checkpoint restored
-    # onto a spare node must keep the *spare's* network interface, and a
-    # NetworkInterface references the cross-machine device anyway.
-    "pipeline", "memory", "rse", "config", "snapshot_provider", "netif",
-))
-
-
 class _PinRef:
-    """Placeholder for a pinned machine singleton inside wire state.
+    """Placeholder for a pinned machine component inside wire state.
 
-    Serialized checkpoints cannot carry the live singletons a capture's
+    Serialized checkpoints cannot carry the live components a capture's
     deepcopy memo preserved, so the wire pickler (:class:`_PinPickler`)
     replaces each with a placeholder holding its ordinal in the
-    deterministic :func:`_pins` list; unpickling yields the
-    placeholders themselves.  During
-    :func:`restore` the placeholder's ``__deepcopy__`` resolves it to
-    the *target* machine's singleton at the same ordinal — outside a
-    restore it deep-copies to itself, keeping deserialized checkpoints
-    inert and re-serializable.
+    deterministic :func:`_components` walk; unpickling yields the
+    placeholders themselves.  During :func:`restore` the placeholder's
+    ``__deepcopy__`` resolves it to the *target* machine's component at
+    the same ordinal — outside a restore it deep-copies to itself,
+    keeping deserialized checkpoints inert and re-serializable.
     """
 
     __slots__ = ("index",)
@@ -180,8 +164,7 @@ class _PinRef:
         except IndexError:
             raise CheckpointError(
                 "checkpoint references pin #%d but the target machine "
-                "has only %d pinned components — it was captured on a "
-                "differently shaped machine" % (self.index, len(pins)))
+                "has only %d components" % (self.index, len(pins)))
 
     def __reduce__(self):
         return (_PinRef, (self.index,))
@@ -196,7 +179,7 @@ _ACTIVE_PINS = None
 
 
 class _PinPickler(pickle.Pickler):
-    """Pickles checkpoint state with each pinned singleton swapped for a
+    """Pickles checkpoint state with each pinned component swapped for a
     :class:`_PinRef`.
 
     CPython consults ``reducer_override`` only for objects that are not
@@ -255,22 +238,19 @@ def _open_wire(payload, magic, version, what):
 class MachineCheckpoint:
     """An immutable whole-machine snapshot (see module docstring)."""
 
-    __slots__ = ("cycle", "pages", "versions", "_state", "_pins",
-                 "pin_count")
+    __slots__ = ("cycle", "pages", "versions", "_state", "_pins")
 
-    def __init__(self, cycle, pages, versions, state, pins=None,
-                 pin_count=None):
+    def __init__(self, cycle, pages, versions, state, pins=None):
         self.cycle = cycle          # pipeline cycle at capture
         self.pages = pages          # page index -> bytes (materialised only)
         self.versions = versions    # page index -> write version at capture
-        self._state = state         # per-component deep-copied field dicts
-        # Live captures remember their pinned singletons so to_bytes()
-        # can replace in-state references with ordinals; deserialized
-        # checkpoints have no live pins (their state holds _PinRef
-        # placeholders) but remember how many the capture machine had.
+        # component key -> {declared field: deep-copied value}, in the
+        # order of the capture machine's component walk.
+        self._state = state
+        # Live captures remember their components so to_bytes() can
+        # replace in-state references with ordinals; deserialized
+        # checkpoints have none (their state holds _PinRef placeholders).
         self._pins = pins
-        self.pin_count = (len(pins) if pin_count is None and pins is not None
-                          else pin_count)
 
     def __repr__(self):
         return "MachineCheckpoint(cycle=%d, pages=%d)" % (
@@ -304,7 +284,6 @@ class MachineCheckpoint:
             "blobs": blobs,
             "page_blob": page_blob,
             "state": buffer.getvalue(),
-            "pin_count": self.pin_count,
         }
         return _seal(WIRE_MAGIC, WIRE_VERSION,
                      pickle.dumps(document, protocol=4))
@@ -326,7 +305,7 @@ class MachineCheckpoint:
             pages = {index: blobs[ordinal]
                      for index, ordinal in document["page_blob"].items()}
             return cls(document["cycle"], pages, document["versions"],
-                       state, pins=None, pin_count=document["pin_count"])
+                       state)
         except Exception as exc:
             raise CheckpointError(
                 "malformed checkpoint image: %s: %s"
@@ -388,114 +367,46 @@ class CampaignImage:
             self.fingerprint, len(self.payload))
 
 
-#: class -> tuple of instance attribute names, learned from the first
-#: instance captured.  Reading ``obj.__dict__`` materialises a managed
-#: dict on the instance, and CPython (3.11+) then permanently drops the
-#: inline-values LOAD_ATTR fast path for that object — measured at ~20%
-#: on the whole-pipeline simulation rate.  Caching the names per class
-#: and walking them with ``getattr`` keeps every machine captured after
-#: the first one (and the first one too, if :func:`warm` ran) at full
-#: speed.  Safe because every captured class assigns all of its fields
-#: in ``__init__``; a field that appears only on later instances would
-#: be a bug this cache turns into a loud AttributeError on capture.
-_FIELD_NAMES = {}
+def _components(machine):
+    """The ``(key, component)`` pairs a checkpoint walks, in pin order.
 
-
-def state_fields(obj):
-    """Names of *obj*'s state attributes, learned once per class.
-
-    An instance attribute shadowing a method of the class (an obs
-    probe's or assertion adapter's wrapper) instruments this one object
-    and is left out, whichever instance the class is learned from.
+    Each component's class declares what a checkpoint carries of it: the
+    field names in ``STATE``, and in ``REFILL`` those of them that
+    restore refills in place rather than replaces (see :func:`restore`).
+    Every other attribute — wiring, config, callbacks, probe shadows —
+    is never captured and stays on the machine it belongs to.
     """
-    cls = type(obj)
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = _FIELD_NAMES[cls] = tuple(
-            name for name in obj.__dict__
-            if not callable(getattr(cls, name, None)))
-    return names
-
-
-def _fields(obj, skip=frozenset()):
-    return {name: getattr(obj, name) for name in state_fields(obj)
-            if name not in skip}
-
-
-def _graft(obj, fields, refill=()):
-    """Set *fields* on *obj*; the fields named in *refill* take their
-    clone's contents in place instead of being replaced: a component a
-    probe may instrument, so wrappers attached to it keep counting, or a
-    dict a closure reads (the kernel's page permissions, which the
-    core's ``mem_check`` probe holds)."""
-    for key, value in fields.items():
-        if key not in refill:
-            setattr(obj, key, value)
-        elif type(value) is dict:
-            live = getattr(obj, key)
-            live.clear()
-            live.update(value)
-        else:
-            _graft(getattr(obj, key), _fields(value))
-
-
-def _pins(machine):
-    """The identity-preserved singletons (deepcopy memo seeds)."""
-    pipeline = machine.pipeline
-    kernel = machine.kernel
-    pins = [machine, machine.memory, machine.hierarchy, pipeline, kernel,
-            pipeline.config, kernel.config]
-    if pipeline._predecode is not None:
-        pins.append(pipeline._predecode)
+    components = [("pipeline", machine.pipeline),
+                  ("hierarchy", machine.hierarchy),
+                  ("kernel", machine.kernel)]
     rse = machine.rse
     if rse is not None:
-        pins.extend((rse, rse.mau, rse.ioq, rse.queues, rse.selfcheck))
-        pins.extend(rse.queues.all_queues())
-        pins.extend(rse.modules.values())
-    return pins
-
-
-def _collect(machine):
-    state = {
-        "pipeline": _fields(machine.pipeline, _PIPELINE_SKIP),
-        "hierarchy": _fields(machine.hierarchy),
-        "kernel": _fields(machine.kernel, _KERNEL_SKIP),
-    }
-    rse = machine.rse
-    if rse is not None:
-        state["rse"] = {
-            "engine": _fields(rse, _ENGINE_SKIP),
-            "mau": _fields(rse.mau, _MAU_SKIP),
-            "ioq": _fields(rse.ioq),
-            "selfcheck": _fields(rse.selfcheck, _SELFCHECK_SKIP),
-            "queues": {queue.name: _fields(queue, _QUEUE_SKIP)
-                       for queue in rse.queues.all_queues()},
-            "modules": {module_id: _fields(module, _MODULE_SKIP)
-                        for module_id, module in rse.modules.items()},
-        }
-    return state
+        components += [("rse", rse), ("mau", rse.mau), ("ioq", rse.ioq),
+                       ("selfcheck", rse.selfcheck)]
+        components += [(queue.name, queue)
+                       for queue in rse.queues.all_queues()]
+        components += [("%s %d" % (type(module).__name__, module_id), module)
+                       for module_id, module in rse.modules.items()]
+    return components
 
 
 def warm(machine):
-    """Populate the field-name cache from a sacrificial *machine*.
-
-    The first capture of each class reads ``__dict__`` to learn the
-    field names, which permanently slows attribute access on that one
-    instance (see :data:`_FIELD_NAMES`).  Callers that keep a long-lived
-    trunk machine (the campaign fork engine) capture a same-shaped
-    throwaway machine first so the trunk never pays that cost.
-    """
-    capture(machine)
+    """Does nothing: a capture reads only declared fields, so there is
+    no per-class cache left to fill.  Kept under its name because
+    perfbench's span table wraps ``repro.checkpoint.warm``."""
 
 
 def capture(machine):
     """Snapshot *machine*; returns a :class:`MachineCheckpoint`."""
     pages, versions = machine.memory.capture_state()
-    pins = _pins(machine)
+    components = _components(machine)
+    pins = [component for __, component in components]
+    state = {key: {name: getattr(component, name)
+                   for name in component.STATE}
+             for key, component in components}
     memo = {id(pin): pin for pin in pins}
-    state = copy.deepcopy(_collect(machine), memo)
-    return MachineCheckpoint(machine.pipeline.cycle, pages, versions, state,
-                             pins=pins)
+    return MachineCheckpoint(machine.pipeline.cycle, pages, versions,
+                             copy.deepcopy(state, memo), pins=pins)
 
 
 def restore(machine, checkpoint):
@@ -503,24 +414,31 @@ def restore(machine, checkpoint):
 
     Works for live checkpoints (captured in this process) and wire
     checkpoints (:meth:`MachineCheckpoint.from_bytes`) alike.  Either
-    way each pinned singleton of the capture machine maps to *machine*'s
-    own singleton at the same ordinal — a wire checkpoint's pin
-    references through :class:`_PinRef`, a live one's captured pins
-    through the deepcopy memo — which requires the target to have the
-    same component shape as the capture machine.  So a live checkpoint
-    restored onto another machine grafts in that machine's modules,
-    never a clone of the donor's.
+    way each component of the capture machine maps to *machine*'s own
+    component at the same ordinal — a wire checkpoint's pin references
+    through :class:`_PinRef`, a live one's captured pins through the
+    deepcopy memo — so the target must have the same components, which
+    is checked before anything changes.  A live checkpoint restored onto
+    another machine therefore grafts in that machine's modules, never a
+    clone of the donor's.
+
+    Each declared field is set on its live component, except those the
+    class names in ``REFILL``: a dict (the kernel's page permissions,
+    which the core's ``mem_check`` probe holds) takes the stored contents,
+    and an object (predictor, bus, caches) takes the stored values of its
+    own ``STATE``, so probes attached to it keep counting.
     """
     global _ACTIVE_PINS
 
-    pins = _pins(machine)
-    if checkpoint.pin_count is not None and checkpoint.pin_count != len(pins):
+    components = _components(machine)
+    keys = [key for key, __ in components]
+    if list(checkpoint._state) != keys:
         raise CheckpointError(
-            "checkpoint was captured on a machine with %d pinned "
-            "components; this machine has %d — build the target with "
-            "the same configuration (RSE, modules, predecode)"
-            % (checkpoint.pin_count, len(pins)))
-    machine.memory.restore_state(checkpoint.pages, checkpoint.versions)
+            "checkpoint was captured on a machine with components [%s]; "
+            "this machine has [%s] — build the target with the same "
+            "configuration (RSE and modules)"
+            % (", ".join(checkpoint._state), ", ".join(keys)))
+    pins = [component for __, component in components]
     # Re-copy the stored state with the target's pins so the checkpoint
     # survives this restore untouched and can be restored again.
     captured = checkpoint._pins if checkpoint._pins is not None else pins
@@ -530,21 +448,18 @@ def restore(machine, checkpoint):
         state = copy.deepcopy(checkpoint._state, memo)
     finally:
         _ACTIVE_PINS = None
-    _graft(machine.pipeline, state["pipeline"], refill=("predictor",))
-    _graft(machine.hierarchy, state["hierarchy"], refill=("bus",))
-    _graft(machine.kernel, state["kernel"], refill=("page_perms",))
-    rse = machine.rse
-    if rse is not None:
-        if "rse" not in state:
-            raise CheckpointError(
-                "checkpoint was captured without an RSE attached")
-        sub = state["rse"]
-        _graft(rse, sub["engine"])
-        _graft(rse.mau, sub["mau"])
-        _graft(rse.ioq, sub["ioq"])
-        _graft(rse.selfcheck, sub["selfcheck"])
-        for queue in rse.queues.all_queues():
-            _graft(queue, sub["queues"][queue.name])
-        for module_id, fields in sub["modules"].items():
-            _graft(rse.modules[module_id], fields)
+    machine.memory.restore_state(checkpoint.pages, checkpoint.versions)
+    for key, component in components:
+        refill = getattr(component, "REFILL", ())
+        for name, value in state[key].items():
+            if name not in refill:
+                setattr(component, name, value)
+                continue
+            live = getattr(component, name)
+            if type(value) is dict:
+                live.clear()
+                live.update(value)
+            else:
+                for field in live.STATE:
+                    setattr(live, field, getattr(value, field))
     return machine

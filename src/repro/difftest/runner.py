@@ -5,12 +5,16 @@ run is reproducible from ``(seed, mode, count)`` alone and any single
 diverging index can be replayed in isolation.  Progress optionally
 streams to a JSONL store (header line + one line per program), which a
 rerun with the same store resumes instead of repeating — the same
-discipline :mod:`repro.campaign` uses for fault-injection campaigns.
+discipline :mod:`repro.campaign` uses for fault-injection campaigns,
+with its line reader and tail repair: a torn line (a killed run's
+partial record) is skipped and its program runs again, and a store
+another run wrote is a :class:`~repro.campaign.store.StoreMismatch`.
 """
 
 import json
 import os
 
+from repro.campaign.store import StoreMismatch, parse_line, repair_tail
 from repro.difftest.generator import generate
 from repro.difftest.oracle import DEFAULT_MAX_STEPS, run_source
 from repro.difftest.shrink import shrink
@@ -86,22 +90,22 @@ def _load_store(path, header):
     if not path or not os.path.exists(path):
         return None
     done = set()
-    with open(path) as handle:
+    with open(path, "rb") as handle:
         first = handle.readline()
         if not first.strip():
             return None
-        existing = json.loads(first)
+        existing = parse_line(first) or {}
         for key in ("kind", "seed", "mode", "assertions", "jit"):
             if existing.get(key) != header.get(key):
-                raise ValueError(
+                raise StoreMismatch(
                     "difftest store %s was written by a different run "
                     "(%s=%r, expected %r)" % (path, key,
                                               existing.get(key),
-                                              header[key]))
+                                              header.get(key)))
         for line in handle:
-            line = line.strip()
-            if line:
-                done.add(json.loads(line)["index"])
+            record = parse_line(line)
+            if record is not None and isinstance(record.get("index"), int):
+                done.add(record["index"])
     return done
 
 
@@ -150,6 +154,7 @@ def fuzz(seed=1234, count=100, mode="all", max_steps=DEFAULT_MAX_STEPS,
             handle.write(json.dumps(header) + "\n")
             handle.flush()
         else:
+            repair_tail(store)
             handle = open(store, "a")
     try:
         for index in range(count):

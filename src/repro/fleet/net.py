@@ -8,9 +8,10 @@ fixed latency, optional seeded jitter, and an optional seeded drop rate
 the same delivery schedule on every platform.
 
 The device is fleet wiring, not machine state: checkpoints never capture
-it (``checkpoint._KERNEL_SKIP``), and a failover simply re-``attach``-es
-the dead node's interface to the spare kernel — datagrams queued for the
-node during its downtime are delivered to the spare.
+it (``Kernel.STATE`` does not name ``netif``), and a failover simply
+re-``attach``-es the dead node's interface to the spare kernel —
+datagrams queued for the node during its downtime are delivered to the
+spare.
 """
 
 import heapq

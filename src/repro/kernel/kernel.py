@@ -150,6 +150,19 @@ class RunResult:
 class Kernel:
     """The operating system of the simulated machine."""
 
+    #: What a checkpoint carries (:mod:`repro.checkpoint`).  Restore
+    #: refills ``page_perms`` in place: the core's ``mem_check`` probe
+    #: holds that dict.  A fleet's ``netif`` is wiring, so a checkpoint
+    #: restored onto a spare node keeps the spare's interface.
+    STATE = ("page_perms", "threads", "scheduler", "current", "checkpoints",
+             "loaded", "brk", "output", "responses", "requests_total",
+             "_next_request", "request_arrivals", "_next_tid",
+             "_next_stack_index", "_rng_state", "recovery",
+             "recovery_reports", "detections", "check_error_policy",
+             "faults", "os_heartbeat_id", "context_switches",
+             "syscalls_handled", "timer_preemptions")
+    REFILL = ("page_perms",)
+
     def __init__(self, pipeline, memory, rse=None, config=None):
         self.pipeline = pipeline
         self.memory = memory
@@ -171,8 +184,7 @@ class Kernel:
         #: one per provisioned request (set_request_source).
         self.request_arrivals = None
         #: NetworkInterface wired in by a fleet's NetworkDevice (attach);
-        #: None on a standalone machine.  Deliberately NOT part of the
-        #: checkpointable kernel state (see checkpoint._KERNEL_SKIP).
+        #: None on a standalone machine.  Wiring, not in :attr:`STATE`.
         self.netif = None
         self._next_tid = 1
         self._next_stack_index = 1

@@ -54,8 +54,10 @@ class MemoryBus:
     request issued in the same cycle queues behind the CPU's.
     """
 
-    FIELDS = ("timing", "busy_until", "cpu_transfers", "mau_transfers",
-              "mau_wait_cycles")
+    #: What a checkpoint carries (:mod:`repro.checkpoint`); the
+    #: hierarchy refills its live bus with these, so the timing stays.
+    STATE = ("busy_until", "cpu_transfers", "mau_transfers",
+             "mau_wait_cycles")
 
     def __init__(self, timing):
         self.timing = timing
@@ -65,13 +67,12 @@ class MemoryBus:
         self.mau_wait_cycles = 0
 
     def __deepcopy__(self, memo):
-        # ``timing`` is an immutable BusTiming shared by reference; the
-        # rest are ints.  getattr/setattr (never ``__dict__``) preserves
-        # the inline-values attribute fast path on the per-miss hot
-        # path for both the original and the checkpoint clone.
+        # A clone holding only STATE, all ints.  Generic deepcopy would
+        # read ``__dict__``, which costs CPython's inline-values
+        # attribute fast path on this per-miss object for good.
         clone = object.__new__(type(self))
         memo[id(self)] = clone
-        for name in self.FIELDS:
+        for name in self.STATE:
             setattr(clone, name, getattr(self, name))
         return clone
 

@@ -12,8 +12,6 @@ dl2       128 KB  2-way
 ========  ======  =============
 """
 
-from repro.checkpoint import state_fields
-
 
 class CacheStats:
     """Counters reported in Table 4 (#accesses, miss rate)."""
@@ -63,6 +61,10 @@ class Cache:
     geometry (the Figure 1 caches have 3,584 sets between them).
     """
 
+    #: What a checkpoint carries (:mod:`repro.checkpoint`); the
+    #: hierarchy refills a live cache with these, so its geometry stays.
+    STATE = ("_sets", "stats")
+
     def __init__(self, name, size_bytes, assoc, block_bytes):
         if size_bytes % (assoc * block_bytes):
             raise ValueError("cache geometry does not divide evenly")
@@ -79,26 +81,16 @@ class Cache:
         self.stats = CacheStats()
 
     def __deepcopy__(self, memo):
-        """Hand-rolled clone: the generic machinery walks every resident
-        tag of every set, which makes checkpoint capture/restore
-        (:mod:`repro.checkpoint`) pay a deepcopy dispatch per tag.  Set
-        contents are int->bool, so a plain dict copy per resident set is
-        already a deep copy.  Field names come from
-        :func:`repro.checkpoint.state_fields` (cached per class, probe
-        shadows left out) and move via getattr/setattr: touching
-        ``__dict__`` would materialise it and cost the original (and
-        the clone) CPython's inline-values attribute fast path on the
-        per-access hot loop."""
-        clone = object.__new__(type(self))
-        memo[id(self)] = clone
-        for name in state_fields(self):
-            setattr(clone, name, getattr(self, name))
+        """An independent cache of the same geometry with a copy of
+        :attr:`STATE`.  The generic machinery would pay a deepcopy
+        dispatch per resident tag; set contents are int->bool, so a plain
+        dict copy per resident set is already a deep copy."""
+        clone = memo[id(self)] = type(self)(
+            self.name, self.size_bytes, self.assoc, self.block_bytes)
         clone._sets = {index: dict(block_set)
                        for index, block_set in self._sets.items()}
-        stats = CacheStats()
         for field in CacheStats.__slots__:
-            setattr(stats, field, getattr(self.stats, field))
-        clone.stats = stats
+            setattr(clone.stats, field, getattr(self.stats, field))
         return clone
 
     # ------------------------------------------------------------ access

@@ -57,6 +57,12 @@ class MemoryHierarchy:
     modelled naturally.
     """
 
+    #: What a checkpoint carries (:mod:`repro.checkpoint`): the caches
+    #: and bus, each refilled in place with its own ``STATE``, so probes
+    #: on them keep counting and their geometry and timing stay put.
+    STATE = ("il1", "dl1", "il2", "dl2", "bus")
+    REFILL = STATE
+
     def __init__(self, bus_timing, configs=None):
         configs = configs or default_cache_configs()
         self.il1 = configs["il1"].build()

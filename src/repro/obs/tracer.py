@@ -194,6 +194,7 @@ class CommitTracer(RSEModule):
 
     MODULE_ID = 10
     MODE = ModuleMode.ASYNC
+    STATE = RSEModule.STATE + ("entries",)
 
     def __init__(self, limit=100_000):
         super().__init__("CommitTracer")

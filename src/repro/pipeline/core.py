@@ -222,6 +222,14 @@ class Pipeline:
       under the same contract.
     """
 
+    #: What a checkpoint carries (:mod:`repro.checkpoint`).  Restore
+    #: refills the predictor in place, so a probe on it keeps counting.
+    STATE = ("predictor", "regs", "stats", "cycle", "fetch_pc",
+             "fetch_enabled", "rob", "fetch_buffer", "rename", "_lsq_used",
+             "_seq", "_pending_fetch", "_held", "_injected_for_held",
+             "timer_deadline", "_pending_timer", "freeze_until")
+    REFILL = ("predictor",)
+
     def __init__(self, memory, hierarchy, config=None, rse=None):
         self.memory = memory
         self.hierarchy = hierarchy

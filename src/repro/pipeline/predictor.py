@@ -7,11 +7,13 @@ direction, plus a direct-mapped BTB for targets (needed by ``jr``/
 ``jalr``, whose targets are register values unknown at fetch).
 """
 
-from repro.checkpoint import state_fields
-
 
 class BranchPredictor:
     """Direction (bimodal 2-bit counters) + target (BTB) prediction."""
+
+    #: What a checkpoint carries (:mod:`repro.checkpoint`); the pipeline
+    #: refills its live predictor with these, so probes on it stay.
+    STATE = ("_counters", "_btb_tags", "_btb_targets", "lookups", "hits")
 
     def __init__(self, bimodal_entries=2048, btb_entries=512):
         if bimodal_entries & (bimodal_entries - 1):
@@ -27,18 +29,12 @@ class BranchPredictor:
         self.hits = 0
 
     def __deepcopy__(self, memo):
-        """Flat-table clone.  Predictor state is lists of ints/None (and
-        scalar counters), so generic deepcopy's per-element dispatch is
-        pure overhead on the machine-checkpoint path — copy the lists
-        wholesale instead.  Field names come from
-        :func:`repro.checkpoint.state_fields` (cached per class, probe
-        shadows left out) and move via getattr/setattr: touching
-        ``__dict__`` would materialise it and cost the original and the
-        clone CPython's inline-values attribute fast path on the
-        per-prediction hot loop."""
+        """A clone holding only :attr:`STATE`, for checkpoints.  The
+        tables are lists of ints and None, so generic deepcopy's
+        per-element dispatch is pure overhead: copy them wholesale."""
         clone = object.__new__(type(self))
         memo[id(self)] = clone
-        for name in state_fields(self):
+        for name in self.STATE:
             value = getattr(self, name)
             setattr(clone, name,
                     list(value) if isinstance(value, list) else value)
@@ -92,6 +88,8 @@ class GsharePredictor(BranchPredictor):
     ablation, since CHECK-bandwidth effects interact with front-end
     quality.
     """
+
+    STATE = BranchPredictor.STATE + ("_history",)
 
     def __init__(self, bimodal_entries=2048, btb_entries=512,
                  history_bits=10):

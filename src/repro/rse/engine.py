@@ -74,6 +74,12 @@ def _read_hooks(tap, base):
 class RSE:
     """The Reliability and Security Engine."""
 
+    #: What a checkpoint carries (:mod:`repro.checkpoint`); the queues,
+    #: IOQ, MAU, self-checker and modules are checkpointed on their own.
+    STATE = ("safe_mode", "safe_mode_reason", "current_tid", "cycle",
+             "checks_seen", "_blk_queues", "_blk_queued", "_commit_deferred",
+             "check_successor")
+
     def __init__(self, memory, hierarchy, rob_entries=16):
         self.memory = memory
         self.hierarchy = hierarchy
@@ -136,7 +142,7 @@ class RSE:
         """Work out which modules read each port, in attach order.
 
         The tuples and the modules' part of :attr:`reads` derive from
-        :attr:`modules`, so checkpoints skip them.  Fetch_Out and
+        :attr:`modules`, so they are not :attr:`STATE`.  Fetch_Out and
         Commit_Out can always hold items (CHECK routing, deferred
         commits); the other queues only while read.
         """

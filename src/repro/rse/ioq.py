@@ -99,6 +99,9 @@ _ENTRY_VALUE_SLOTS = tuple(name for name in IOQEntry.__slots__
 class IOQ:
     """The queue itself: CHECK allocation, result lookup, and freeing."""
 
+    #: What a checkpoint carries (:mod:`repro.checkpoint`).
+    STATE = ("_entries",)
+
     def __init__(self):
         self._entries = {}
 

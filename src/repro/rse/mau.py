@@ -45,6 +45,10 @@ class MAURequest:
 class MemoryAccessUnit:
     """FIFO service of module memory requests over the shared bus."""
 
+    #: What a checkpoint carries (:mod:`repro.checkpoint`).
+    STATE = ("_queue", "_active", "requests_total", "bytes_loaded",
+             "bytes_stored")
+
     def __init__(self, memory, hierarchy):
         self.memory = memory
         self.hierarchy = hierarchy

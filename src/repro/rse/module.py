@@ -38,6 +38,10 @@ class RSEModule:
     MODULE_ID = 0
     #: Default operating mode; subclasses override.
     MODE = ModuleMode.ASYNC
+    #: What a checkpoint carries (:mod:`repro.checkpoint`); a subclass
+    #: adds its own tables and counters.  ``name`` is config and
+    #: ``engine`` wiring, like a subclass's callbacks.
+    STATE = ("enabled", "fault_mode", "checks_received", "errors_raised")
 
     def __init__(self, name=None):
         self.name = name or type(self).__name__

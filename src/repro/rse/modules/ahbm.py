@@ -68,6 +68,7 @@ class AHBM(RSEModule):
 
     MODULE_ID = MODULE_AHBM
     MODE = ModuleMode.ASYNC
+    STATE = RSEModule.STATE + ("entities", "failures", "beats_total")
 
     def __init__(self, sample_period=256, initial_timeout=20_000,
                  min_timeout=512):

@@ -93,6 +93,8 @@ class CFC(RSEModule):
 
     MODULE_ID = MODULE_CFC
     MODE = ModuleMode.ASYNC
+    STATE = RSEModule.STATE + ("successors", "indirect_targets", "violations",
+                               "transfers_checked", "_pending_control")
 
     def __init__(self):
         super().__init__("CFC")

@@ -46,6 +46,9 @@ class DDT(RSEModule):
 
     MODULE_ID = MODULE_DDT
     MODE = ModuleMode.ASYNC
+    STATE = RSEModule.STATE + ("pst", "ddm", "threads", "dependencies_logged",
+                               "dependencies_missed", "save_pages_raised",
+                               "pst_evictions", "_last_log_cycle")
 
     def __init__(self, pst_capacity=4096, model_lag=False):
         super().__init__("DDT")

@@ -164,6 +164,10 @@ class ICM(RSEModule):
 
     MODULE_ID = MODULE_ICM
     MODE = ModuleMode.SYNC
+    STATE = RSEModule.STATE + ("checker_map", "_cache", "_waiting",
+                               "_inflight", "cache_hits", "cache_misses",
+                               "checks_completed", "mismatches",
+                               "unmapped_checks")
 
     def __init__(self, cache_entries=256, replacement_group=8):
         super().__init__("ICM")

@@ -97,6 +97,11 @@ class MLR(RSEModule):
     #: MLR writes memory through the MAU; blocking MLR CHECKs are load
     #: barriers in the pipeline (see RSE.check_blocks_loads).
     WRITES_MEMORY = True
+    STATE = RSEModule.STATE + (
+        "hdr_addr", "hdr_size", "got_old", "got_size", "got_new", "plt_addr",
+        "plt_size", "header", "got_buffer", "plt_buffer", "randomized",
+        "operations_done", "_pending_store", "pi_rand_started",
+        "pi_rand_finished")
 
     def __init__(self, entropy_source=cycle_counter_entropy):
         super().__init__("MLR")

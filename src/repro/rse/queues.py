@@ -33,6 +33,9 @@ LATCH_DELAY = 1
 class InputQueue:
     """One latched input queue feeding the framework."""
 
+    #: What a checkpoint carries (:mod:`repro.checkpoint`).
+    STATE = ("_items", "pushed_total", "dropped_overflow")
+
     def __init__(self, name, depth=16):
         self.name = name
         self.depth = depth

@@ -44,6 +44,10 @@ class SelfCheckTrip:
 class SelfChecker:
     """Watchdog + error-burst monitor driving safe-mode decoupling."""
 
+    #: What a checkpoint carries (:mod:`repro.checkpoint`); the timeout,
+    #: thresholds and scan period are config.
+    STATE = ("trips", "_stuck1_streak", "_error_cycles")
+
     def __init__(self, engine, watchdog_timeout=500, error_threshold=8,
                  stuck1_threshold=4, scan_period=16):
         self.engine = weakref.proxy(engine)     # the engine owns this

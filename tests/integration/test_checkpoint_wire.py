@@ -172,10 +172,11 @@ def test_wire_rejects_stale_version():
     version1 = struct.pack("<4sH", WIRE_MAGIC, 1) + body
     with pytest.raises(CheckpointError, match="version 1"):
         MachineCheckpoint.from_bytes(version1)
-    # Version 3 listed every cache set and version 4 held an IOQ entry
-    # for every in-flight instruction; their images are refused intact.
-    assert WIRE_VERSION == 5
-    for old in (3, 4):
+    # Version 3 listed every cache set, version 4 held an IOQ entry for
+    # every in-flight instruction and version 5 every attribute no skip
+    # list named; their images are refused intact.
+    assert WIRE_VERSION == 6
+    for old in (3, 4, 5):
         with pytest.raises(CheckpointError, match="version %d" % old):
             MachineCheckpoint.from_bytes(_seal(WIRE_MAGIC, old, bytes(body)))
 
@@ -260,6 +261,30 @@ def test_wire_rejects_shape_mismatch():
     bare = build_workload_machine(source, protected=False)
     with pytest.raises(CheckpointError):
         bare.restore(MachineCheckpoint.from_bytes(payload))
+
+
+def test_shape_mismatch_is_refused_before_anything_changes():
+    """An ICM machine's checkpoint has as many components as an MLR
+    machine's, but not the same ones: live or wire, restoring it onto
+    the MLR machine raises CheckpointError and leaves the target as it
+    was."""
+    source = workload_sources(quick=True)["kmeans"]
+    donor = build_workload_machine(source)
+    donor.kernel.run(max_cycles=3_000)
+    live = donor.checkpoint()
+    wire = MachineCheckpoint.from_bytes(live.to_bytes())
+
+    target = build_machine(with_rse=True, modules=("mlr",))
+    image, __ = build_workload_image(source, MemoryLayout())
+    target.kernel.load_process(image)
+    target.kernel.run(max_cycles=500)
+    before = (target.pipeline.cycle, target.memory.capture_state(),
+              list(target.pipeline.regs))
+    for checkpoint in (live, wire):
+        with pytest.raises(CheckpointError, match="MLR"):
+            target.restore(checkpoint)
+        assert (target.pipeline.cycle, target.memory.capture_state(),
+                list(target.pipeline.regs)) == before
 
 
 def test_campaign_image_round_trip():

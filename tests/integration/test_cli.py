@@ -339,6 +339,40 @@ def test_foreign_campaign_store_is_one_line_error(tmp_path, capsys):
     assert_one_line_error(capsys, "different campaign configuration")
 
 
+def _torn_difftest_store(tmp_path, capsys):
+    """A 3-program difftest store whose run was killed mid-record."""
+    store = str(tmp_path / "difftest.jsonl")
+    assert main(["difftest", "--seed", "5", "--count", "3",
+                 "--store", store]) == 0
+    with open(store, "a") as handle:
+        handle.write('{"index": 3, "se')
+    capsys.readouterr()
+    return store
+
+
+def test_difftest_store_resumes_past_a_torn_line(tmp_path, capsys):
+    store = _torn_difftest_store(tmp_path, capsys)
+    assert main(["difftest", "--seed", "5", "--count", "6", "--json",
+                 "--store", store]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["resumed"], report["executed"], report["ok"]) == \
+        (3, 3, True)
+    with open(store) as handle:
+        lines = handle.read().splitlines()
+    # The fragment is left on a line of its own, and index 3 ran again.
+    assert lines[4] == '{"index": 3, "se'
+    assert [json.loads(line)["index"] for line in lines[1:4] + lines[5:]] \
+        == list(range(6))
+
+
+def test_foreign_difftest_store_is_one_line_error(tmp_path, capsys):
+    store = _torn_difftest_store(tmp_path, capsys)
+    assert main(["difftest", "--seed", "6", "--count", "3",
+                 "--store", store]) == 2
+    assert_one_line_error(capsys, "written by a different run",
+                          "seed=5, expected 6")
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (["run", "--class", "nosuch"], "unknown attack class 'nosuch'"),
     (["run", "--config", "bogus"], "unknown module config token 'bogus'"),

@@ -136,17 +136,13 @@ def test_attach_detach_reattach_cycle_accepts_new_kwargs():
     assert machine.obs.attached() == []
 
 
-def test_restore_carries_no_probe_shadows(monkeypatch):
+def test_restore_carries_no_probe_shadows():
     """A checkpoint of a probed machine holds state, not the probes.
 
-    Every class learns its field names from the probed machine here, as
-    the first capture in a process would; restoring into a fresh machine
-    must still leave it with bare methods, and running it must drive its
-    own IOQ, not the one the capture machine's probe wrappers call into.
+    Restoring into a fresh machine must leave it with bare methods, and
+    running it must drive its own IOQ, not the one the capture machine's
+    probe wrappers call into.
     """
-    from repro import checkpoint
-
-    monkeypatch.setattr(checkpoint, "_FIELD_NAMES", {})
     probed = build_loaded(with_rse=True)
     probed.obs.attach("rse")
     probed.obs.attach("mispredict")

@@ -11,6 +11,7 @@ import json
 import pytest
 
 import repro.isa.predecode as predecode
+from repro.campaign.store import StoreMismatch
 from repro.difftest import MODES, fuzz, generate, run_source, shrink
 from repro.difftest.runner import derive_seed
 from repro.isa.assembler import assemble
@@ -215,7 +216,7 @@ def test_fuzz_store_resumes(tmp_path):
 def test_fuzz_store_rejects_mismatched_run(tmp_path):
     store = str(tmp_path / "difftest.jsonl")
     fuzz(seed=11, count=2, mode="basic", store=store)
-    with pytest.raises(ValueError):
+    with pytest.raises(StoreMismatch):
         fuzz(seed=12, count=2, mode="basic", store=store)
 
 
@@ -284,5 +285,5 @@ def test_fuzz_jit_smoke_is_clean():
 def test_fuzz_store_separates_jit_runs(tmp_path):
     store = str(tmp_path / "difftest.jsonl")
     fuzz(seed=11, count=2, mode="basic", store=store)
-    with pytest.raises(ValueError):
+    with pytest.raises(StoreMismatch):
         fuzz(seed=11, count=2, mode="basic", store=store, jit=True)
