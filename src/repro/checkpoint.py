@@ -409,6 +409,13 @@ def capture(machine):
                              copy.deepcopy(state, memo), pins=pins)
 
 
+def _describe(refilled):
+    """A refilled object's class, and its geometry if it has one."""
+    geometry = getattr(refilled, "geometry", None)
+    return "a %s%s" % (type(refilled).__name__,
+                       "" if geometry is None else " %s" % (geometry,))
+
+
 def restore(machine, checkpoint):
     """Rewind *machine* to *checkpoint* (reusable; returns *machine*).
 
@@ -417,10 +424,12 @@ def restore(machine, checkpoint):
     way each component of the capture machine maps to *machine*'s own
     component at the same ordinal — a wire checkpoint's pin references
     through :class:`_PinRef`, a live one's captured pins through the
-    deepcopy memo — so the target must have the same components, which
-    is checked before anything changes.  A live checkpoint restored onto
-    another machine therefore grafts in that machine's modules, never a
-    clone of the donor's.
+    deepcopy memo — so the target must have the same components, and
+    each object restore refills in place the same class and geometry (a
+    cache's size, associativity and block size; a predictor's table
+    sizes).  Both are checked before anything changes.  A live
+    checkpoint restored onto another machine therefore grafts in that
+    machine's modules, never a clone of the donor's.
 
     Each declared field is set on its live component, except those the
     class names in ``REFILL``: a dict (the kernel's page permissions,
@@ -438,6 +447,17 @@ def restore(machine, checkpoint):
             "this machine has [%s] — build the target with the same "
             "configuration (RSE and modules)"
             % (", ".join(checkpoint._state), ", ".join(keys)))
+    for key, component in components:
+        stored_fields = checkpoint._state[key]
+        for name in getattr(component, "REFILL", ()):
+            live, stored = getattr(component, name), stored_fields.get(name)
+            if (type(stored) is not type(live)
+                    or getattr(stored, "geometry", None)
+                    != getattr(live, "geometry", None)):
+                raise CheckpointError(
+                    "checkpoint's %s.%s is %s; this machine's is %s — "
+                    "build the target with the same configuration"
+                    % (key, name, _describe(stored), _describe(live)))
     pins = [component for __, component in components]
     # Re-copy the stored state with the target's pins so the checkpoint
     # survives this restore untouched and can be restored again.

@@ -29,6 +29,7 @@ Any malformed statement raises :class:`AssemblyError` with its line.
 """
 
 import re
+import string
 
 from repro.isa.encoding import encode
 from repro.isa.instructions import (
@@ -37,7 +38,7 @@ from repro.isa.instructions import (
     SPEC_BY_NAME,
     extract_regs,
 )
-from repro.isa.registers import RegisterError, reg_num
+from repro.isa.registers import REG_NAMES, RegisterError, reg_num
 
 DEFAULT_TEXT_BASE = 0x00400000
 DEFAULT_DATA_BASE = 0x10000000
@@ -108,6 +109,13 @@ class Assembly:
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):")
 _TOKEN_RE = re.compile(r"\s*([+-])\s*")
 
+#: ``$name`` -> register number, the spelling nearly every operand uses;
+#: any other spelling goes through :func:`reg_num`.
+_DOLLAR_REGS = {"$" + name: num for num, name in enumerate(REG_NAMES)}
+
+#: First characters of a term :func:`_parse_int` always rejects.
+_IDENT_START = frozenset(string.ascii_letters + "_.$")
+
 
 def _parse_int(text):
     text = text.strip()
@@ -168,7 +176,7 @@ class Assembler:
         pending_labels = []
         for lineno, raw in enumerate(source.splitlines(), start=1):
             line = raw.split("#", 1)[0].split(";", 1)[0].strip()
-            while True:
+            while ":" in line:
                 match = _LABEL_RE.match(line)
                 if not match:
                     break
@@ -204,7 +212,8 @@ class Assembler:
             self._check_operand_count(stmt)
             stmt.size = self._statement_size(stmt, offsets[section])
             offsets[section] = self._align_for(stmt, offsets[section])
-            self._bind_labels(pending_labels, section, offsets)
+            if pending_labels:
+                self._bind_labels(pending_labels, section, offsets)
             stmt.address = offsets[section]
             offsets[section] += stmt.size
             if offsets[section] > MAX_SECTION_BYTES:
@@ -532,6 +541,9 @@ class Assembler:
         return offset, base
 
     def _reg(self, text, err):
+        num = _DOLLAR_REGS.get(text)
+        if num is not None:
+            return num
         try:
             return reg_num(text)
         except RegisterError as exc:
@@ -544,6 +556,8 @@ class Assembler:
         """Split on commas that are not inside parens or string literals."""
         if not text:
             return []
+        if '"' not in text and "(" not in text and ")" not in text:
+            return [operand.strip() for operand in text.split(",")]
         operands = []
         depth = 0
         in_string = False
@@ -588,6 +602,8 @@ class Assembler:
             return self._eval(expr[3:-1], lineno, line) & 0xFFFF
         if not expr:
             raise AssemblyError("empty expression", lineno, line)
+        if "+" not in expr and "-" not in expr:
+            return self._term(expr, lineno, line, allow_symbols)
         if expr[0] == "-":
             expr = "0" + expr          # unary minus: evaluate as 0 - term
         tokens = _TOKEN_RE.split(expr)
@@ -602,10 +618,11 @@ class Assembler:
 
     def _term(self, text, lineno, line, allow_symbols):
         text = text.strip()
-        try:
-            return _parse_int(text)
-        except ValueError:
-            pass
+        if text[:1] not in _IDENT_START:
+            try:
+                return _parse_int(text)
+            except ValueError:
+                pass
         if text in self.constants:
             return self.constants[text]
         if allow_symbols and text in self.symbols:

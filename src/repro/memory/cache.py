@@ -80,6 +80,12 @@ class Cache:
         self._sets = {}                  # set index -> resident set
         self.stats = CacheStats()
 
+    @property
+    def geometry(self):
+        """What a checkpoint's sets are indexed under: a restore refuses
+        a cache of another geometry (:func:`repro.checkpoint.restore`)."""
+        return self.size_bytes, self.assoc, self.block_bytes
+
     def __deepcopy__(self, memo):
         """An independent cache of the same geometry with a copy of
         :attr:`STATE`.  The generic machinery would pay a deepcopy

@@ -28,6 +28,12 @@ class BranchPredictor:
         self.lookups = 0
         self.hits = 0
 
+    @property
+    def geometry(self):
+        """The table sizes a checkpoint's state is indexed under (a
+        clone holding only :attr:`STATE` has them too)."""
+        return len(self._counters), len(self._btb_tags)
+
     def __deepcopy__(self, memo):
         """A clone holding only :attr:`STATE`, for checkpoints.  The
         tables are lists of ints and None, so generic deepcopy's

@@ -32,12 +32,14 @@ feed the :mod:`repro.security.coverage` detection matrix.
 """
 
 import random
+import struct
 
 from repro.campaign.models import FaultModel, Outcome, register
 from repro.isa.encoding import encode
 from repro.isa.instructions import SPEC_BY_NAME
+from repro.program.image import build_image
 from repro.program.layout import MemoryLayout
-from repro.rse.modules.cfc import CFC, MODULE_CFC, build_cfg
+from repro.rse.modules.cfc import MODULE_CFC, build_cfg
 from repro.rse.modules.icm import arm_icm
 from repro.security.attacks import (
     _MLR_PROLOGUE,
@@ -49,7 +51,7 @@ from repro.security.attacks import (
 )
 from repro.security.trr import trr_randomize_layout
 from repro.workloads import vulnsvc
-from repro.workloads.asmlib import build_workload_image
+from repro.workloads.asmlib import assemble_workload
 
 #: The corpus' attack-class vocabulary.
 ATTACK_CLASSES = ("stack-smash", "got-hijack", "smc-patch",
@@ -67,9 +69,6 @@ FUNCSIM_MODULES = ("trr", "mlr")
 
 #: Classes that attack the stack (and so model the 2004 executable stack).
 _STACK_CLASSES = ("stack-smash", "thread-smash")
-
-#: Classes whose MLR defense is the GOT-migration flow, not stack PI.
-_GOT_CLASSES = ("got-hijack", "race-got")
 
 #: RSE module configuration tokens :func:`parse_config` accepts.
 CONFIG_TOKENS = ("none", "trr", "icm", "mlr", "cfc", "ddt")
@@ -176,9 +175,10 @@ class AttackRun:
 
 # ------------------------------------------------------------- generation
 
-def _assumed_frame(assumed, frame, stack_headroom=64):
-    """Where the attacker believes the service frame's sp lands."""
-    initial_sp = (assumed.stack_top - stack_headroom) & ~0x7
+def _assumed_frame(frame, stack_headroom=64):
+    """Where the attacker believes the service frame's sp lands: under
+    the assumed (conventional) layout, whatever the actual one."""
+    initial_sp = (MemoryLayout().stack_top - stack_headroom) & ~0x7
     return initial_sp - frame
 
 
@@ -187,9 +187,9 @@ _SHELLCODE_LEN = 6
 
 
 def _draw_stack_geometry(rng, buf_off, ra_off):
-    """All random choices of a stack payload — drawn *before* pass 1 so
-    both assembly passes bake a payload of identical word count (a count
-    change would shift every symbol after the request block)."""
+    """All random choices of a stack payload, drawn before the one
+    assembly: they fix the payload's word count, and so every symbol
+    after the request block, before the symbols are known."""
     rt0, rt1 = rng.choice(_SHELLCODE_REGS)
     room_words = (ra_off - buf_off) // 4
     max_sled = max(0, room_words - _SHELLCODE_LEN)
@@ -200,13 +200,13 @@ def _draw_stack_geometry(rng, buf_off, ra_off):
             "sled": sled, "entry": entry, "tail": tail}
 
 
-def _stack_payload(geometry, flag_addr, frame, buf_off, assumed):
+def _stack_payload(geometry, flag_addr, frame, buf_off):
     """Materialize sled + shellcode + padding + return-address words."""
     rt0, rt1 = geometry["regs"]
     code = shellcode_words(flag_addr, rt0=rt0, rt1=rt1)
     sled = geometry["sled"]
     pad = geometry["room_words"] - sled - len(code)
-    buffer_addr = _assumed_frame(assumed, frame) + buf_off
+    buffer_addr = _assumed_frame(frame) + buf_off
     payload = ([0] * sled + code + [0] * pad
                + [buffer_addr + 4 * geometry["entry"]]
                + [0] * geometry["tail"])
@@ -214,24 +214,34 @@ def _stack_payload(geometry, flag_addr, frame, buf_off, assumed):
     return payload, meta
 
 
+# Each generator draws its variant's choices and returns
+# ``(source, sizes, render)``: ``source(words)`` renders the program with
+# the attacker's *words* (``.data`` label -> that block's words),
+# ``sizes`` gives each block's word count, and ``render(symbols)``
+# computes ``(words, meta)`` from the assembled symbol table.
+
+#: The GOT services' write-bug operands: one word each.
+_GOT_WRITE_SIZES = {"write_addr": 1, "write_index": 1, "write_value": 1}
+
 def _gen_stack_smash(rng, mlr):
     frame = rng.choice((96, 112, 128))
     buf_off = rng.choice((16, 24, 32))
     ra_off = frame - 4
     prologue = _MLR_PROLOGUE if mlr else ""
     geometry = _draw_stack_geometry(rng, buf_off, ra_off)
-    count = geometry["room_words"] + 1 + geometry["tail"]
 
-    def render(flag_addr, assumed):
-        payload, meta = _stack_payload(geometry, flag_addr, frame, buf_off,
-                                       assumed)
+    def source(words):
+        return vulnsvc.render_stack_smash(words, frame, buf_off, ra_off,
+                                          prologue=prologue)
+
+    def render(symbols):
+        payload, meta = _stack_payload(geometry, symbols["secret_flag"],
+                                       frame, buf_off)
         meta.update(frame=frame, buf_off=buf_off)
-        return (vulnsvc.render_stack_smash(payload, frame, buf_off, ra_off,
-                                           prologue=prologue), meta)
+        return {"request": payload}, meta
 
-    placeholder = vulnsvc.render_stack_smash(
-        [0] * count, frame, buf_off, ra_off, prologue=prologue)
-    return placeholder, render
+    count = geometry["room_words"] + 1 + geometry["tail"]
+    return source, {"request": count}, render
 
 
 def _gen_got_hijack(rng, mlr):
@@ -240,10 +250,9 @@ def _gen_got_hijack(rng, mlr):
     primitive = rng.choice(vulnsvc.WRITE_PRIMITIVES)
     prologue = _mlr_got_prologue(entries) if mlr else ""
 
-    def source(write_addr, write_index, write_value):
-        return vulnsvc.render_got_service(
-            entries, primitive, write_addr, write_index, write_value,
-            PWNED_MARKER, prologue=prologue)
+    def source(words):
+        return vulnsvc.render_got_service(entries, primitive, words,
+                                          PWNED_MARKER, prologue=prologue)
 
     def render(symbols):
         if primitive == "indexed":
@@ -252,10 +261,10 @@ def _gen_got_hijack(rng, mlr):
             write_addr, write_index = symbols["got"] + 4 * victim, 0
         meta = {"entries": entries, "victim": victim,
                 "primitive": primitive}
-        return (source(write_addr, write_index, symbols["attacker_fn"]),
-                meta)
+        return ({"write_addr": [write_addr], "write_index": [write_index],
+                 "write_value": [symbols["attacker_fn"]]}, meta)
 
-    return source(0, 0, 0), render
+    return source, _GOT_WRITE_SIZES, render
 
 
 def _gen_smc_patch(rng, mlr):
@@ -264,9 +273,9 @@ def _gen_smc_patch(rng, mlr):
     reprotect = rng.random() < 0.5
     prologue = _MLR_PROLOGUE if mlr else ""
 
-    def source(patch_addr, patch_word):
+    def source(words):
         return vulnsvc.render_smc_patch(
-            patch_addr, patch_word, PWNED_MARKER, filler_pre=filler_pre,
+            words, PWNED_MARKER, filler_pre=filler_pre,
             filler_post=filler_post, reprotect=reprotect, prologue=prologue)
 
     def render(symbols):
@@ -275,9 +284,9 @@ def _gen_smc_patch(rng, mlr):
                        target=(symbols["attacker_fn"] >> 2) & 0x03FFFFFF)
         meta = {"filler_pre": filler_pre, "filler_post": filler_post,
                 "reprotect": reprotect, "victim_site": victim}
-        return source(victim, patch), meta
+        return {"patch_addr": [victim], "patch_word": [patch]}, meta
 
-    return source(0, 0), render
+    return source, {"patch_addr": 1, "patch_word": 1}, render
 
 
 def _gen_thread_smash(rng, mlr):
@@ -288,27 +297,27 @@ def _gen_thread_smash(rng, mlr):
     delay = rng.randrange(200, 2_000)
     prologue = _MLR_PROLOGUE if mlr else ""
     geometry = _draw_stack_geometry(rng, buf_off, ra_off)
-    count = geometry["sled"] + _SHELLCODE_LEN + 1
 
-    def source(addrs, values):
-        return vulnsvc.render_thread_smash(addrs, values, frame, ra_off,
-                                           nap, delay, prologue=prologue)
+    def source(words):
+        return vulnsvc.render_thread_smash(words, frame, ra_off, nap, delay,
+                                           prologue=prologue)
 
-    def render(flag_addr, assumed):
-        payload, meta = _stack_payload(geometry, flag_addr, frame, buf_off,
-                                       assumed)
+    def render(symbols):
+        payload, meta = _stack_payload(geometry, symbols["secret_flag"],
+                                       frame, buf_off)
         # The cross-thread writer stores word-by-word: sled + shellcode
         # into the assumed buffer, the hijacked return address into the
         # assumed $ra slot.  Padding/tail words stay unwritten.
-        frame_sp = _assumed_frame(assumed, frame)
+        frame_sp = _assumed_frame(frame)
         body = payload[:meta["sled"] + _SHELLCODE_LEN]
         addrs = [frame_sp + buf_off + 4 * i for i in range(len(body))]
         addrs.append(frame_sp + ra_off)
         values = body + [meta["buffer_addr"] + 4 * meta["entry"]]
         meta.update(frame=frame, buf_off=buf_off, nap=nap, delay=delay)
-        return source(addrs, values), meta
+        return {"attack_addrs": addrs, "attack_words": values}, meta
 
-    return source([0] * count, [0] * count), render
+    count = geometry["sled"] + _SHELLCODE_LEN + 1
+    return source, {"attack_addrs": count, "attack_words": count}, render
 
 
 def _gen_race_got(rng, mlr):
@@ -319,19 +328,26 @@ def _gen_race_got(rng, mlr):
     prologue = _mlr_got_prologue(entries) if mlr else ""
     racer = vulnsvc.render_racer_thread(racer_delay)
 
-    def source(write_addr, write_value):
+    def source(words):
         return vulnsvc.render_got_service(
-            entries, "word", write_addr, 0, write_value, PWNED_MARKER,
-            prologue=prologue, racer=racer, victim=victim,
-            main_delay=main_delay)
+            entries, "word", words, PWNED_MARKER, prologue=prologue,
+            racer=racer, victim=victim, main_delay=main_delay)
 
     def render(symbols):
         meta = {"entries": entries, "victim": victim,
                 "main_delay": main_delay, "racer_delay": racer_delay}
-        return (source(symbols["got"] + 4 * victim,
-                       symbols["attacker_fn"]), meta)
+        return ({"write_addr": [symbols["got"] + 4 * victim],
+                 "write_index": [0],
+                 "write_value": [symbols["attacker_fn"]]}, meta)
 
-    return source(0, 0), render
+    return source, _GOT_WRITE_SIZES, render
+
+
+_GENERATORS = {"stack-smash": _gen_stack_smash,
+               "got-hijack": _gen_got_hijack,
+               "smc-patch": _gen_smc_patch,
+               "thread-smash": _gen_thread_smash,
+               "race-got": _gen_race_got}
 
 
 def generate_variant(attack_class, seed, config="none"):
@@ -348,33 +364,28 @@ def generate_variant(attack_class, seed, config="none"):
                          % (attack_class, ", ".join(ATTACK_CLASSES)))
     tokens = parse_config(config)
     rng = random.Random(seed)
-    assumed = MemoryLayout()
-    mlr = "mlr" in tokens
     # The TRR draw happens unconditionally so payload geometry for a
     # given seed is identical across module configurations.
     trr_seed = rng.getrandbits(31)
-    layout = (trr_randomize_layout(assumed, seed=trr_seed)
+    layout = (trr_randomize_layout(MemoryLayout(), seed=trr_seed)
               if "trr" in tokens else MemoryLayout())
+    source, sizes, render = _GENERATORS[attack_class](rng, "mlr" in tokens)
 
-    generators = {"stack-smash": _gen_stack_smash,
-                  "got-hijack": _gen_got_hijack,
-                  "smc-patch": _gen_smc_patch,
-                  "thread-smash": _gen_thread_smash,
-                  "race-got": _gen_race_got}
-    placeholder, render = generators[attack_class](rng, mlr)
-
-    # Two-pass bake: pass 1 assembles with zero placeholders to learn the
-    # symbol table; pass 2 re-renders with the real baked words.  Word
-    # counts are identical between passes, so the symbols are too.
-    __, pass1 = build_workload_image(placeholder, layout)
-    if attack_class in ("stack-smash", "thread-smash"):
-        source, meta = render(pass1.symbols["secret_flag"], assumed)
-    else:
-        source, meta = render(pass1.symbols)
-    image, asm = build_workload_image(source, layout)
+    # One assembly: the attacker's words fill .data blocks whose sizes
+    # do not depend on them, so the zero-word program has the final
+    # symbols.  The words computed from those symbols are written into
+    # the assembled data at their labels, and the variant's source is
+    # rendered from the same words.
+    asm = assemble_workload(
+        source({label: [0] * size for label, size in sizes.items()}), layout)
+    words, meta = render(asm.symbols)
+    for label, values in words.items():
+        offset = asm.symbols[label] - asm.data_base
+        struct.pack_into("<%dI" % len(values), asm.data, offset,
+                         *(value & 0xFFFFFFFF for value in values))
     meta["trr_seed"] = trr_seed
-    return AttackVariant(attack_class, config, seed, source, image, asm,
-                         layout, meta)
+    return AttackVariant(attack_class, config, seed, source(words),
+                         build_image(asm, layout), asm, layout, meta)
 
 
 # -------------------------------------------------------------- execution

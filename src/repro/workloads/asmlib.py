@@ -62,10 +62,16 @@ def insert_nops_before_control(source):
     return "\n".join(out)
 
 
+def assemble_workload(source, layout=None):
+    """Assemble *source* against *layout* with :func:`std_constants`."""
+    layout = layout or MemoryLayout()
+    return assemble(source, text_base=layout.text_base,
+                    data_base=layout.data_base,
+                    constants=std_constants(layout))
+
+
 def build_workload_image(source, layout=None, **image_kwargs):
     """Assemble *source* against *layout* and wrap it in a process image."""
     layout = layout or MemoryLayout()
-    asm = assemble(source, text_base=layout.text_base,
-                   data_base=layout.data_base,
-                   constants=std_constants(layout))
+    asm = assemble_workload(source, layout)
     return build_image(asm, layout, **image_kwargs), asm

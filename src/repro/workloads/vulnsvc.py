@@ -14,7 +14,11 @@ program.  Conventions every template follows:
   state too;
 * attacker inputs are **baked into .data as words** (no host-side pokes
   after load), so the identical program bytes run identically on the
-  kernel/pipeline path and the functional-engine guest shim;
+  kernel/pipeline path and the functional-engine guest shim.  Each
+  renderer takes them as one *words* mapping from the ``.data`` label
+  of a block to the block's words, and a block's size never depends on
+  the values, so the generator assembles once with zero words and
+  writes the real ones at those labels;
 * every function reached only through an indirect transfer has an
   unreachable ``jal`` registration stub after the final ``halt``: the
   CFC's static CFG derives legal indirect landing sites from ``jal``
@@ -63,7 +67,7 @@ def registration_stub(names):
 _STACK_SMASH = """\
 .data
 request:
-{request_words}
+{request}
 request_len:  .word {request_len}
 {common_data}
 
@@ -96,11 +100,12 @@ copy_done:
 """
 
 
-def render_stack_smash(payload_words, frame, buf_off, ra_off, prologue=""):
-    """The unbounded-copy service with the attack request baked in."""
+def render_stack_smash(words, frame, buf_off, ra_off, prologue=""):
+    """The unbounded-copy service with the attack ``request`` baked in."""
+    request = words["request"]
     return _STACK_SMASH.format(
-        request_words=render_words(payload_words),
-        request_len=len(payload_words) * 4,
+        request=render_words(request),
+        request_len=len(request) * 4,
         common_data=_COMMON_DATA,
         prologue=prologue or "    # no defense prologue",
         done_halt=_SET_DONE_AND_HALT,
@@ -191,10 +196,10 @@ log_fn{i}:
     jr $ra""".format(i=index)
 
 
-def render_got_service(entries, primitive, write_addr, write_index,
-                       write_value, marker, prologue="", racer=None,
-                       victim=0, main_delay=0):
-    """The multi-entry GOT/PLT service with the write bug baked in.
+def render_got_service(entries, primitive, words, marker, prologue="",
+                       racer=None, victim=0, main_delay=0):
+    """The multi-entry GOT/PLT service with the write bug baked in: one
+    word each at ``write_addr``, ``write_index`` and ``write_value``.
 
     With *racer* (assembly text for a second thread plus its spawn/
     validate/delay scaffolding rendered by the caller through
@@ -215,8 +220,9 @@ def render_got_service(entries, primitive, write_addr, write_index,
     source = _GOT_SERVICE.format(
         got_words=got_words,
         got_bytes=4 * entries,
-        write_addr=write_addr, write_index=write_index,
-        write_value=write_value,
+        write_addr=words["write_addr"][0],
+        write_index=words["write_index"][0],
+        write_value=words["write_value"][0],
         common_data=_COMMON_DATA,
         plt_entries=plt_entries,
         prologue=prologue or "    # no defense prologue",
@@ -328,11 +334,13 @@ _REPROTECT = """\
     syscall"""
 
 
-def render_smc_patch(patch_addr, patch_word, marker, filler_pre=0,
-                     filler_post=0, reprotect=False, prologue=""):
-    """The self-patching service: overwrite a direct jump in .text."""
+def render_smc_patch(words, marker, filler_pre=0, filler_post=0,
+                     reprotect=False, prologue=""):
+    """The self-patching service: overwrite a direct jump in .text with
+    the ``patch_word`` baked for ``patch_addr``."""
     return _SMC_PATCH.format(
-        patch_addr=patch_addr, patch_word=patch_word,
+        patch_addr=words["patch_addr"][0],
+        patch_word=words["patch_word"][0],
         common_data=_COMMON_DATA,
         prologue=prologue or "    # no defense prologue",
         reprotect=_REPROTECT if reprotect else "    # page left writable",
@@ -347,9 +355,9 @@ def render_smc_patch(patch_addr, patch_word, marker, filler_pre=0,
 _THREAD_SMASH = """\
 .data
 attack_addrs:
-{addr_words}
+{attack_addrs}
 attack_words:
-{value_words}
+{attack_words}
 attack_count: .word {count}
 {common_data}
 
@@ -396,15 +404,17 @@ write_done:
 """
 
 
-def render_thread_smash(addrs, values, frame, ra_off, nap_cycles,
-                        attacker_delay, prologue=""):
-    """Service naps in a frame; a malicious sibling thread smashes it."""
+def render_thread_smash(words, frame, ra_off, nap_cycles, attacker_delay,
+                        prologue=""):
+    """Service naps in a frame; a malicious sibling thread stores each of
+    ``attack_words`` at the matching one of ``attack_addrs``."""
+    addrs, values = words["attack_addrs"], words["attack_words"]
     if len(addrs) != len(values):
         raise ValueError("addrs/values length mismatch: %d != %d"
                          % (len(addrs), len(values)))
     return _THREAD_SMASH.format(
-        addr_words=render_words(addrs),
-        value_words=render_words(values),
+        attack_addrs=render_words(addrs),
+        attack_words=render_words(values),
         count=len(addrs),
         common_data=_COMMON_DATA,
         prologue=prologue or "    # no defense prologue",

@@ -11,13 +11,17 @@ that callbacks and other wiring really stay on the target.
 
 import pytest
 
-from repro.checkpoint import MachineCheckpoint, _components
+from repro.checkpoint import CheckpointError, MachineCheckpoint, _components
 from repro.experiments.table4 import workload_sources
 from repro.fleet.net import NetworkConfig, NetworkDevice
 from repro.kernel.kernel import Kernel
 from repro.memory.bus import MemoryBus
 from repro.memory.cache import Cache
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.hierarchy import (
+    CacheConfig,
+    MemoryHierarchy,
+    default_cache_configs,
+)
 from repro.obs.tracer import CommitTracer
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.core import Pipeline
@@ -224,3 +228,34 @@ def test_wiring_stays_on_the_target():
         assert target.module(MODULE_MLR).entropy_source \
             is cycle_counter_entropy
         assert target.pipeline.cycle == donor.pipeline.cycle
+
+
+def _small_dl1():
+    configs = default_cache_configs()
+    configs["dl1"] = CacheConfig("dl1", 1024, 1)
+    return build_machine(cache_configs=configs)
+
+
+@pytest.mark.parametrize("target_factory", [
+    lambda: build_machine(pipeline_config=PipelineConfig(predictor="gshare")),
+    _small_dl1,
+], ids=["gshare-predictor", "1kb-dl1"])
+def test_refill_of_another_class_or_geometry_is_refused(target_factory):
+    """A checkpoint refills the predictor and caches in place, so one
+    taken on a bimodal, 8 KB-dl1 machine must be refused by a machine
+    with a gshare predictor or a 1 KB dl1, before anything changes."""
+    image, __ = build_workload_image(workload_sources(quick=True)["kmeans"])
+    donor = build_machine()
+    donor.kernel.load_process(image)
+    donor.kernel.run(max_cycles=2_000)
+    checkpoint = donor.checkpoint()
+    target = target_factory()
+    target.kernel.load_process(image)
+    target.kernel.run(max_cycles=500)
+    pages, __ = target.memory.capture_state()
+    for candidate in (checkpoint,
+                      MachineCheckpoint.from_bytes(checkpoint.to_bytes())):
+        with pytest.raises(CheckpointError, match="same configuration"):
+            target.restore(candidate)
+        assert target.pipeline.cycle == 500
+        assert target.memory.capture_state()[0] == pages

@@ -26,6 +26,7 @@ from repro.program.layout import MemoryLayout
 from repro.rse.modules.icm import arm_icm
 from repro.security.attackgen import generate_variant, run_variant
 from repro.system import build_machine
+from repro.weak import weak_method
 from repro.workloads.asmlib import build_workload_image
 
 SOURCE = table4.workload_sources(quick=True)["kmeans"]
@@ -138,3 +139,29 @@ def test_dropped_case_is_freed_without_the_cycle_collector(case,
     gc.garbage.clear()
     assert alive == [], "still alive after the drop: %s" % alive
     assert garbage == [], "left to the cycle collector: %s" % garbage
+
+
+class _Owner:
+    def ping(self):
+        return self
+
+    def add(self, value, *, scale=1):
+        return (self, value * scale)
+
+
+@pytest.mark.parametrize("name, args, kwargs", [
+    ("ping", (), {}),
+    ("add", (3,), {"scale": 2}),
+], ids=["no-arguments", "arguments"])
+def test_weak_method_forwards_and_holds_its_object_weakly(name, args,
+                                                          kwargs):
+    owner = _Owner()
+    call = weak_method(getattr(owner, name))
+    assert call.__func__ is getattr(_Owner, name)
+    assert call(*args, **kwargs) == getattr(owner, name)(*args, **kwargs)
+    if not args:
+        with pytest.raises(TypeError):
+            call(1)                  # the no-argument closure forwards none
+    probe = weakref.ref(owner)
+    del owner
+    assert probe() is None           # the callable kept nothing alive

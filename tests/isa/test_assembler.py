@@ -290,12 +290,16 @@ def test_mutated_workload_sources_fail_only_with_assembly_error():
     import random
 
     from repro.experiments import table4
+    from repro.security.attackgen import ATTACK_CLASSES, generate_variant
     from repro.workloads import fleet_server
     from repro.workloads.asmlib import std_constants
 
     sources = [(source, None) for source
                in table4.workload_sources(quick=True).values()]
     sources.append((fleet_server.source(0, 3, 2), std_constants()))
+    # Generated attacks: hi()/lo(), .space, eight-word .word lines, chk.
+    sources += [(generate_variant(attack_class, 7, config="mlr").source,
+                 std_constants()) for attack_class in ATTACK_CLASSES]
     rng = random.Random(2004)
     rejected = 0
     for round_ in range(300):
@@ -311,3 +315,47 @@ def test_mutated_workload_sources_fail_only_with_assembly_error():
             pytest.fail("mutant %d raised %s: %s\n%s"
                         % (round_, type(exc).__name__, exc, mutant))
     assert rejected > 75
+
+
+# ------------------------------------------------------------ output pin
+
+def _pinned_assemblies():
+    """Every workload source family the repository assembles."""
+    from repro.difftest.generator import MODES, generate
+    from repro.experiments import table4
+    from repro.workloads import fleet_server, gotplt, server
+    from repro.workloads.asmlib import build_workload_image
+
+    for quick in (True, False):
+        for __, source in sorted(table4.workload_sources(quick).items()):
+            yield build_workload_image(source)[1]
+    for workers in (1, 4, 10):
+        yield build_workload_image(server.source(workers))[1]
+    for node in range(3):
+        yield build_workload_image(fleet_server.source(node, 3, 2))[1]
+    for entries in (32, 64, 128):
+        yield gotplt.software_version(entries)[1]
+        yield gotplt.rse_version(entries)[1]
+    for mode in MODES:
+        for seed in range(20):
+            yield assemble(generate(seed, mode).source)
+
+
+#: SHA-256 over the text, data, symbols and entry of every assembly
+#: above: any change to the assembler's output bytes shows up here.
+ASSEMBLER_DIGEST = ("daf0107ee96c2565c8b23be06270ffe8"
+                    "b80beff9e75397de5c51573bbdb258ca")
+
+
+def test_assembler_output_is_pinned():
+    import hashlib
+    import json
+
+    digest = hashlib.sha256()
+    for asm in _pinned_assemblies():
+        for part in (bytes(asm.text), bytes(asm.data),
+                     json.dumps(sorted(asm.symbols.items())).encode(),
+                     str(asm.entry).encode()):
+            digest.update(len(part).to_bytes(8, "little"))
+            digest.update(part)
+    assert digest.hexdigest() == ASSEMBLER_DIGEST

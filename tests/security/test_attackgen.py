@@ -1,5 +1,8 @@
 """The generative attack corpus: determinism, physics, hardening fixes."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.memory.mainmem import PAGE_SHIFT, MainMemory
@@ -13,6 +16,7 @@ from repro.security.attackgen import (
     parse_config,
     run_variant,
 )
+from repro.security.coverage import DEFAULT_CONFIGS
 from repro.system import build_machine
 from repro.workloads.asmlib import build_workload_image
 
@@ -174,3 +178,45 @@ def test_loader_stack_perms_unaffected_elsewhere():
     assert all(p == "rw" for page, p in process.page_perms.items()
                if layout.stack_base <= (page << PAGE_SHIFT)
                < layout.stack_top)
+
+
+# ---------------------------------------------------------- corpus pin
+
+def _framed(digest, *parts):
+    """Feed each part with its length, so no two splits hash alike."""
+    for part in parts:
+        if isinstance(part, str):
+            part = part.encode()
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+
+
+def _assembly_parts(asm):
+    return (bytes(asm.text), bytes(asm.data),
+            json.dumps(sorted(asm.symbols.items())), str(asm.entry))
+
+
+#: SHA-256 of every variant below; a changed generator, template or
+#: assembler shows up here before it shows up in a matrix.
+CORPUS_DIGEST = ("8ac6b737d7437452a415e9db8375efbd"
+                 "224c4499c260165974e3d22b24480e4a")
+
+
+def test_attack_corpus_is_pinned_and_source_matches_image():
+    """Every class x config at seeds 0-9: the rendered source, the
+    assembled bytes, symbols, entry and meta hash to one pinned value,
+    and the source assembles against its layout to exactly the baked
+    assembly, so the image and the source can never disagree."""
+    digest = hashlib.sha256()
+    for attack_class in ATTACK_CLASSES:
+        for config in DEFAULT_CONFIGS:
+            for seed in range(10):
+                variant = generate_variant(attack_class, seed, config=config)
+                asm = variant.asm
+                _framed(digest, variant.source, *_assembly_parts(asm),
+                        json.dumps(variant.meta, sort_keys=True))
+                __, again = build_workload_image(variant.source,
+                                                 variant.layout)
+                assert _assembly_parts(again) == _assembly_parts(asm), (
+                    attack_class, config, seed)
+    assert digest.hexdigest() == CORPUS_DIGEST
