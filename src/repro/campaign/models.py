@@ -134,6 +134,15 @@ class FaultModel:
     def fire(self, machine, ctx, params):
         """Apply the mid-run perturbation at the trigger cycle."""
 
+    def struck_register(self, params):
+        """The architectural register :meth:`fire` flips, or None.
+
+        Naming it lets the fork engine skip the tail of a strike on a
+        register that nothing reads or writes after the trigger
+        (:meth:`repro.campaign.runner.ForkEngine.strike`).
+        """
+        return None
+
     def execute(self, ctx, injection):
         """Run one injection end to end (``owns_execution`` models only).
 
@@ -200,6 +209,9 @@ class RegisterFileBitFlip(FaultModel):
 
     def arm(self, machine, ctx, params):
         return params["cycle"]
+
+    def struck_register(self, params):
+        return params["reg"]
 
     def fire(self, machine, ctx, params):
         mask = 1 << params["bit"]

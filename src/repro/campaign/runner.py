@@ -40,6 +40,7 @@ from repro.campaign.store import ResultStore
 from repro.isa.assembler import assemble
 from repro.isa.encoding import DecodeError, decode
 from repro.pipeline.core import EventKind
+from repro.rse.engine import NullTap
 from repro.rse.modules.icm import arm_icm, build_checker_memory
 from repro.system import build_machine
 
@@ -330,13 +331,14 @@ def not_triggered_record(injection, event=None, cycles=0):
 class ForkEngine:
     """Restore-and-strike execution on one trunk machine.
 
-    Keeps the trunk plus two checkpoints: the pristine machine (cycle 0)
-    and the latest trigger prefix.  The pristine checkpoint is captured
-    from the freshly built trunk or, with *image*, is the
-    :class:`~repro.checkpoint.CampaignImage` the sharded service ships
-    to its workers; an image warmed for another spec, or on a machine of
-    another shape, raises :class:`~repro.checkpoint.CheckpointError`
-    here rather than mid-shard.
+    Keeps the trunk plus three checkpoints: the pristine machine (cycle
+    0), the latest trigger prefix and the fault-free ending.  The
+    pristine checkpoint is captured from the freshly built trunk or,
+    with *image*, is the :class:`~repro.checkpoint.CampaignImage` the
+    sharded service ships to its workers; an image warmed for another
+    spec, or on a machine of another shape, raises
+    :class:`~repro.checkpoint.CheckpointError` here rather than
+    mid-shard.
 
     :meth:`strike` simulates each distinct trigger prefix once and
     restores the trunk once per injection.  Triggers should arrive in
@@ -344,6 +346,15 @@ class ForkEngine:
     rewinds to the base checkpoint and re-advances.
     :meth:`strike_from_base` runs a whole injection from the pristine
     state instead, for impure models and unforked runs.
+
+    The ending is the fault-free run to the end of the budget, taken on
+    the first strike whose model names a register
+    (:meth:`~repro.campaign.models.FaultModel.struck_register`).  A
+    register with no producer in flight at the trigger, which no uop
+    dispatched from the trigger on names, is neither read nor written
+    again (see :class:`~repro.pipeline.core.Pipeline`): that strike
+    ends as the ending does with the one register flipped, so it fires
+    on the ending instead of simulating the tail.
     """
 
     def __init__(self, ctx, image=None):
@@ -359,6 +370,13 @@ class ForkEngine:
         # before some trigger; the prefix is deterministic, so this holds
         # for every trigger >= end_cycle.
         self.terminal = None
+        #: (checkpoint, event) where the fault-free run ends the budget.
+        self.ending = None
+        #: Register -> the last cycle a uop dispatched in the ending's
+        #: run named it in ``srcs`` or as ``dest``.
+        self.named = {}
+        #: Strikes answered from the ending without simulating a tail.
+        self.replayed = 0
 
     def _advance_to(self, trigger):
         """Put the trunk at cycle *trigger* exactly, with ``self.prefix``
@@ -387,13 +405,57 @@ class ForkEngine:
         self.terminal = (event, machine.pipeline.cycle)
         return False
 
+    def _run_ending(self):
+        """Run the trunk fault-free from the base to the budget's end
+        with ``on_dispatch`` shadowed to fill :attr:`named` (on a bare
+        pipeline, on a :class:`~repro.rse.engine.NullTap` lent its
+        ``rse`` slot), and keep where it ends as :attr:`ending`."""
+        machine = self.machine
+        pipeline = machine.pipeline
+        machine.restore(self.base)
+        rse = pipeline.rse
+        tap = NullTap() if rse is None else rse
+        forward = tap.on_dispatch
+        named = self.named
+
+        def on_dispatch(uop, cycle):
+            instr = uop.instr
+            for reg in instr.srcs:
+                named[reg] = cycle
+            if instr.dest:
+                named[instr.dest] = cycle
+            forward(uop, cycle)
+
+        tap.on_dispatch = on_dispatch
+        pipeline.rse = tap
+        try:
+            event = pipeline.run(
+                max_cycles=self.ctx.spec.max_cycles - self.base.cycle)
+        finally:
+            del tap.on_dispatch
+            pipeline.rse = rse
+        self.ending = (machine.checkpoint(), event)
+
     def strike(self, injection, trigger):
-        """Advance the trunk to *trigger*, fire, run out the budget."""
+        """Advance the trunk to *trigger*, fire, run out the budget, or
+        fire on the ending when the struck register is seen no more."""
         ctx = self.ctx
+        reg = ctx.model.struck_register(injection.params)
+        if reg is not None and self.ending is None:
+            self._run_ending()
         if not self._advance_to(trigger):
             event, cycles = self.terminal
             return not_triggered_record(injection, event=event, cycles=cycles)
         machine = self.machine
+        if (reg is not None and machine.pipeline.rename.get(reg) is None
+                and self.named.get(reg, -1) < trigger):
+            # Nothing in flight writes the register and nothing
+            # dispatched from here on names it: the tail is fault-free.
+            checkpoint, event = self.ending
+            machine.restore(checkpoint)
+            ctx.model.fire(machine, ctx, injection.params)
+            self.replayed += 1
+            return struck_record(ctx, machine, injection, event)
         ctx.model.fire(machine, ctx, injection.params)
         event = machine.pipeline.run(
             max_cycles=ctx.spec.max_cycles - trigger)

@@ -109,9 +109,8 @@ class Cache:
         charge a writeback transfer.
         """
         block = addr >> self._block_shift
-        try:
-            cache_set = self._sets[block & self._set_mask]
-        except KeyError:                      # first touch: an empty set
+        cache_set = self._sets.get(block & self._set_mask)
+        if cache_set is None:                 # first touch: an empty set
             cache_set = self._sets[block & self._set_mask] = {}
         stats = self.stats
         stats.accesses += 1

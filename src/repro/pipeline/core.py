@@ -220,6 +220,17 @@ class Pipeline:
       (a whole :meth:`run`, or one cycle when a shadowed :meth:`step`
       drives it).  The functional engines ask ``FuncSim.fetch_check``
       under the same contract.
+
+    Register file: during :meth:`run` the cycle loop reads ``regs[r]``
+    only when it dispatches a uop naming ``r`` in ``instr.srcs`` while
+    the rename map holds no in-flight producer of ``r``, and writes it
+    only when a uop naming ``r`` as ``instr.dest`` commits.  No RSE
+    hook, cache or timing decision reads the file; the kernel does,
+    between calls.  So a run in which no uop naming ``r`` dispatches,
+    started with no producer of ``r`` in flight, times every uop alike
+    whatever ``regs[r]`` holds and leaves it untouched.  The fork
+    campaign engine's fault-free ending relies on this
+    (:class:`repro.campaign.runner.ForkEngine`).
     """
 
     #: What a checkpoint carries (:mod:`repro.checkpoint`).  Restore

@@ -1,5 +1,6 @@
 """Campaign execution: determinism, parallelism, resume, replay."""
 
+import json
 import os
 
 import pytest
@@ -253,25 +254,157 @@ def test_not_triggered_excluded_from_detection_rate():
 
 # ----------------------------------------------------------------- fork
 
-def test_fork_records_match_cold_serial():
-    """--fork is an execution detail: byte-identical records."""
-    spec = spec_for(model="reg-flip", injections=12, max_cycles=10_000)
+@pytest.fixture
+def fork_engines(monkeypatch):
+    """Every :class:`ForkEngine` the test builds, in order."""
+    from repro.campaign.runner import ForkEngine
+
+    engines = []
+    real_init = ForkEngine.__init__
+
+    def init(engine, *args, **kwargs):
+        real_init(engine, *args, **kwargs)
+        engines.append(engine)
+
+    monkeypatch.setattr(ForkEngine, "__init__", init)
+    return engines
+
+
+#: The fork/cold identity runs: source -> (injections, cycle budget,
+#: seeds).  kmeans and vpr-route are the quick Table 4 sources.
+FORK_RUNS = {
+    "loop": (12, 10_000, (42, 5)),
+    "demo": (16, 10_000, (1, 7)),
+    "kmeans": (12, 8_000, (1, 2)),
+    "vpr-route": (8, 12_000, (3, 5)),
+}
+
+
+def _fork_source(name):
+    if name == "loop":
+        return LOOP
+    if name == "demo":
+        return DEMO_WORKLOAD
+    from repro.experiments.table4 import workload_sources
+
+    return workload_sources(quick=True)[name]
+
+
+def _fork_and_cold(name, protected, seed):
+    injections, budget, __ = FORK_RUNS[name]
+    spec = spec_for(model="reg-flip", source=_fork_source(name),
+                    protected=protected, injections=injections, seed=seed,
+                    max_cycles=budget)
     cold = run_campaign(spec, options=ExecutionOptions(fork=False))
     forked = run_campaign(spec, options=ExecutionOptions(fork=True))
-    assert cold.records == forked.records
+    return cold, forked
 
 
-@pytest.mark.parametrize("model, source, seed, repeated_triggers", [
-    ("reg-flip", LOOP, 4, 4),
-    ("reg-flip", DEMO_WORKLOAD, 1, 0),
-    ("mem-flip", DEMO_WORKLOAD, 1, 1),
+def _record_bytes(run):
+    """Each record as the store writes its line."""
+    return [json.dumps(record, sort_keys=True) for record in run.records]
+
+
+@pytest.mark.parametrize("name, protected, seed", [
+    pytest.param(name, protected, seed, id="%s-%s-%d" % (
+        name, "protected" if protected else "bare", seed))
+    for name, (__, __, seeds) in FORK_RUNS.items()
+    for protected in (True, False)
+    for seed in seeds])
+def test_fork_records_match_cold_serial(name, protected, seed, fork_engines):
+    """--fork is an execution detail: byte-identical records, also for
+    the register strikes the engine answers from the fault-free ending
+    instead of simulating their tails (bare runs put a NullTap in the
+    pipeline's rse slot to watch dispatch)."""
+    cold, forked = _fork_and_cold(name, protected, seed)
+    assert _record_bytes(forked) == _record_bytes(cold)
+    engine, = fork_engines
+    assert engine.ending is not None
+    assert 0 < engine.replayed < len(forked.records)
+
+
+@pytest.mark.parametrize("protected", [True, False],
+                         ids=["protected", "bare"])
+def test_fork_replay_canary_needs_the_naming_table(protected, monkeypatch):
+    """With the naming table emptied every register counts as never
+    named, so strikes on registers a later instruction reads are
+    answered from the fault-free ending too: the records must differ."""
+    from repro.campaign.runner import ForkEngine
+
+    real_ending = ForkEngine._run_ending
+
+    def blind_ending(engine):
+        real_ending(engine)
+        engine.named.clear()
+
+    monkeypatch.setattr(ForkEngine, "_run_ending", blind_ending)
+    cold, forked = _fork_and_cold("demo", protected, 1)
+    changed = sum(one != other for one, other
+                  in zip(_record_bytes(cold), _record_bytes(forked)))
+    assert changed > 0
+
+
+#: Straight-line code for each condition of the replay rule: ``$s1``
+#: has a 20-cycle divide in flight, the last reader of ``$t1``
+#: dispatches only once the ROB drains behind the divide, and ``$s2``
+#: and ``$s0`` are written without being read.
+SWEEP = """
+    main:
+        li $t1, 7
+        li $t0, 91
+        div $s1, $t0, $t1
+        addi $t3, $zero, 1
+""" + "        addi $t3, $t3, 1\n" * 12 + """
+        addi $s2, $t1, 40
+        li $s0, 5
+        halt
+"""
+
+
+@pytest.mark.parametrize("protected", [True, False],
+                         ids=["protected", "bare"])
+def test_fork_strike_matches_cold_at_every_trigger(protected):
+    """Every register the program names, and one it never names, struck
+    at every cycle of the run: the fork engine's record, replayed or
+    simulated, equals a fresh machine's.  Dropping any condition of the
+    rule (no producer in flight, named strictly before the trigger,
+    either side of the naming table) changes records here."""
+    from repro.campaign.models import Injection
+    from repro.campaign.runner import (CampaignContext, ForkEngine,
+                                       execute_injection)
+
+    spec = spec_for(model="reg-flip", source=SWEEP, protected=protected,
+                    injections=1, seed=0, max_cycles=2_000,
+                    result_regs=(16, 17, 18))
+    ctx = CampaignContext(spec)
+    engine = ForkEngine(ctx)
+    regs = (8, 9, 11, 16, 17, 18, 20)
+    mismatched = []
+    for reg in regs:
+        for cycle in range(1, ctx.golden_cycles):
+            injection = Injection(0, "reg-flip", 0,
+                                  {"reg": reg, "bit": 2, "cycle": cycle})
+            if (engine.strike(injection, cycle)
+                    != execute_injection(ctx, injection)):
+                mismatched.append((reg, cycle))
+    assert mismatched == []
+    assert 0 < engine.replayed < len(regs) * (ctx.golden_cycles - 1)
+
+
+@pytest.mark.parametrize("model, source, seed, repeated_triggers, replayed", [
+    ("reg-flip", LOOP, 4, 4, 14),
+    ("reg-flip", DEMO_WORKLOAD, 1, 0, 9),
+    ("mem-flip", DEMO_WORKLOAD, 1, 1, 0),
 ], ids=["loop-reg-flip", "demo-reg-flip", "demo-mem-flip"])
 def test_fork_restores_once_per_struck_injection(model, source, seed,
-                                                 repeated_triggers,
-                                                 monkeypatch):
+                                                 repeated_triggers, replayed,
+                                                 monkeypatch, fork_engines):
     """A new trigger restores the nearest prefix, runs on and captures:
     the trunk already is the new prefix, so it strikes without a second
-    restore.  A repeated trigger restores its shared prefix once."""
+    restore.  A repeated trigger restores its shared prefix once.  A
+    strike answered from the fault-free ending restores that too, and
+    building the ending (on the first register strike) restores the
+    base once."""
     from repro import checkpoint
 
     spec = spec_for(model=model, source=source, injections=16, seed=seed,
@@ -292,7 +425,11 @@ def test_fork_restores_once_per_struck_injection(model, source, seed,
     struck = [record for record in forked.records
               if record["outcome"] != Outcome.NOT_TRIGGERED.value]
     assert struck
-    assert len(restores) == len(struck)
+    engine, = fork_engines
+    assert engine.replayed == replayed
+    endings = 0 if engine.ending is None else 1
+    assert endings == (model == "reg-flip")
+    assert len(restores) == len(struck) + replayed + endings
 
 
 def test_fork_parallel_matches_cold(tmp_path):

@@ -8,7 +8,7 @@ from repro import checkpoint as checkpoint_layer
 from repro.campaign import (CampaignSpec, DEMO_WORKLOAD, ExecutionOptions,
                             ForkEngine, ResultStore, StoreMismatch,
                             run_campaign)
-from repro.campaign.runner import CampaignContext
+from repro.campaign.runner import CampaignContext, build_campaign_machine
 from repro.campaign.service import (ServiceError, _build_engine,
                                     _process_shard, build_campaign_image,
                                     merge_shards, plan_shards, run_service,
@@ -173,7 +173,8 @@ def test_image_engine_rejects_foreign_image():
 
 def test_forked_shard_shares_trigger_prefixes(tmp_path, monkeypatch):
     """A forked shard simulates each distinct trigger prefix once, in
-    ascending order, from the shipped image."""
+    ascending order, from the shipped image.  Its first capture is the
+    fault-free ending, which the first register strike builds."""
     spec = CampaignSpec(SHORT, model="reg-flip", injections=48, seed=3,
                         max_cycles=2_000)
     image = build_campaign_image(spec)
@@ -192,6 +193,10 @@ def test_forked_shard_shares_trigger_prefixes(tmp_path, monkeypatch):
     __, records = ResultStore(path).verify(spec.fingerprint())
     records.sort(key=lambda record: record["id"])
     assert records == run_campaign(spec).records
+    fault_free, __ = build_campaign_machine(ctx.asm, spec.protected)
+    fault_free.pipeline.run(max_cycles=spec.max_cycles)
+    ending, *prefixes = prefixes
+    assert ending == fault_free.cycle
     assert 0 < len(prefixes) < spec.injections
     assert prefixes == sorted(set(prefixes))
 
