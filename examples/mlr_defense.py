@@ -10,21 +10,32 @@ against a vulnerable network service:
 * a **GOT hijack**: an arbitrary-write bug redirects a GOT entry at its
   well-known address so the next PLT call lands in attacker code.
 
-Each attack runs three times: undefended, under software TRR, and under
-the hardware MLR module.  The undefended service is hijacked; the
-randomized ones turn the attack into a crash (stack smash) or shrug it
-off entirely (GOT hijack against a relocated GOT).
+Both are variants of the generated attack corpus
+(:mod:`repro.security.attackgen`) at one seed; ``repro attack run
+--class stack-smash|got-hijack --config none|trr|mlr --seed 2026`` runs
+each one alone.
+The stack smash runs undefended, under software TRR and under the
+hardware MLR module; the GOT hijack undefended and under the MLR.  The
+undefended service is hijacked; the randomized ones turn the attack
+into a crash (stack smash) or shrug it off entirely (GOT hijack against
+a relocated GOT).
 
 Run:  python examples/mlr_defense.py
 """
 
 import _bootstrap  # noqa: F401  (sys.path for repo checkouts)
 
-from repro.security.attacks import (
+from repro.security.attackgen import (
     AttackOutcome,
-    run_got_hijack,
-    run_stack_smash,
+    generate_variant,
+    run_variant,
 )
+
+SEED = 2026
+
+
+def attack(attack_class, config):
+    return run_variant(generate_variant(attack_class, SEED, config=config))
 
 
 def banner(text):
@@ -39,17 +50,16 @@ def describe(label, result):
         AttackOutcome.FOILED: "service completed unharmed",
     }[result.outcome]
     print("%-34s %-10s (%s; run ended: %s)"
-          % (label, result.outcome.value.upper(), flair,
-             result.result.reason))
+          % (label, result.outcome.value.upper(), flair, result.reason))
 
 
 def main():
     banner("stack smashing (jump-to-shellcode on the stack)")
-    smash_plain = run_stack_smash(defense="none")
+    smash_plain = attack("stack-smash", "none")
     describe("fixed layout:", smash_plain)
-    smash_trr = run_stack_smash(defense="trr", seed=2026)
+    smash_trr = attack("stack-smash", "trr")
     describe("TRR (software randomization):", smash_trr)
-    smash_mlr = run_stack_smash(defense="mlr")
+    smash_mlr = attack("stack-smash", "mlr")
     describe("MLR (hardware module):", smash_mlr)
 
     assert smash_plain.outcome is AttackOutcome.HIJACKED
@@ -57,9 +67,9 @@ def main():
     assert smash_mlr.outcome is AttackOutcome.CRASHED
 
     banner("GOT hijack (arbitrary write to a well-known GOT slot)")
-    got_plain = run_got_hijack(defense="none")
+    got_plain = attack("got-hijack", "none")
     describe("fixed layout:", got_plain)
-    got_mlr = run_got_hijack(defense="mlr")
+    got_mlr = attack("got-hijack", "mlr")
     describe("MLR (GOT relocated + PLT rewritten):", got_mlr)
 
     assert got_plain.outcome is AttackOutcome.HIJACKED

@@ -1,12 +1,12 @@
 """Engine adapters: compile the neutral events onto each engine.
 
 The pipeline adapter uses the same attach-time method shadowing as
-:mod:`repro.obs.probes` — an instance attribute wins the lookup over
-the class method, so a detached machine runs the bare class methods
-with literally zero residual dispatch cost.  Unlike obs probes, an
-adapter's :class:`ShadowSet` also remembers what it displaced, so
-shadows *chain* over an already-instrumented method (e.g. an obs RSE
-probe) and detach puts back exactly what was there.  A checkpoint never
+:mod:`repro.obs.probes`, through the same :class:`ShadowSet` — an
+instance attribute wins the lookup over the class method, so a
+detached machine runs the bare class methods with literally zero
+residual dispatch cost.  The set remembers what each shadow displaced,
+so shadows *chain* over an already-instrumented method (e.g. an obs
+RSE probe) and detach puts back exactly what was there.  A checkpoint never
 captures a shadow: it takes only the fields each component's class
 declares in ``STATE``, and neither a shadowed method nor a bare
 pipeline's ``rse`` tap is one.
@@ -21,31 +21,11 @@ from repro.isa import semantics
 from repro.isa.encoding import DecodeError, decode
 from repro.isa.instructions import InstrClass
 from repro.memory.mainmem import PAGE_SHIFT, MemoryFault
+from repro.obs.probes import ShadowSet
 from repro.pipeline.core import S_WAIT
 from repro.rse.engine import NullTap
 
 MASK32 = 0xFFFFFFFF
-
-
-class ShadowSet:
-    """Instance-attribute shadows that chain and restore."""
-
-    def __init__(self):
-        self._records = []          # (obj, attr, had, displaced)
-
-    def shadow(self, obj, attr, wrapper):
-        had = attr in obj.__dict__
-        self._records.append((obj, attr, had, obj.__dict__.get(attr)))
-        setattr(obj, attr, wrapper)
-
-    def remove(self):
-        """Put every displaced value back."""
-        for obj, attr, had, displaced in reversed(self._records):
-            if had:
-                setattr(obj, attr, displaced)
-            else:
-                delattr(obj, attr)
-        self._records.clear()
 
 
 # ---------------------------------------------------------------- funcsim

@@ -18,7 +18,7 @@ properties consume.
 
 import weakref
 
-from repro.assertions.adapters import PipelineAdapter, ShadowSet
+from repro.assertions.adapters import PipelineAdapter
 from repro.assertions.monitor import AssertionMonitor
 
 
@@ -49,7 +49,6 @@ class AssertionHub:
         self._machine = weakref.ref(machine)
         self.monitor = None          # survives detach: snapshot keeps results
         self._adapter = None
-        self._machine_shadows = None
 
     @property
     def machine(self):
@@ -69,7 +68,7 @@ class AssertionHub:
                                    metrics=machine.obs.metrics)
         adapter = PipelineAdapter(machine.pipeline, monitor)
         adapter.attach()
-        shadows = ShadowSet()
+        shadows = adapter.shadows
         checkpoint_handlers = monitor.handlers("checkpoint")
         restore_handlers = monitor.handlers("restore")
         redirect_handlers = monitor.handlers("redirect")
@@ -98,17 +97,17 @@ class AssertionHub:
 
         self.monitor = monitor
         self._adapter = adapter
-        self._machine_shadows = shadows
         return monitor
 
     def detach(self):
-        """Stop monitoring (runs the final sweeps); results stay readable."""
+        """Stop monitoring (runs the final sweeps); results stay readable.
+
+        Raises, still attached, while another shadow sits over one of
+        the hub's (an obs probe attached after it)."""
         if self._adapter is None:
             return
-        self._machine_shadows.remove()
-        self._machine_shadows = None
-        adapter, self._adapter = self._adapter, None
-        adapter.detach()
+        self._adapter.detach()
+        self._adapter = None
 
     # ------------------------------------------------------------- results
 

@@ -22,11 +22,11 @@ Commands
     it runs).  The bare historical spelling ``repro campaign <flags>``
     still means ``campaign run``.
 
-``attack {stack,got,run,matrix}``
-    Security harness: ``stack``/``got`` run the hand-written exploit
-    demos under a chosen ``--defense`` (on any ``--engine``); ``run``
-    generates and executes one seeded attack variant from the corpus
-    (:mod:`repro.security.attackgen`); ``matrix`` runs the full module
+``attack {run,matrix}``
+    Security harness over the generated attack corpus
+    (:mod:`repro.security.attackgen`): ``run`` generates and executes
+    one seeded attack variant of a ``--class`` under a module
+    ``--config`` (on any ``--engine``); ``matrix`` runs the full module
     × attack-class detection-coverage matrix with Wilson CIs.
 
 ``stats FILE``
@@ -266,13 +266,14 @@ def _cmd_experiment(args):
     from repro.experiments import ablations, fig9, table4, table5
 
     if args.name == "attack-matrix":
-        from repro.experiments import attack_matrix as harness
+        from repro.experiments.attack_matrix import run_attack_matrix
+        from repro.security.coverage import format_attack_matrix
 
-        results = harness.run_attack_matrix(quick=args.quick)
+        results = run_attack_matrix(quick=args.quick)
         if args.json:
             emit_json({"experiment": "attack-matrix", "results": results})
             return 0
-        print(harness.format_matrix(results))
+        print(format_attack_matrix(results))
         return 0
     if args.name == "table4":
         results = table4.run_table4(quick=args.quick)
@@ -322,33 +323,9 @@ def _cmd_experiment(args):
 
 
 def _cmd_attack(args):
-    if args.attack_cmd in ("stack", "got"):
-        return _cmd_attack_demo(args)
     if args.attack_cmd == "run":
         return _cmd_attack_run(args)
     return _cmd_attack_matrix(args)
-
-
-def _cmd_attack_demo(args):
-    from repro.security.attacks import run_got_hijack, run_stack_smash
-
-    if args.attack_cmd == "stack":
-        result = run_stack_smash(defense=args.defense, seed=args.seed,
-                                 engine=args.engine)
-    else:
-        if args.defense == "trr":
-            raise UsageError(
-                "the GOT hijack demo supports defenses: none, mlr")
-        result = run_got_hijack(defense=args.defense, engine=args.engine)
-    if args.json:
-        emit_json({"attack": args.attack_cmd, "defense": args.defense,
-                   "engine": args.engine, "outcome": result.outcome.value,
-                   "reason": result.result.reason})
-        return 0
-    print("attack: %s   defense: %s   outcome: %s (run ended: %s)"
-          % (args.attack_cmd, args.defense, result.outcome.value,
-             result.result.reason))
-    return 0
 
 
 def _check_attack_axes(classes, configs, engine="pipeline"):
@@ -1219,23 +1196,9 @@ def main(argv=None):
     assertions_parser.set_defaults(func_impl=_cmd_assertions)
 
     attack_root = sub.add_parser(
-        "attack", help="exploit demos and the generated attack corpus")
+        "attack", help="the generated attack corpus")
     attack_sub = attack_root.add_subparsers(dest="attack_cmd",
                                             required=True)
-    engine_choices = ["pipeline", "interp", "predecode", "jit"]
-    for kind in ("stack", "got"):
-        demo_parser = attack_sub.add_parser(
-            kind, help="hand-written %s exploit demo"
-            % ("stack-smash" if kind == "stack" else "GOT-hijack"))
-        demo_parser.add_argument("--defense", default="none",
-                                 choices=["none", "trr", "mlr"])
-        demo_parser.add_argument("--seed", type=int, default=1234)
-        demo_parser.add_argument("--engine", default="pipeline",
-                                 choices=engine_choices,
-                                 help="execution engine; classification "
-                                      "is engine-independent")
-        add_json_flag(demo_parser)
-        demo_parser.set_defaults(func_impl=_cmd_attack)
     attack_run = attack_sub.add_parser(
         "run", help="generate and run one attack variant")
     attack_run.add_argument("--class", dest="attack_class",
@@ -1248,7 +1211,10 @@ def main(argv=None):
     attack_run.add_argument("--seed", type=int, default=1234,
                             help="variant seed (same seed = same attack)")
     attack_run.add_argument("--engine", default="pipeline",
-                            choices=engine_choices)
+                            choices=["pipeline", "interp", "predecode",
+                                     "jit"],
+                            help="execution engine; classification is "
+                                 "engine-independent")
     attack_run.add_argument("--max-cycles", type=int, default=300_000)
     add_json_flag(attack_run)
     attack_run.set_defaults(func_impl=_cmd_attack)

@@ -10,7 +10,7 @@ the stopped rate — the quantitative version of the paper's qualitative
 front-end and the test suite share one entry point.
 """
 
-from repro.security.coverage import attack_matrix, format_attack_matrix
+from repro.security.coverage import attack_matrix
 
 #: Full-run corpus size per cell; ``quick`` shrinks it for the suite.
 FULL_VARIANTS = 40
@@ -29,7 +29,3 @@ def run_attack_matrix(quick=False, seed=2004, options=None, progress=None):
                              options=options, progress=progress)
     return attack_matrix(variants=FULL_VARIANTS, seed=seed,
                          options=options, progress=progress)
-
-
-def format_matrix(doc):
-    return format_attack_matrix(doc)

@@ -43,9 +43,6 @@ class CacheStats:
             "miss_rate": self.miss_rate,
         }
 
-    # Same shape; kept so pre-snapshot callers don't need a shim layer.
-    as_dict = snapshot
-
 
 class Cache:
     """One cache level.

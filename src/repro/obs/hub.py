@@ -115,10 +115,12 @@ class Observability:
             for attached in list(self._probes):
                 self.detach(attached)
             return
-        probe = self._probes.pop(name, None)
-        self._probe_kwargs.pop(name, None)
+        probe = self._probes.get(name)
         if probe is not None:
+            # Raises, still attached, while another shadow sits over
+            # one of the probe's (an assertion monitor attached after).
             probe.detach(self.machine)
+            del self._probes[name], self._probe_kwargs[name]
 
     def attached(self):
         return sorted(self._probes)

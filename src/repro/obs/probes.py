@@ -3,11 +3,12 @@
 A probe instruments a component by **shadowing** one of its bound
 methods with a wrapping closure stored as an *instance attribute*
 (instance attributes win the lookup over class methods).  Detaching
-deletes the instance attribute, restoring the class method.  The
-consequence is the property ISSUE 3 demands: with no probe attached
-there is not a single extra branch, flag test or indirection anywhere
-in the simulation hot paths — the guard happens once, at attach time,
-not per event.
+puts back what the shadow displaced: the class method, or the shadow
+of another probe or of an assertion monitor underneath (both go
+through :class:`ShadowSet`, so shadows chain in either attach order).
+With no probe attached there is not a single extra branch, flag test
+or indirection anywhere in the simulation hot paths — the guard
+happens once, at attach time, not per event.
 
 Available probes (``PROBES`` registry, used by
 ``machine.obs.attach(name)``):
@@ -29,29 +30,55 @@ commit         retirement trace via the :class:`CommitTracer` RSE
 from repro.obs.tracer import CommitTracer
 
 
+class ShadowSet:
+    """Instance-attribute shadows that chain and restore.
+
+    Each shadow remembers what it displaced, so a shadow can sit over
+    another set's and :meth:`remove` puts back exactly what was there.
+    A set shadows each attribute at most once.
+    """
+
+    def __init__(self):
+        self._records = []          # (obj, attr, had, displaced, wrapper)
+
+    def shadow(self, obj, attr, wrapper):
+        had = attr in obj.__dict__
+        self._records.append((obj, attr, had, obj.__dict__.get(attr),
+                              wrapper))
+        setattr(obj, attr, wrapper)
+
+    def remove(self):
+        """Put every displaced value back.
+
+        Raises :class:`RuntimeError`, changing nothing, while another
+        set's shadow sits over one of these: that one comes off first.
+        """
+        for obj, attr, __, __, wrapper in self._records:
+            if obj.__dict__.get(attr) is not wrapper:
+                raise RuntimeError("%s.%s is shadowed over; remove that "
+                                   "shadow first" % (type(obj).__name__,
+                                                     attr))
+        for obj, attr, had, displaced, __ in reversed(self._records):
+            if had:
+                setattr(obj, attr, displaced)
+            else:
+                delattr(obj, attr)
+        self._records.clear()
+
+
 class Probe:
-    """Base class: bookkeeping for attach-time method shadowing."""
+    """Base class: the probe's shadows, removed on detach."""
 
     name = None
 
     def __init__(self):
-        self._shadowed = []
+        self.shadows = ShadowSet()
 
     def attach(self, machine, obs):
         raise NotImplementedError
 
     def detach(self, machine):
-        for obj, attr in self._shadowed:
-            obj.__dict__.pop(attr, None)
-        self._shadowed = []
-
-    def _shadow(self, obj, attr, wrapper):
-        """Install *wrapper* over ``obj.attr`` for the lifetime of the probe."""
-        if attr in obj.__dict__:
-            raise RuntimeError("%s.%s is already shadowed" %
-                               (type(obj).__name__, attr))
-        setattr(obj, attr, wrapper)
-        self._shadowed.append((obj, attr))
+        self.shadows.remove()
 
 
 class FetchStallProbe(Probe):
@@ -75,7 +102,7 @@ class FetchStallProbe(Probe):
                 emit(now, "fetch_stall", {"pc": addr, "latency": wait})
             return done
 
-        self._shadow(hierarchy, "ifetch", ifetch)
+        self.shadows.shadow(hierarchy, "ifetch", ifetch)
 
 
 class MispredictProbe(Probe):
@@ -97,7 +124,7 @@ class MispredictProbe(Probe):
                      {"fetch_pc": pipeline.fetch_pc})
             orig(correct)
 
-        self._shadow(predictor, "record_hit", record_hit)
+        self.shadows.shadow(predictor, "record_hit", record_hit)
 
 
 class BusProbe(Probe):
@@ -132,8 +159,8 @@ class BusProbe(Probe):
                                        "bytes": nbytes})
             return orig_mau(now, nbytes)
 
-        self._shadow(bus, "cpu_transfer", cpu_transfer)
-        self._shadow(bus, "mau_transfer", mau_transfer)
+        self.shadows.shadow(bus, "cpu_transfer", cpu_transfer)
+        self.shadows.shadow(bus, "mau_transfer", mau_transfer)
 
 
 class RSEProbe(Probe):
@@ -178,9 +205,10 @@ class RSEProbe(Probe):
                                       "seq": entry.seq})
             orig_error(module, entry, cycle)
 
-        self._shadow(rse, "on_dispatch", on_dispatch)
-        self._shadow(rse, "on_commit", on_commit)
-        self._shadow(rse, "note_error_transition", note_error_transition)
+        shadow = self.shadows.shadow
+        shadow(rse, "on_dispatch", on_dispatch)
+        shadow(rse, "on_commit", on_commit)
+        shadow(rse, "note_error_transition", note_error_transition)
 
 
 class SchedProbe(Probe):
@@ -203,7 +231,7 @@ class SchedProbe(Probe):
                 switches.inc()
             return picked
 
-        self._shadow(kernel, "_schedule", _schedule)
+        self.shadows.shadow(kernel, "_schedule", _schedule)
 
 
 class CommitTraceProbe(Probe):

@@ -5,14 +5,13 @@ responsible for ~60% of CERT advisories "are based on an attacker's
 knowledge of the memory layout of a target application".  This package
 provides that attacker:
 
-* :mod:`repro.security.attacks` — a vulnerable guest service plus
-  stack-smashing and GOT-hijack exploit builders that assume a fixed
-  layout;
-* :mod:`repro.security.trr`     — the host-side Transparent Runtime
-  Randomization baseline (the authors' earlier software system);
 * :mod:`repro.security.attackgen` — the seeded generative attack
   corpus (randomized stack smashes, GOT hijacks, self-modifying
-  payloads, malicious threads, TOCTOU races) and its campaign model;
+  payloads, malicious threads, TOCTOU races) and its campaign model.
+  Its stack-smash and GOT-hijack classes are the layout-dependent
+  exploits, built against the layout the attacker assumes fixed;
+* :mod:`repro.security.trr`     — the host-side Transparent Runtime
+  Randomization baseline (the authors' earlier software system);
 * :mod:`repro.security.coverage` — the module × attack-class
   detection-coverage matrix with Wilson confidence intervals.
 
@@ -22,13 +21,6 @@ over a :class:`~repro.funcsim.core.FunctionalCore`.
 """
 
 from repro.security.trr import trr_randomize_layout
-from repro.security.attacks import (
-    AttackOutcome,
-    build_stack_smash_payload,
-    vulnerable_service_program,
-    run_stack_smash,
-    run_got_hijack,
-)
 from repro.security.rerandomize import (
     register_pointer_table,
     rerandomize_heap,
@@ -36,6 +28,7 @@ from repro.security.rerandomize import (
 from repro.security.attackgen import (
     ATTACK_CLASSES,
     AttackCorpus,
+    AttackOutcome,
     generate_variant,
     run_variant,
 )
@@ -46,15 +39,11 @@ from repro.security.coverage import (
 
 __all__ = [
     "trr_randomize_layout",
-    "AttackOutcome",
-    "build_stack_smash_payload",
-    "vulnerable_service_program",
-    "run_stack_smash",
-    "run_got_hijack",
     "register_pointer_table",
     "rerandomize_heap",
     "ATTACK_CLASSES",
     "AttackCorpus",
+    "AttackOutcome",
     "generate_variant",
     "run_variant",
     "attack_matrix",

@@ -1,8 +1,8 @@
 """Seeded generative attack corpus (InjectV-style attack taxonomy).
 
-Where :mod:`repro.security.attacks` holds two hand-written exploits,
-this module *generates* randomized attack variants the way the difftest
-generator composes random programs: a variant seed drives every choice
+Every attack program :mod:`repro` runs comes from here.  The module
+*generates* randomized attack variants the way the difftest generator
+composes random programs: a variant seed drives every choice
 (frame geometry, NOP-sled layout, shellcode placement and registers,
 GOT width and victim entry, write primitive, patch filler, race delays),
 and the result is a fully self-contained, **self-classifying** guest
@@ -10,7 +10,10 @@ program rendered from the :mod:`repro.workloads.vulnsvc` templates —
 HIJACKED / CRASHED / FOILED / DETECTED are read from architectural
 state, never from heuristics.
 
-Attack classes (:data:`ATTACK_CLASSES`):
+Attack classes (:data:`ATTACK_CLASSES`); the first two are the
+layout-dependent exploits of the paper's Section 4.1, which succeed on
+a fixed layout and which TRR or the MLR turn into a crash (stack
+smash) or foil (GOT hijack):
 
 * ``stack-smash``   — unbounded copy into a stack buffer; varied
   overflow depths, sled lengths, shellcode placement and entry points;
@@ -31,25 +34,24 @@ and ``+`` combinations), either directly (:func:`run_variant`) or as a
 feed the :mod:`repro.security.coverage` detection matrix.
 """
 
+import enum
 import random
 import struct
 
 from repro.campaign.models import FaultModel, Outcome, register
+from repro.funcsim.core import FunctionalCore
 from repro.isa.encoding import encode
 from repro.isa.instructions import SPEC_BY_NAME
+from repro.kernel import Kernel
+from repro.memory.mainmem import PAGE_SHIFT, MainMemory
 from repro.program.image import build_image
 from repro.program.layout import MemoryLayout
 from repro.rse.modules.cfc import MODULE_CFC, build_cfg
 from repro.rse.modules.icm import arm_icm
-from repro.security.attacks import (
-    _MLR_PROLOGUE,
-    PWNED_MARKER,
-    AttackOutcome,
-    _attack_kernel,
-    _classify,
-    _run_attack,
-)
+from repro.rse.modules.mlr import FunctionalMLR
 from repro.security.trr import trr_randomize_layout
+from repro.system import build_machine
+from repro.weak import weak_method
 from repro.workloads import vulnsvc
 from repro.workloads.asmlib import assemble_workload
 
@@ -58,9 +60,9 @@ ATTACK_CLASSES = ("stack-smash", "got-hijack", "smc-patch",
                   "thread-smash", "race-got")
 
 #: Classes the functional engines run (under the same kernel, see
-#: :func:`repro.security.attacks._attack_kernel`): the single-threaded
-#: ones.  A malicious thread's stray store under TRR is stopped by a
-#: data-access fault, which engines that check only fetch never raise.
+#: :func:`_attack_kernel`): the single-threaded ones.  A malicious
+#: thread's stray store under TRR is stopped by a data-access fault,
+#: which engines that check only fetch never raise.
 FUNCSIM_CLASSES = ("stack-smash", "got-hijack", "smc-patch")
 
 #: The module config tokens the functional engines model (TRR is a
@@ -78,6 +80,17 @@ CONFIG_TOKENS = ("none", "trr", "icm", "mlr", "cfc", "ddt")
 DEFAULT_MAX_CYCLES = 300_000
 
 _SHELLCODE_REGS = ((8, 9), (10, 11), (24, 25))      # t0/t1, t2/t3, t8/t9
+
+#: Value the shellcode / attacker function writes when the hijack works.
+PWNED_MARKER = 0x31337
+
+
+class AttackOutcome(enum.Enum):
+    HIJACKED = "hijacked"          # attacker code ran
+    CRASHED = "crashed"            # attack turned into a fault
+    FOILED = "foiled"              # service completed unharmed
+    DETECTED = "detected"          # an RSE module flagged the attack
+    UNCLASSIFIED = "unclassified"  # none of the above (always a bug)
 
 
 def parse_config(config):
@@ -108,6 +121,26 @@ def shellcode_words(flag_addr, rt0=8, rt1=9, marker=PWNED_MARKER):
         encode(sw, rt=rt1, rs=rt0, imm=0),
         encode(halt),
     ]
+
+
+#: MLR defense: the guest "loader library" randomizes the stack through
+#: the module, maps the fresh region, and moves $sp there before any
+#: request handling (Figure 3(A) I0..I3).
+_MLR_PROLOGUE = """
+    chk MLR, NBLK, OP_ENABLE, 0
+    li $a0, HDR_BASE
+    li $a1, HDR_SIZE
+    chk MLR, BLK, OP_MLR_EXEC_HDR, 0
+    chk MLR, BLK, OP_MLR_PI_RAND, 0
+    li $t0, HDR_BASE
+    lw $t9, 0x104($t0)         # randomized stack segment base
+    li $v0, SYS_MMAP
+    li $t1, 0x20000
+    sub $a0, $t9, $t1
+    li $a1, 0x20000
+    syscall
+    addi $sp, $t9, -64
+"""
 
 
 def _mlr_got_prologue(entries):
@@ -205,7 +238,12 @@ def _stack_payload(geometry, flag_addr, frame, buf_off):
     rt0, rt1 = geometry["regs"]
     code = shellcode_words(flag_addr, rt0=rt0, rt1=rt1)
     sled = geometry["sled"]
-    pad = geometry["room_words"] - sled - len(code)
+    room = geometry["room_words"] - sled
+    if len(code) > room:
+        raise ValueError("shellcode is %d words but only %d fit between the "
+                         "sled and the saved return address"
+                         % (len(code), room))
+    pad = room - len(code)
     buffer_addr = _assumed_frame(frame) + buf_off
     payload = ([0] * sled + code + [0] * pad
                + [buffer_addr + 4 * geometry["entry"]]
@@ -389,6 +427,89 @@ def generate_variant(attack_class, seed, config="none"):
 
 
 # -------------------------------------------------------------- execution
+
+def _make_stack_executable(kernel, layout):
+    """Model the 2004-era executable stack the shellcode relies on.
+
+    Two parts, because mapping *order* must not matter:
+
+    * every page of the architectural stack range gets "rwx" outright —
+      the old ``if page in kernel.page_perms`` guard silently left any
+      not-yet-mapped stack page non-executable, misclassifying a
+      working hijack as CRASHED;
+    * stack-area pages mapped *after* this call (the MLR prologue's
+      ``SYS_MMAP`` of the randomized region) come up executable too,
+      via a map-policy wrapper, so the only thing standing between the
+      attacker and the shellcode is the defense itself.
+    """
+    first = layout.stack_base >> PAGE_SHIFT
+    last = (layout.stack_top - 1) >> PAGE_SHIFT
+    for page in range(first, last + 1):
+        kernel.page_perms[page] = "rwx"
+    # The wrapper lives on the kernel, so it holds the kernel weakly.
+    original_map = weak_method(kernel._map_range)
+
+    def map_exec(addr, length, perms):
+        original_map(addr, length, "rwx" if perms == "rw" else perms)
+
+    kernel._map_range = map_exec
+
+
+def _classify(flag, reason, completed, detections=0):
+    """Shared, engine-independent outcome classification.
+
+    Priority order: a module detection beats everything (the run was
+    stopped *because of* the attack), then evidence the attacker's code
+    ran, then a crash, then clean completion.  Anything else —
+    typically a blown step budget — is UNCLASSIFIED, which the corpus
+    treats as a generator/harness bug, never a legitimate result.
+    """
+    if detections:
+        return AttackOutcome.DETECTED
+    if flag == PWNED_MARKER:
+        return AttackOutcome.HIJACKED
+    if reason in ("fault", "recovery_impossible"):
+        return AttackOutcome.CRASHED
+    if reason in ("halt", "all_exited"):
+        return (AttackOutcome.FOILED if completed
+                else AttackOutcome.CRASHED)
+    return AttackOutcome.UNCLASSIFIED
+
+
+def _attack_kernel(engine, modules=()):
+    """The kernel an attack runs under, and its machine (or None).
+
+    ``engine="pipeline"`` builds the full machine with *modules* on its
+    RSE.  The functional engines (``interp`` / ``predecode`` / ``jit``)
+    run under the same :class:`~repro.kernel.Kernel` through a
+    :class:`~repro.funcsim.core.FunctionalCore`; their only module is
+    the MLR, as :class:`~repro.rse.modules.mlr.FunctionalMLR`.
+    """
+    if engine == "pipeline":
+        machine = build_machine(with_rse=bool(modules), modules=modules)
+        return machine.kernel, machine
+    memory = MainMemory()
+    core = FunctionalCore(memory, engine)
+    if "mlr" in modules:
+        core.sim.chk_handler = FunctionalMLR(core).chk
+    return Kernel(core, memory), None
+
+
+def _run_attack(kernel, image, max_cycles, stack_layout=None, plant=None):
+    """Load *image*, set the attack up and run it; returns the RunResult.
+
+    *stack_layout*, for attacks on the stack, gets the 2004-era
+    executable stack (:func:`_make_stack_executable`); *plant*, if
+    given, is called with the kernel after the load — the slot for the
+    attacker's request payload and for module configuration.
+    """
+    kernel.load_process(image)
+    if stack_layout is not None:
+        _make_stack_executable(kernel, stack_layout)
+    if plant is not None:
+        plant(kernel)
+    return kernel.run(max_cycles=max_cycles)
+
 
 def _build_config_machine(machine, asm, modules):
     """Finish a module config's machine once the program is loaded:

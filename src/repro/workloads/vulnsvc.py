@@ -24,9 +24,9 @@ program.  Conventions every template follows:
   CFC's static CFG derives legal indirect landing sites from ``jal``
   targets and return sites, and a benign service must not trip it.
 
-The hand-written attacks in :mod:`repro.security.attacks` predate these
-templates and stay as the fixed reference points the generated
-stack-smash and GOT-hijack rows are checked against.
+These are the repo's only vulnerable-service templates: the paper's
+Section 4.1 stack smash and GOT hijack are the ``stack-smash`` and
+``got-hijack`` variants rendered from them.
 """
 
 #: Service-completion / hijack-marker data block shared by all templates.

@@ -20,10 +20,7 @@ from repro.funcsim.core import FunctionalCore
 from repro.kernel import Kernel
 from repro.memory.mainmem import MainMemory
 from repro.program.layout import MemoryLayout
-from repro.security.attacks import (
-    build_stack_smash_payload,
-    vulnerable_service_program,
-)
+from repro.security.attackgen import generate_variant
 from repro.system import build_machine
 from repro.workloads.asmlib import build_workload_image
 
@@ -112,15 +109,14 @@ def test_trace_serves_syscalls(tmp_path, capsys):
 
 
 def _smash(engine):
-    """The stack smash against a non-executable stack, on *engine*."""
-    image, asm = vulnerable_service_program(MemoryLayout())
-    payload = build_stack_smash_payload(asm.symbols["secret_flag"])
+    """The stack smash against a non-executable stack, on *engine*.
+
+    The payload is baked into the variant's ``.data``; without the
+    executable-stack model the return into the buffer is refused."""
     memory = MainMemory()
     core = FunctionalCore(memory, engine)
     kernel = Kernel(core, memory)
-    kernel.load_process(image)
-    memory.store_bytes(asm.symbols["request"], payload)
-    memory.store_word(asm.symbols["request_len"], len(payload))
+    kernel.load_process(generate_variant("stack-smash", 1234).image)
     return kernel.run(max_cycles=100_000), kernel, core
 
 

@@ -88,14 +88,17 @@ def test_run_faulting_program_exit_code(tmp_path, capsys):
 
 
 def test_attack_commands(capsys):
-    assert main(["attack", "stack", "--defense", "none"]) == 0
-    assert "hijacked" in capsys.readouterr().out
-    assert main(["attack", "got", "--defense", "mlr"]) == 0
-    assert "foiled" in capsys.readouterr().out
+    assert main(["attack", "run", "--class", "stack-smash",
+                 "--config", "none"]) == 0
+    assert "outcome: hijacked" in capsys.readouterr().out
+    assert main(["attack", "run", "--class", "got-hijack",
+                 "--config", "mlr"]) == 0
+    assert "outcome: foiled" in capsys.readouterr().out
 
 
 def test_attack_rejects_bad_combo(capsys):
-    assert main(["attack", "got", "--defense", "trr"]) == 2
+    assert main(["attack", "run", "--config", "trr+trr"]) == 2
+    assert_one_line_error(capsys, "duplicate token in module config")
 
 
 def test_experiment_quick_table5(capsys):

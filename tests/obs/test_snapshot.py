@@ -99,6 +99,7 @@ def test_legacy_stats_shims_are_gone():
     """
     machine, __ = run_machine(with_rse=True, modules=("icm",))
     assert not hasattr(machine.pipeline.stats, "as_dict")
+    assert not hasattr(machine.hierarchy.dl1.stats, "as_dict")
     assert not hasattr(machine.hierarchy, "stats")
     assert not hasattr(machine.rse, "stats")
     assert set(machine.pipeline.stats.snapshot()) == \

@@ -173,3 +173,48 @@ def test_second_slice_is_observed_the_same_whenever_readers_attach(
     assert early["events"]["ioq_alloc"] and early["events"]["ioq_gate"]
     assert early["trace"] and early["obs"]["metrics"]
     assert early == late
+
+
+@pytest.mark.parametrize("detach_order", ["reverse", "attach"])
+@pytest.mark.parametrize("attach_order", ["probe-first", "monitor-first"])
+def test_probe_and_monitor_shadows_come_off_in_reverse_order(
+        events, attach_order, detach_order):
+    """The obs RSE probe and the assertion hub shadow ``on_commit``
+    through one chaining shadow set: either may attach first, detaching
+    in reverse order leaves the RSE bare, and detaching the one
+    underneath first raises and leaves both attached and observing."""
+    machine = kmeans_machine(icm=True)
+    rse = machine.rse
+    bare = set(vars(rse))
+    observers = {
+        "probe": (lambda: machine.obs.attach("rse"), machine.obs.detach),
+        "monitor": (machine.assertions.attach, machine.assertions.detach)}
+    order = (["probe", "monitor"] if attach_order == "probe-first"
+             else ["monitor", "probe"])
+    for name in order:
+        observers[name][0]()
+
+    def observed():
+        """Dispatches the probe saw and retirements the monitor saw in
+        the next run slice."""
+        def dispatches():
+            metrics = machine.obs.metrics.snapshot()
+            return metrics["rse.ioq_occupancy"]["count"]
+
+        before = dispatches()
+        events.clear()
+        assert machine.kernel.run(max_cycles=600).reason == "max_cycles"
+        return dispatches() - before, events.get("retire", 0)
+
+    assert min(observed()) > 0
+    if detach_order == "attach":
+        with pytest.raises(RuntimeError, match="shadowed over"):
+            observers[order[0]][1]()
+        assert machine.obs.attached() == ["rse"]
+        assert machine.assertions.is_attached()
+        assert min(observed()) > 0
+    for name in reversed(order):
+        observers[name][1]()
+    assert set(vars(rse)) == bare
+    assert not {"checkpoint", "restore"} & set(vars(machine))
+    assert rse.reads == {"successor"}

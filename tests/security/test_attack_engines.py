@@ -6,23 +6,23 @@ import pytest
 
 from repro.security.attackgen import (
     FUNCSIM_CLASSES,
+    AttackOutcome,
     generate_variant,
     run_variant,
-)
-from repro.security.attacks import (
-    AttackOutcome,
-    run_got_hijack,
-    run_stack_smash,
 )
 
 ENGINES = ("pipeline", "interp", "predecode", "jit")
 
 
+def engine_outcomes(attack_class, defense):
+    variant = generate_variant(attack_class, 77, config=defense)
+    return {engine: run_variant(variant, engine=engine).outcome
+            for engine in ENGINES}
+
+
 @pytest.mark.parametrize("defense", ["none", "trr", "mlr"])
 def test_stack_smash_parity(defense):
-    outcomes = {engine: run_stack_smash(defense=defense, seed=77,
-                                        engine=engine).outcome
-                for engine in ENGINES}
+    outcomes = engine_outcomes("stack-smash", defense)
     assert len(set(outcomes.values())) == 1, outcomes
     expected = (AttackOutcome.HIJACKED if defense == "none"
                 else AttackOutcome.CRASHED)
@@ -31,9 +31,7 @@ def test_stack_smash_parity(defense):
 
 @pytest.mark.parametrize("defense", ["none", "mlr"])
 def test_got_hijack_parity(defense):
-    outcomes = {engine: run_got_hijack(defense=defense,
-                                       engine=engine).outcome
-                for engine in ENGINES}
+    outcomes = engine_outcomes("got-hijack", defense)
     assert len(set(outcomes.values())) == 1, outcomes
     expected = (AttackOutcome.HIJACKED if defense == "none"
                 else AttackOutcome.FOILED)

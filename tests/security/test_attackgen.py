@@ -8,7 +8,7 @@ import pytest
 from repro.memory.mainmem import PAGE_SHIFT, MainMemory
 from repro.program.layout import MemoryLayout
 from repro.program.loader import Loader
-from repro.security import attacks
+from repro.security import attackgen
 from repro.security.attackgen import (
     ATTACK_CLASSES,
     AttackOutcome,
@@ -127,27 +127,32 @@ def test_cfc_detects_exactly_the_race_wins():
             assert cfc.outcome is AttackOutcome.FOILED
 
 
-# ------------------------------------------------- hand-written hardening
+# ---------------------------------------------------- payload hardening
+
+#: A 96-byte frame with the buffer at +16 and $ra at +92: 19 words.
+GEOMETRY = {"regs": (8, 9), "room_words": 19, "sled": 0, "entry": 0,
+            "tail": 0}
+
 
 def test_payload_overflow_raises_with_sizes(monkeypatch):
-    """Satellite: an over-long shellcode must fail loudly, not silently
-    truncate the payload into garbage (negative padding)."""
-    room = attacks.RA_FRAME_OFFSET - attacks.BUFFER_FRAME_OFFSET
-    monkeypatch.setattr(attacks, "_shellcode",
-                        lambda flag_addr: bytes(room + 4))
+    """An over-long shellcode must fail loudly, not silently truncate
+    the payload into garbage (``[0] * negative`` pads with nothing)."""
+    room = GEOMETRY["room_words"]
+    monkeypatch.setattr(attackgen, "shellcode_words",
+                        lambda flag_addr, rt0, rt1: [0] * (room + 1))
     with pytest.raises(ValueError) as err:
-        attacks.build_stack_smash_payload(0x10000000)
+        attackgen._stack_payload(GEOMETRY, 0x10000000, 96, 16)
     message = str(err.value)
-    assert str(room + 4) in message and str(room) in message
+    assert str(room + 1) in message and str(room) in message
 
 
 def test_boundary_shellcode_still_fits(monkeypatch):
     """Exactly filling the room up to the saved $ra is legal."""
-    room = attacks.RA_FRAME_OFFSET - attacks.BUFFER_FRAME_OFFSET
-    monkeypatch.setattr(attacks, "_shellcode",
-                        lambda flag_addr: bytes(room))
-    payload = attacks.build_stack_smash_payload(0x10000000)
-    assert len(payload) == room + 4    # room + return address
+    room = GEOMETRY["room_words"]
+    monkeypatch.setattr(attackgen, "shellcode_words",
+                        lambda flag_addr, rt0, rt1: [0] * room)
+    payload, __ = attackgen._stack_payload(GEOMETRY, 0x10000000, 96, 16)
+    assert len(payload) == room + 1    # room + return address
 
 
 def test_make_stack_executable_covers_late_mappings():
@@ -159,7 +164,7 @@ def test_make_stack_executable_covers_late_mappings():
     layout = MemoryLayout()
     image, __ = build_workload_image("main:\n    halt\n", layout)
     machine.kernel.load_process(image)
-    attacks._make_stack_executable(machine.kernel, layout)
+    attackgen._make_stack_executable(machine.kernel, layout)
     perms = machine.kernel.page_perms
     first = layout.stack_base >> PAGE_SHIFT
     last = (layout.stack_top - 1) >> PAGE_SHIFT

@@ -1,60 +1,78 @@
-"""Attack experiments: fixed layout falls, TRR/MLR defend."""
+"""Attack experiments: fixed layout falls, TRR/MLR defend.
+
+The paper's Section 4.1 exploits are the corpus' ``stack-smash`` and
+``got-hijack`` classes; each verdict must hold for every generated
+variant, so each test runs a few seeds.
+"""
 
 import pytest
 
-from repro.security.attacks import (
+from repro.program.layout import MemoryLayout
+from repro.security.attackgen import (
+    _MLR_PROLOGUE,
     AttackOutcome,
-    run_got_hijack,
-    run_stack_smash,
+    AttackVariant,
+    generate_variant,
+    parse_config,
+    run_variant,
 )
+from repro.security.trr import trr_randomize_layout
+from repro.workloads import vulnsvc
+from repro.workloads.asmlib import build_workload_image
+
+SEEDS = (0, 1, 2, 77)
+
+
+def outcomes(attack_class, config, seeds=SEEDS):
+    return {run_variant(generate_variant(attack_class, seed, config)).outcome
+            for seed in seeds}
 
 
 def test_stack_smash_succeeds_on_fixed_layout():
-    result = run_stack_smash(defense="none")
-    assert result.outcome is AttackOutcome.HIJACKED
+    assert outcomes("stack-smash", "none") == {AttackOutcome.HIJACKED}
 
 
 def test_stack_smash_crashes_under_trr():
-    result = run_stack_smash(defense="trr", seed=77)
-    assert result.outcome is AttackOutcome.CRASHED
+    assert outcomes("stack-smash", "trr") == {AttackOutcome.CRASHED}
 
 
 def test_stack_smash_defeated_under_mlr():
-    result = run_stack_smash(defense="mlr")
     # The attack is converted into a crash (the paper's exact claim);
     # shellcode never runs.
-    assert result.outcome is AttackOutcome.CRASHED
+    assert outcomes("stack-smash", "mlr") == {AttackOutcome.CRASHED}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_trr_defends_across_random_layouts(seed):
-    result = run_stack_smash(defense="trr", seed=seed)
-    assert result.outcome is not AttackOutcome.HIJACKED
+    variant = generate_variant("stack-smash", seed, config="trr")
+    assert variant.layout.stack_top != MemoryLayout().stack_top
+    assert run_variant(variant).outcome is not AttackOutcome.HIJACKED
 
 
 def test_got_hijack_succeeds_on_fixed_layout():
-    result = run_got_hijack(defense="none")
-    assert result.outcome is AttackOutcome.HIJACKED
+    assert outcomes("got-hijack", "none") == {AttackOutcome.HIJACKED}
 
 
 def test_got_hijack_foiled_under_mlr():
-    result = run_got_hijack(defense="mlr")
-    # The stale GOT write hits abandoned memory: service completes and
-    # the legitimate logger ran.
-    assert result.outcome is AttackOutcome.FOILED
+    # The stale GOT write hits abandoned memory: the service completes
+    # and the legitimate logger ran.
+    assert outcomes("got-hijack", "mlr") == {AttackOutcome.FOILED}
 
 
 def test_benign_request_handled_everywhere():
     """A short, honest request never trips anything."""
-    from repro.program.layout import MemoryLayout
-    from repro.security.attacks import vulnerable_service_program
-    from repro.system import build_machine
-
-    machine = build_machine()
-    image, asm = vulnerable_service_program(MemoryLayout())
-    machine.kernel.load_process(image)
-    machine.memory.store_bytes(asm.symbols["request"], b"hello")
-    machine.memory.store_word(asm.symbols["request_len"], 5)
-    result = machine.kernel.run(max_cycles=1_000_000)
-    assert result.reason == "halt"
-    assert machine.memory.load_word(asm.symbols["secret_flag"]) == 0
+    request = [int.from_bytes(b"hell", "little"),
+               int.from_bytes(b"o\0\0\0", "little")]
+    for config in ("none", "trr", "icm", "mlr", "cfc", "ddt", "mlr+icm"):
+        tokens = parse_config(config)
+        layout = (trr_randomize_layout(MemoryLayout(), seed=5)
+                  if "trr" in tokens else MemoryLayout())
+        source = vulnsvc.render_stack_smash(
+            {"request": request}, 96, 16, 92,
+            prologue=_MLR_PROLOGUE if "mlr" in tokens else "")
+        image, asm = build_workload_image(source, layout)
+        variant = AttackVariant("stack-smash", config, 0, source, image,
+                                asm, layout, {})
+        run = run_variant(variant)
+        assert (run.reason, run.outcome, run.detections) == (
+            "halt", AttackOutcome.FOILED, 0), config

@@ -31,8 +31,8 @@ def test_matrix_reproduces_byte_identically():
 
 
 def test_matrix_consistent_with_handwritten_attacks():
-    """The generated rows must agree with the fixed exploits: no
-    defense -> hijacked corpus; MLR -> stopped corpus."""
+    """The generated rows must give the paper's Section 4.1 verdicts:
+    no defense -> hijacked corpus; MLR -> stopped corpus."""
     doc = attack_matrix(**QUICK)
     by_key = {(c["config"], c["class"]): c for c in doc["cells"]}
     assert by_key[("none", "stack-smash")]["outcomes"]["hijacked"] == 4
