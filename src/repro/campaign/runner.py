@@ -21,13 +21,15 @@ the flag is an execution detail and deliberately not part of the spec
 fingerprint.  Models that arm by mutating the machine (instr-flip,
 cf-corrupt) silently keep the fresh-machine path.
 
-:func:`run_campaign` runs the campaign in this process — the reference
-executor.  With more than one worker (or any shards) it hands the
-campaign to the sharded service (:mod:`repro.campaign.service`), whose
-worker processes run the same :class:`ForkEngine` from a shipped
-machine image and survive SIGKILL.  A Python-level failure inside one
-injection is caught and classified :data:`Outcome.CRASHED` on either
-path.
+:func:`pick_engine` is the one place that chooses between the two, and
+:func:`run_range` is the one loop that runs (or resumes) a range of
+injection ids against a store.  :func:`run_campaign` runs the whole
+campaign as that loop over ``[0, injections)`` in this process, or,
+with more than one worker (or any shards), hands it to the sharded
+service (:mod:`repro.campaign.service`), whose worker processes run
+the same loop over their shards and survive SIGKILL.  A Python-level
+failure inside one injection is caught and classified
+:data:`Outcome.CRASHED` on either path.
 """
 
 import hashlib
@@ -35,7 +37,8 @@ import json
 
 from repro.campaign.models import Outcome, get_model
 from repro.campaign.options import ExecutionOptions
-from repro.campaign.space import sample_injections
+from repro.campaign.report import detection_stats, outcome_counts
+from repro.campaign.space import injection_at, sample_injections
 from repro.campaign.store import ResultStore
 from repro.isa.assembler import assemble
 from repro.isa.encoding import DecodeError, decode
@@ -344,8 +347,6 @@ class ForkEngine:
     restores the trunk once per injection.  Triggers should arrive in
     ascending order for maximal prefix reuse; a smaller trigger simply
     rewinds to the base checkpoint and re-advances.
-    :meth:`strike_from_base` runs a whole injection from the pristine
-    state instead, for impure models and unforked runs.
 
     The ending is the fault-free run to the end of the budget, taken on
     the first strike whose model names a register
@@ -461,17 +462,6 @@ class ForkEngine:
             max_cycles=ctx.spec.max_cycles - trigger)
         return struck_record(ctx, machine, injection, event)
 
-    def strike_from_base(self, injection):
-        """Rewind to the pristine checkpoint and run *injection* whole."""
-        try:
-            self.machine.restore(self.base)
-            return strike_injection(self.ctx, self.machine, injection)
-        except Exception:
-            # Cold-path fallback produces the identical record (and owns
-            # crash isolation); the trunk may be mid-strike, so never
-            # reuse it for the failed injection.
-            return execute_injection(self.ctx, injection)
-
 
 def forked_injection(ctx, engine, injection):
     """One injection through the fork engine, with a cold-path fallback.
@@ -500,6 +490,68 @@ def _fork_order(ctx, injections):
     return sorted(injections, key=key)
 
 
+def pick_engine(ctx, fork, image=None):
+    """``(order, run)``: how this process runs the campaign's injections.
+
+    *order* sequences a batch of injections and *run* turns one into its
+    record.  With *fork*, a purely arming model and no monitor, that is
+    one :class:`ForkEngine` (seeded from *image*, the service's shipped
+    machine, when given) in ascending-trigger order; everything else
+    runs :func:`execute_injection` on a fresh machine.  Monitored
+    campaigns (``spec.assertions``) stay cold: the invariant monitor
+    hangs state off the machine that a restore does not rewind, so one
+    strike's violations would leak into the next run's classification.
+    """
+    if fork and ctx.model.arm_is_pure and not ctx.spec.assertions:
+        engine = ForkEngine(ctx, image)
+        return (lambda injections: _fork_order(ctx, injections),
+                lambda injection: forked_injection(ctx, engine, injection))
+    return list, lambda injection: execute_injection(ctx, injection)
+
+
+def run_range(ctx, engine, start, stop, store=None, extra=None,
+              progress=None, kill=None):
+    """Run (or resume) injection ids ``[start, stop)``; returns their records.
+
+    *engine* is a :func:`pick_engine` pair.  With *store* (a
+    :class:`ResultStore`) the ids it already holds are skipped and each
+    new record is appended as it lands; a new store gets a header, plus
+    the *extra* fields (a shard's identity).  After each record come
+    ``progress(done, stop - start)`` (also once up front for records
+    recovered from the store) and ``kill.tick()``.
+    """
+    spec = ctx.spec
+    records = []
+    if store is not None:
+        if store.exists():
+            __, records = store.verify(spec.fingerprint())
+        else:
+            store.write_header(spec.fingerprint(), spec.to_dict(),
+                               extra=extra)
+    done = {record["id"] for record in records}
+    space = ctx.model.build_space(ctx)
+    todo = [injection_at(ctx.model, space, index, spec.seed)
+            for index in range(start, stop) if index not in done]
+    total = stop - start
+    if progress is not None and records:
+        progress(len(records), total)
+    order, run = engine
+    try:
+        for injection in order(todo):
+            record = run(injection)
+            records.append(record)
+            if store is not None:
+                store.append(record)
+            if progress is not None:
+                progress(len(records), total)
+            if kill is not None:
+                kill.tick()
+    finally:
+        if store is not None:
+            store.close()
+    return records
+
+
 class CampaignRun:
     """The outcome of :func:`run_campaign`: ordered records + metrics.
 
@@ -515,41 +567,26 @@ class CampaignRun:
 
     def count(self, outcome):
         value = outcome.value if isinstance(outcome, Outcome) else outcome
-        return sum(1 for record in self.records
-                   if record["outcome"] == value)
+        return outcome_counts(self.records).get(value, 0)
 
     def summary(self):
-        return {outcome.value: self.count(outcome) for outcome in Outcome}
+        return outcome_counts(self.records)
 
     @property
     def injected_runs(self):
         """Runs whose fault actually landed (NOT_TRIGGERED excluded)."""
-        return len(self.records) - self.count(Outcome.NOT_TRIGGERED)
+        return detection_stats(self.records)[1]
 
     @property
     def detection_rate(self):
-        """DETECTED over runs where a fault was injected.
-
-        NOT_TRIGGERED runs never had :meth:`FaultModel.fire` called, so
-        counting them in the denominator would deflate coverage with
-        runs that say nothing about detection.
-        """
-        injected = self.injected_runs
-        if not injected:
-            return 0.0
-        return self.count(Outcome.DETECTED) / injected
+        """DETECTED over the :attr:`injected_runs` (0.0 when none)."""
+        return detection_stats(self.records)[2]
 
     def __repr__(self):
         return "CampaignRun(%s)" % self.summary()
 
 
 # ------------------------------------------------------------------- campaign
-
-def _full_coverage(spec, records):
-    """True when *records* already hold every id the spec defines."""
-    done = {record["id"] for record in records}
-    return set(range(spec.injections)) <= done
-
 
 def run_campaign(spec, options=None, progress=None):
     """Execute (or resume) a campaign; returns a :class:`CampaignRun`.
@@ -562,21 +599,15 @@ def run_campaign(spec, options=None, progress=None):
             ``options.workers > 1`` or ``options.shards > 0`` routes
             execution through the sharded campaign service, with
             ``shards or workers`` shards; otherwise the campaign runs
-            serially in this process.
+            in this process as one :func:`run_range` over every id.
         progress: optional ``callback(done, total)`` fired as records
             land (including records recovered from the store).
     """
     options = options if options is not None else ExecutionOptions()
-    if options.shards or options.workers > 1:
-        from repro.campaign.service import run_service
-
-        return run_service(spec, options, progress=progress)
-
     store = ResultStore(options.store) if options.store else None
-    prior = []
     if store is not None and store.exists():
         __, prior = store.verify(spec.fingerprint())
-        if _full_coverage(spec, prior):
+        if {record["id"] for record in prior} >= set(range(spec.injections)):
             # The store already covers the whole spec: a pure store
             # read.  No sampling, no assembly, no golden run — resumes
             # over million-injection stores must not pay simulation
@@ -584,45 +615,13 @@ def run_campaign(spec, options=None, progress=None):
             if progress is not None:
                 progress(spec.injections, spec.injections)
             return CampaignRun(spec, prior, options)
+    if options.shards or options.workers > 1:
+        from repro.campaign.service import run_service
 
+        return run_service(spec, options, progress=progress)
     ctx = CampaignContext(spec)
-    injections = sample_injections(ctx.model, ctx, spec.injections, spec.seed)
-    if prior:
-        done = {record["id"] for record in prior}
-        todo = [injection for injection in injections
-                if injection.id not in done]
-    else:
-        todo = injections
-        if store is not None:
-            store.write_header(spec.fingerprint(), spec.to_dict())
-
-    records = list(prior)
-    total = len(injections)
-    if progress is not None and records:
-        progress(len(records), total)
-
-    def emit(record):
-        records.append(record)
-        if store is not None:
-            store.append(record)
-        if progress is not None:
-            progress(len(records), total)
-
-    # Fork mode reuses one trunk machine across injections; an attached
-    # monitor would carry one strike's violations into the next run's
-    # classification, so monitored campaigns always take the cold path.
-    use_fork = options.fork and ctx.model.arm_is_pure and not spec.assertions
-    try:
-        if use_fork and todo:
-            engine = ForkEngine(ctx)
-            for injection in _fork_order(ctx, todo):
-                emit(forked_injection(ctx, engine, injection))
-        else:
-            for injection in todo:
-                emit(execute_injection(ctx, injection))
-    finally:
-        if store is not None:
-            store.close()
+    records = run_range(ctx, pick_engine(ctx, options.fork), 0,
+                        spec.injections, store, progress=progress)
     return CampaignRun(spec, records, options)
 
 

@@ -12,13 +12,18 @@ deterministic campaign along **shards**:
 * the parent simulates the campaign's warmup exactly once — assembly,
   golden run, machine build — and ships the result to every worker as a
   :class:`~repro.checkpoint.CampaignImage` (serialized machine
-  checkpoint + golden results + spec fingerprint), which seeds the
-  worker's :class:`~repro.campaign.runner.ForkEngine`: workers
-  restore-and-strike instead of rebuilding and re-running the golden
-  workload, and with ``fork`` share trigger prefixes within a shard;
+  checkpoint + golden results + spec fingerprint): workers skip the
+  golden run, and pick their engine with
+  :func:`~repro.campaign.runner.pick_engine`, so with ``fork`` the
+  image seeds a :class:`~repro.campaign.runner.ForkEngine` that shares
+  trigger prefixes within a shard, and without it they use fresh
+  machines;
 * workers **steal shards** from a shared queue: a fast worker that
   drains its shard immediately pulls the next one, so stragglers never
-  gate the campaign.  Each shard appends to its **own JSONL store**
+  gate the campaign.  Each shard runs as one
+  :func:`~repro.campaign.runner.run_range` over its ids, the loop a
+  serial campaign runs over all of them, and appends to its **own
+  JSONL store**
   (``<store>.shardNNN.jsonl``) whose header records the shard identity
   and id range — a shard store is self-describing and individually
   resumable, so SIGKILLing any worker loses at most one in-flight
@@ -47,10 +52,8 @@ import signal
 import tempfile
 
 from repro.campaign.runner import (CampaignContext, CampaignRun,
-                                   CampaignSpec, ForkEngine, _fork_order,
-                                   _full_coverage, build_campaign_machine,
-                                   execute_injection, forked_injection)
-from repro.campaign.space import injection_at
+                                   CampaignSpec, build_campaign_machine,
+                                   pick_engine, run_range)
 from repro.campaign.store import ResultStore
 from repro.checkpoint import CampaignImage
 
@@ -160,56 +163,15 @@ def build_campaign_image(spec):
     return CampaignImage(spec.fingerprint(), checkpoint.to_bytes(), meta)
 
 
-def _build_engine(ctx, image, fork):
-    """``(order, run)`` for one worker process.
-
-    *order* sequences a shard's injections and *run* turns one into its
-    record.  Monitored campaigns (``spec.assertions``) take the cold
-    path: the invariant monitor hangs state off the machine that a
-    restore does not rewind, so reusing one machine would leak one
-    strike's violations into the next run's classification.
-    """
-    def cold(injection):
-        return execute_injection(ctx, injection)
-
-    if ctx.spec.assertions or getattr(ctx.model, "owns_execution", False):
-        return list, cold
-    try:
-        engine = ForkEngine(ctx, image)
-    except Exception:
-        return list, cold
-    if fork and ctx.model.arm_is_pure:
-        return (lambda injections: _fork_order(ctx, injections),
-                lambda injection: forked_injection(ctx, engine, injection))
-    return list, engine.strike_from_base
-
-
 # ------------------------------------------------------------ shard execution
 
 def _process_shard(ctx, engine, shard, path, kill=None):
     """Run (or resume) one shard against its own store."""
     shard_id, start, stop = shard
-    spec = ctx.spec
-    store = ResultStore(path)
-    done = set()
-    if store.exists():
-        __, prior = store.verify(spec.fingerprint())
-        done = {record["id"] for record in prior}
-    else:
-        store.write_header(spec.fingerprint(), spec.to_dict(),
-                           extra={"shard": {"id": shard_id, "start": start,
-                                            "stop": stop}})
-    order, run = engine
-    space = ctx.model.build_space(ctx)
-    todo = [injection_at(ctx.model, space, index, spec.seed)
-            for index in range(start, stop) if index not in done]
-    try:
-        for injection in order(todo):
-            store.append(run(injection))
-            if kill is not None:
-                kill.tick()
-    finally:
-        store.close()
+    run_range(ctx, engine, start, stop, ResultStore(path),
+              extra={"shard": {"id": shard_id, "start": start,
+                               "stop": stop}},
+              kill=kill)
 
 
 def _service_worker(spec_dict, image_bytes, task_queue, store_root, fork):
@@ -217,7 +179,7 @@ def _service_worker(spec_dict, image_bytes, task_queue, store_root, fork):
     spec = CampaignSpec.from_dict(spec_dict)
     image = CampaignImage.from_bytes(image_bytes)
     ctx = CampaignContext(spec, golden=image.meta["golden"])
-    engine = _build_engine(ctx, image, fork)
+    engine = pick_engine(ctx, fork, image)
     kill = _KillSwitch()
     while True:
         try:
@@ -323,19 +285,13 @@ def run_service(spec, options, progress=None):
     rounds (re-queueing shards that dead workers left incomplete),
     finish any remainder in-parent, merge.  Reached via
     ``run_campaign`` whenever ``options.shards`` or ``options.workers >
-    1`` is set; ``shards or workers`` shards are planned.
+    1`` is set, after it has answered a store that already covers the
+    spec; ``shards or workers`` shards are planned.
     """
     total = spec.injections
     tempdir = None
     if options.store:
         store_root = options.store
-        merged = ResultStore(store_root)
-        if merged.exists():
-            __, prior = merged.verify(spec.fingerprint())
-            if _full_coverage(spec, prior):
-                if progress is not None:
-                    progress(total, total)
-                return CampaignRun(spec, prior, options)
     else:
         tempdir = tempfile.mkdtemp(prefix="repro-campaign-")
         store_root = os.path.join(tempdir, "campaign.jsonl")
@@ -363,7 +319,7 @@ def run_service(spec, options, progress=None):
                 # in-process, where nothing can be stolen out from under
                 # it.
                 ctx = CampaignContext(spec, golden=image.meta["golden"])
-                engine = _build_engine(ctx, image, options.fork)
+                engine = pick_engine(ctx, options.fork, image)
                 for shard in todo:
                     _process_shard(ctx, engine, shard,
                                    shard_store_path(store_root, shard[0]))

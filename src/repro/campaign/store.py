@@ -78,7 +78,7 @@ class ResultStore:
 
         *extra* merges additional header fields — the sharded service
         records its shard's identity and id range here (``"shard":
-        {"id", "start", "stop", "of"}``) so a shard store is
+        {"id", "start", "stop"}``) so a shard store is
         self-describing and individually resumable.
         """
         self.close()

@@ -47,6 +47,18 @@ class FuzzReport:
     def ok(self):
         return not self.divergences and not self.violations
 
+    def add(self, record):
+        """Fold one program's store record into the report, so a resumed
+        program lands in it exactly as a freshly run one does."""
+        if record.get("limited"):
+            self.limited += 1
+        entry = {key: value for key, value in record.items()
+                 if key not in ("ok", "limited")}
+        if "divergence" in record:
+            self.divergences.append(entry)
+        elif "violations" in record:
+            self.violations.append(entry)
+
     def to_dict(self):
         doc = {
             "seed": self.seed, "count": self.count, "mode": self.mode,
@@ -86,10 +98,10 @@ def _store_header(seed, count, mode, assertions=False, jit=False):
 
 
 def _load_store(path, header):
-    """Indexes already completed in a compatible store, or None."""
+    """Records of a compatible store by program index, or None."""
     if not path or not os.path.exists(path):
         return None
-    done = set()
+    done = {}
     with open(path, "rb") as handle:
         first = handle.readline()
         if not first.strip():
@@ -105,7 +117,7 @@ def _load_store(path, header):
         for line in handle:
             record = parse_line(line)
             if record is not None and isinstance(record.get("index"), int):
-                done.add(record["index"])
+                done[record["index"]] = record
     return done
 
 
@@ -133,9 +145,11 @@ def fuzz(seed=1234, count=100, mode="all", max_steps=DEFAULT_MAX_STEPS,
          progress=None, assertions=False, jit=False):
     """Run *count* generated programs through the oracle.
 
-    Returns a :class:`FuzzReport`.  With *store*, completed indexes are
-    journalled to a JSONL file and skipped on rerun; with *corpus_dir*,
-    every diverging program is shrunk and persisted as a ``.s`` repro.
+    Returns a :class:`FuzzReport`.  With *store*, each program's record
+    (its report entry and step-limit flag) is journalled to a JSONL file,
+    and a rerun reports stored programs instead of running them; with
+    *corpus_dir*, every diverging program is shrunk and persisted as a
+    ``.s`` repro.
     With *assertions*, every engine runs under the invariant suite:
     asymmetric firings become ``assertion`` divergences and symmetric
     ones are reported per program in ``report.violations`` (either
@@ -149,7 +163,7 @@ def fuzz(seed=1234, count=100, mode="all", max_steps=DEFAULT_MAX_STEPS,
     handle = None
     if store:
         if done is None:
-            done = set()
+            done = {}
             handle = open(store, "w")
             handle.write(json.dumps(header) + "\n")
             handle.flush()
@@ -160,35 +174,31 @@ def fuzz(seed=1234, count=100, mode="all", max_steps=DEFAULT_MAX_STEPS,
         for index in range(count):
             if done and index in done:
                 report.resumed += 1
+                report.add(done[index])
                 continue
             program = generate(derive_seed(seed, index), mode=mode)
             result = run_source(program.source, max_steps=max_steps,
                                 assertions=assertions, jit=jit)
             report.executed += 1
-            if result.limited:
-                report.limited += 1
             record = {"index": index, "seed": program.seed,
                       "ok": result.ok}
+            if result.limited:
+                record["limited"] = True
             if not result.ok:
-                entry = {"index": index, "seed": program.seed,
-                         "divergence": result.divergence.to_dict()}
+                record["divergence"] = result.divergence.to_dict()
                 if shrink_diverging:
                     shrunk = shrink(program, _check_for(
                         mode, max_steps, assertions=assertions, jit=jit))
-                    entry["shrunk_idioms"] = len(shrunk.program.idioms)
-                    entry["shrunk_source"] = shrunk.program.source
+                    record["shrunk_idioms"] = len(shrunk.program.idioms)
+                    record["shrunk_source"] = shrunk.program.source
                     if corpus_dir:
-                        entry["corpus_file"] = _persist_repro(
+                        record["corpus_file"] = _persist_repro(
                             corpus_dir, seed, index, shrunk)
-                report.divergences.append(entry)
-                record["divergence"] = entry["divergence"]
             elif assertions and result.violations:
                 # No asymmetry, but the suite fired (identically) on
                 # some engine(s): the invariant itself is broken.
-                entry = {"index": index, "seed": program.seed,
-                         "violations": result.violations}
-                report.violations.append(entry)
-                record["violations"] = entry["violations"]
+                record["violations"] = result.violations
+            report.add(record)
             if handle is not None:
                 handle.write(json.dumps(record) + "\n")
                 handle.flush()

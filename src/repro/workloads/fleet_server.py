@@ -1,9 +1,11 @@
 """Multi-node port of the Figure 9 server workload (fleet runs).
 
-Each fleet node runs one instance of this program.  The request path is
-the Fig 9 server verbatim — SYS_RECV, LCG hash, shared per-class
-accumulator page, batched stats flush, SYS_SEND — plus a gossip step
-over the simulated network: after every response the worker
+Each fleet node runs one instance of this program: the Fig 9 server
+(:mod:`repro.workloads.server`), rendered from its template with the
+request path verbatim — SYS_RECV, LCG hash, shared per-class
+accumulator page, batched stats flush, SYS_SEND — and its empty slots
+filled with a gossip step over the simulated network: after every
+response the worker
 
 * ``SYS_NSEND``-s the response value to the node's ring peer
   (``(node + 1) % nodes``, baked into the image), and
@@ -21,6 +23,7 @@ dropped; gossip is best-effort by design.
 """
 
 from repro.program.layout import MemoryLayout
+from repro.workloads import server
 from repro.workloads.asmlib import build_workload_image
 
 DEFAULT_WORK_ITERS = 60
@@ -29,102 +32,14 @@ DEFAULT_STATS_BATCH = 8
 DEFAULT_DRAIN_CYCLES = 20_000
 DEFAULT_DRAIN_POLL_GAP = 500
 
-_SOURCE_TEMPLATE = """
-.data
-# Shared statistics page: counters all workers read-modify-write.
-stats:
-    .word 0                    # total requests served
-    .word 0                    # running response checksum
-    .word 0                    # max request id seen
-.align 12
-# Per-class accumulator pages (request id % {classes}); page-aligned so
-# each class is its own unit of DDT tracking.
-class_pages:
-{class_page_words}
+_NETSTATS = """
 # Peer gossip fold: digests received over the network.
 netstats:
     .word 0                    # digests folded
     .word 0                    # digest xor
-done_count:
-    .word 0
+"""
 
-.text
-main:
-    li $s0, {workers}          # workers to spawn
-    beqz $s0, all_spawned
-spawn_loop:
-    li $v0, SYS_SPAWN
-    la $a0, worker
-    move $a1, $s0
-    syscall
-    addi $s0, $s0, -1
-    bnez $s0, spawn_loop
-all_spawned:
-
-wait_loop:
-    li $v0, SYS_YIELD
-    syscall
-    lw $t0, done_count
-    li $t1, {workers}
-    bne $t0, $t1, wait_loop
-    halt
-
-# ---------------------------------------------------------------- worker
-worker:
-    li $s2, 0                  # locally served (since last stats flush)
-    li $s3, 0                  # local checksum accumulator
-    li $s5, 0                  # local max request id
-worker_loop:
-    li $v0, SYS_RECV
-    syscall
-    li $t1, -1
-    beq $v0, $t1, worker_done
-    move $s0, $v0              # request id
-
-    # ---- per-request computation: LCG hash over the request -----------
-    move $t0, $s0
-    li $t2, {work_iters}
-hash_loop:
-    li  $t3, 1664525
-    mul $t0, $t0, $t3
-    li  $t3, 1013904223
-    add $t0, $t0, $t3
-    xor $t0, $t0, $s0
-    addi $t2, $t2, -1
-    bnez $t2, hash_loop
-    move $s1, $t0              # response value
-
-    # ---- shared per-class accumulator page ------------------------------
-    li  $t1, {classes}
-    remu $t2, $s0, $t1         # class index
-    sll $t2, $t2, 12           # * page size
-    la  $t3, class_pages
-    add $t3, $t3, $t2
-    lw  $t4, 0($t3)            # read the class accumulator (dependency!)
-    add $t4, $t4, $s1
-    sw  $t4, 0($t3)            # write it back (ownership migration)
-    lw  $t4, 4($t3)
-    addi $t4, $t4, 1
-    sw  $t4, 4($t3)            # per-class request count
-
-    # ---- local statistics, flushed to the shared page in batches --------
-    addi $s2, $s2, 1
-    xor  $s3, $s3, $s1
-    slt  $at, $s5, $s0
-    beqz $at, no_new_max
-    move $s5, $s0
-no_new_max:
-    andi $t4, $s2, {stats_batch_mask}
-    bnez $t4, no_flush
-    jal  flush_stats
-no_flush:
-
-    # ---- respond ----------------------------------------------------------
-    li $v0, SYS_SEND
-    move $a0, $s0
-    move $a1, $s1
-    syscall
-
+_GOSSIP = """
     # ---- gossip: digest to the ring peer, one poll for theirs -----------
     li $v0, SYS_NSEND
     li $a0, {peer}
@@ -137,28 +52,9 @@ no_flush:
     beq $v0, $t1, no_gossip
     jal fold_digest
 no_gossip:
-    j worker_loop
+"""
 
-# Merge the local counters into the shared statistics page.
-flush_stats:
-    beqz $s2, flush_ret
-    la  $t3, stats
-    lw  $t4, 0($t3)
-    add $t4, $t4, $s2
-    sw  $t4, 0($t3)            # total served
-    lw  $t4, 4($t3)
-    xor $t4, $t4, $s3
-    sw  $t4, 4($t3)            # checksum
-    lw  $t4, 8($t3)
-    slt $at, $t4, $s5
-    beqz $at, flush_no_max
-    sw  $s5, 8($t3)
-flush_no_max:
-    li $s2, 0
-    li $s3, 0
-flush_ret:
-    jr $ra
-
+_FOLD_DIGEST = """
 # Fold one received digest ($a1, from node $v0) into netstats.
 fold_digest:
     la  $t3, netstats
@@ -175,8 +71,9 @@ fold_digest:
 # 32-bit difference (exact for any interval < 2^32 even across a wrap),
 # sltu compares it unsigned against the window.  Comparing raw SYS_CYCLE
 # values here would deadlock a worker that straddles the wrap.
-worker_done:
-    jal flush_stats
+"""
+
+_DRAIN = """
     li $v0, SYS_CYCLE
     syscall
     move $s6, $v0              # drain window start (low 32 bits)
@@ -200,13 +97,6 @@ drain_wait:
     syscall
     j drain_loop
 drain_over:
-    la $t0, done_count
-    lw $t1, 0($t0)
-    addi $t1, $t1, 1
-    sw $t1, 0($t0)
-    li $v0, SYS_EXIT
-    li $a0, 0
-    syscall
 """
 
 
@@ -217,22 +107,14 @@ def source(node, nodes, workers, work_iters=DEFAULT_WORK_ITERS,
     """Assembly source for fleet node *node* of *nodes*."""
     if not 0 <= node < nodes:
         raise ValueError("node %r outside fleet of %d" % (node, nodes))
-    if stats_batch & (stats_batch - 1):
-        raise ValueError("stats_batch must be a power of two")
     if drain_cycles < 1 or drain_poll_gap < 1:
         raise ValueError("drain window and poll gap must be >= 1")
-    class_page_words = "\n".join(
-        "    .space 4096" for __ in range(classes))
-    return _SOURCE_TEMPLATE.format(
-        workers=workers,
-        work_iters=work_iters,
-        classes=classes,
-        stats_batch_mask=stats_batch - 1,
-        class_page_words=class_page_words,
-        peer=(node + 1) % nodes,
-        drain_cycles=drain_cycles,
-        drain_poll_gap=drain_poll_gap,
-    )
+    return server.source(
+        workers, work_iters, classes, stats_batch, data=_NETSTATS,
+        respond=_GOSSIP.format(peer=(node + 1) % nodes),
+        routines=_FOLD_DIGEST,
+        drain=_DRAIN.format(drain_cycles=drain_cycles,
+                            drain_poll_gap=drain_poll_gap))
 
 
 def program(node, nodes, workers, work_iters=DEFAULT_WORK_ITERS,

@@ -16,6 +16,12 @@ memory page."  We reproduce that structure:
 * the main thread spawns the pool and then polls a shared
   ``done_count`` page (with ``SYS_YIELD``) until every worker exits.
 
+The template leaves empty slots for programs built on this server
+(:mod:`repro.workloads.fleet_server`): ``data`` after the class pages,
+``respond`` after each ``SYS_SEND``, ``routines`` after the stats
+flush routine and ``drain`` between the worker's last flush and its
+exit.
+
 Each run handles a fixed number of requests (the paper: "we vary the
 number of threads and measure the time for the server to handle one
 hundred requests").
@@ -39,6 +45,7 @@ stats:
 # each class is its own unit of DDT tracking.
 class_pages:
 {class_page_words}
+{data}
 done_count:
     .word 0
 
@@ -118,6 +125,7 @@ no_flush:
     move $a0, $s0
     move $a1, $s1
     syscall
+{respond}
     j worker_loop
 
 # Merge the local counters into the shared statistics page.
@@ -139,9 +147,10 @@ flush_no_max:
     li $s3, 0
 flush_ret:
     jr $ra
-
+{routines}
 worker_done:
     jal flush_stats
+{drain}
     la $t0, done_count
     lw $t1, 0($t0)
     addi $t1, $t1, 1
@@ -156,7 +165,9 @@ DEFAULT_STATS_BATCH = 8
 
 
 def source(workers, work_iters=DEFAULT_WORK_ITERS, classes=DEFAULT_CLASSES,
-           stats_batch=DEFAULT_STATS_BATCH):
+           stats_batch=DEFAULT_STATS_BATCH, data="", respond="", routines="",
+           drain=""):
+    """Assembly source for a pool of *workers*, with the slots filled."""
     if stats_batch & (stats_batch - 1):
         raise ValueError("stats_batch must be a power of two")
     class_page_words = "\n".join(
@@ -167,6 +178,10 @@ def source(workers, work_iters=DEFAULT_WORK_ITERS, classes=DEFAULT_CLASSES,
         classes=classes,
         stats_batch_mask=stats_batch - 1,
         class_page_words=class_page_words,
+        data=data,
+        respond=respond,
+        routines=routines,
+        drain=drain,
     )
 
 

@@ -150,6 +150,16 @@ def test_store_spec_round_trip(tmp_path):
     assert recovered.fingerprint() == spec.fingerprint()
 
 
+def test_serial_store_header_has_no_shard(tmp_path):
+    """A serial run is one in-process range over every id: it writes a
+    plain campaign store, not a shard store."""
+    path = str(tmp_path / "campaign.jsonl")
+    spec = spec_for(injections=4)
+    run_campaign(spec, options=ExecutionOptions(store=path))
+    header, __ = ResultStore(path).verify(spec.fingerprint())
+    assert "shard" not in header
+
+
 # --------------------------------------------------------------- replay
 
 def test_replay_reproduces_stored_record(tmp_path):
@@ -447,6 +457,56 @@ def test_fork_flag_is_safe_for_impure_models():
     spec = spec_for(injections=6)
     assert run_campaign(spec, options=ExecutionOptions(fork=True)).records == \
         run_campaign(spec, options=ExecutionOptions(fork=False)).records
+
+
+#: Serial routes that run every injection on a fresh machine:
+#: ``(spec keywords, fork flag)``.
+COLD_ROUTES = {
+    "assert": ({"model": "reg-flip", "assertions": True}, True),
+    "instr-flip": ({"model": "instr-flip"}, True),
+    "attack": ({"model": "attack", "source": "attack:stack-smash",
+                "model_options": {"attack_class": "stack-smash",
+                                  "config": "none"},
+                "max_cycles": 300_000}, True),
+    "no-fork": ({"model": "reg-flip"}, False),
+}
+
+
+@pytest.mark.parametrize("route", sorted(COLD_ROUTES))
+def test_cold_routes_build_no_fork_engine(route, fork_engines):
+    """Monitored campaigns, impure or self-executing models and runs
+    without fork never build a :class:`ForkEngine`."""
+    keywords, fork = COLD_ROUTES[route]
+    spec = spec_for(**dict(keywords, injections=2))
+    run = run_campaign(spec, options=ExecutionOptions(fork=fork))
+    assert len(run.records) == 2
+    assert fork_engines == []
+
+
+def test_fork_route_builds_one_engine_from_the_image(monkeypatch,
+                                                     fork_engines):
+    """A forked pure-model campaign builds exactly one engine; given
+    the service's shipped image, the engine's pristine machine is
+    unpacked from it."""
+    from repro.campaign.runner import CampaignContext, pick_engine
+    from repro.campaign.service import build_campaign_image
+    from repro.checkpoint import CampaignImage
+
+    spec = spec_for(model="reg-flip", injections=6)
+    run_campaign(spec, options=ExecutionOptions(fork=True))
+    assert len(fork_engines) == 1
+    image = build_campaign_image(spec)
+    unpacked = []
+    real_checkpoint = CampaignImage.checkpoint
+
+    def checkpoint(bundle):
+        unpacked.append(bundle)
+        return real_checkpoint(bundle)
+
+    monkeypatch.setattr(CampaignImage, "checkpoint", checkpoint)
+    pick_engine(CampaignContext(spec), True, image)
+    assert len(fork_engines) == 2
+    assert unpacked == [image]
 
 
 def test_run_carries_its_execution_options():

@@ -8,9 +8,10 @@ from repro import checkpoint as checkpoint_layer
 from repro.campaign import (CampaignSpec, DEMO_WORKLOAD, ExecutionOptions,
                             ForkEngine, ResultStore, StoreMismatch,
                             run_campaign)
-from repro.campaign.runner import CampaignContext, build_campaign_machine
-from repro.campaign.service import (ServiceError, _build_engine,
-                                    _process_shard, build_campaign_image,
+from repro.campaign.runner import (CampaignContext, build_campaign_machine,
+                                   forked_injection, pick_engine)
+from repro.campaign.service import (ServiceError, _process_shard,
+                                    build_campaign_image,
                                     merge_shards, plan_shards, run_service,
                                     shard_store_path)
 from repro.campaign.space import sample_injections
@@ -157,7 +158,7 @@ def test_image_engine_records_match_fresh_machines():
     injections = sample_injections(ctx.model, ctx, spec.injections,
                                    spec.seed)
     fresh = run_campaign(spec)
-    assert [engine.strike_from_base(injection)
+    assert [forked_injection(ctx, engine, injection)
             for injection in injections] == fresh.records
 
 
@@ -179,7 +180,7 @@ def test_forked_shard_shares_trigger_prefixes(tmp_path, monkeypatch):
                         max_cycles=2_000)
     image = build_campaign_image(spec)
     ctx = CampaignContext(spec, golden=image.meta["golden"])
-    engine = _build_engine(ctx, image, fork=True)
+    engine = pick_engine(ctx, True, image)
     prefixes = []
     capture = checkpoint_layer.capture
 

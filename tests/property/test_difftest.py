@@ -287,3 +287,41 @@ def test_fuzz_store_separates_jit_runs(tmp_path):
     fuzz(seed=11, count=2, mode="basic", store=store)
     with pytest.raises(StoreMismatch):
         fuzz(seed=11, count=2, mode="basic", store=store, jit=True)
+
+
+
+def _outcome(report):
+    """A report's findings: everything but how many programs ran."""
+    doc = report.to_dict()
+    del doc["executed"], doc["resumed"]
+    return doc
+
+
+def test_fuzz_resume_reports_stored_divergences(tmp_path, broken_xor_trace):
+    """A run resumed from its store reports what an uninterrupted run
+    does: the stored programs' divergences, with their shrink results,
+    count too, not just their indexes."""
+    store = str(tmp_path / "difftest.jsonl")
+    full = fuzz(seed=1234, count=12, mode="all", jit=True, store=store)
+    assert not full.ok
+    with open(store) as handle:
+        lines = handle.readlines()
+    with open(store, "w") as handle:
+        handle.writelines(lines[:7])       # header + programs 0-5
+    resumed = fuzz(seed=1234, count=12, mode="all", jit=True, store=store)
+    assert (resumed.resumed, resumed.executed) == (6, 6)
+    again = fuzz(seed=1234, count=12, mode="all", jit=True, store=store)
+    assert again.resumed == 12
+    assert _outcome(resumed) == _outcome(full)
+    assert _outcome(again) == _outcome(full)
+
+
+def test_fuzz_resume_counts_stored_step_limits(tmp_path):
+    store = str(tmp_path / "difftest.jsonl")
+    full = fuzz(seed=11, count=4, mode="basic", max_steps=10,
+                shrink_diverging=False, store=store)
+    assert full.limited == 4
+    again = fuzz(seed=11, count=4, mode="basic", max_steps=10,
+                 shrink_diverging=False, store=store)
+    assert again.resumed == 4
+    assert _outcome(again) == _outcome(full)
